@@ -1,7 +1,8 @@
 //! B2 — resource-bound sweep scaling: the full analysis pipeline
 //! (EST/LCT + partitioning + interval sweep) on growing task counts,
-//! plus the naive-vs-incremental Θ-sweep comparison and the parallel
-//! fan-out.
+//! plus the naive-vs-incremental Θ-sweep comparison (the naive side is
+//! `rtlb_core::oracle::naive_bounds` after the same timing and partition
+//! stages) and the parallel fan-out.
 //!
 //! `sweep/*` uses a high-load independent-task workload (few, large
 //! partition blocks with many candidate points) — the regime where the
@@ -14,10 +15,12 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use rtlb_bench::{counters_json, write_bench_json};
+use rtlb_core::oracle::naive_bounds;
 use rtlb_core::{
-    analyze, analyze_with, analyze_with_probe, effective_threads, AnalysisOptions, SweepStrategy,
-    SystemModel,
+    analyze, analyze_with, analyze_with_probe, compute_timing, effective_threads, partition_all,
+    AnalysisOptions, CandidatePolicy, ResourceBound, SystemModel,
 };
+use rtlb_graph::TaskGraph;
 use rtlb_obs::{Json, Recorder};
 use rtlb_workloads::{independent_tasks, paper_example};
 
@@ -27,12 +30,20 @@ const SWEEP_SIZES: [usize; 3] = [100, 200, 400];
 /// partitioner produces few, large blocks.
 const SWEEP_LOAD: u32 = 20;
 
-fn options(sweep: SweepStrategy, parallelism: usize) -> AnalysisOptions {
+fn options(parallelism: usize) -> AnalysisOptions {
     AnalysisOptions {
-        sweep,
         parallelism,
         ..AnalysisOptions::default()
     }
+}
+
+/// Timing, feasibility, partition, and the naive per-pair sweep — the
+/// pipeline with the oracle sweep in place of the incremental one.
+fn analyze_naive(graph: &TaskGraph) -> Vec<ResourceBound> {
+    let timing = compute_timing(graph, &SystemModel::shared());
+    timing.check_feasible(graph).unwrap();
+    let partitions = partition_all(graph, &timing);
+    naive_bounds(graph, &timing, &partitions, CandidatePolicy::EstLct).unwrap()
 }
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -52,28 +63,18 @@ fn bench_sweep_strategies(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &SWEEP_SIZES {
         let graph = independent_tasks(n, SWEEP_LOAD, 11);
-        for (label, sweep) in [
-            ("naive", SweepStrategy::Naive),
-            ("incremental", SweepStrategy::Incremental),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &graph, |b, graph| {
-                b.iter(|| {
-                    analyze_with(black_box(graph), &SystemModel::shared(), options(sweep, 1))
-                        .unwrap()
-                })
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("naive", n), &graph, |b, graph| {
+            b.iter(|| analyze_naive(black_box(graph)))
+        });
+        group.bench_with_input(BenchmarkId::new("incremental", n), &graph, |b, graph| {
+            b.iter(|| analyze_with(black_box(graph), &SystemModel::shared(), options(1)).unwrap())
+        });
         group.bench_with_input(
             BenchmarkId::new("incremental-allcores", n),
             &graph,
             |b, graph| {
                 b.iter(|| {
-                    analyze_with(
-                        black_box(graph),
-                        &SystemModel::shared(),
-                        options(SweepStrategy::Incremental, 0),
-                    )
-                    .unwrap()
+                    analyze_with(black_box(graph), &SystemModel::shared(), options(0)).unwrap()
                 })
             },
         );
@@ -88,19 +89,23 @@ fn bench_sweep_strategies(c: &mut Criterion) {
 fn report_headline_speedup(_c: &mut Criterion) {
     let n = *SWEEP_SIZES.last().unwrap();
     let graph = independent_tasks(n, SWEEP_LOAD, 11);
-    let time = |sweep: SweepStrategy, parallelism: usize| {
+    let time = |run: &dyn Fn()| {
         let start = Instant::now();
-        black_box(
-            analyze_with(&graph, &SystemModel::shared(), options(sweep, parallelism)).unwrap(),
-        );
+        run();
         start.elapsed()
     };
+    let naive_run = || {
+        black_box(analyze_naive(&graph));
+    };
+    let pipeline = |parallelism: usize| {
+        black_box(analyze_with(&graph, &SystemModel::shared(), options(parallelism)).unwrap());
+    };
     // Warm both paths once, then measure.
-    time(SweepStrategy::Naive, 1);
-    time(SweepStrategy::Incremental, 1);
-    let naive = time(SweepStrategy::Naive, 1);
-    let incremental = time(SweepStrategy::Incremental, 1);
-    let allcores = time(SweepStrategy::Incremental, 0);
+    time(&naive_run);
+    time(&|| pipeline(1));
+    let naive = time(&naive_run);
+    let incremental = time(&|| pipeline(1));
+    let allcores = time(&|| pipeline(0));
     println!(
         "bounds/sweep: single-thread speedup on {n} tasks (load {SWEEP_LOAD}): \
          {:.1}x (naive {:?}, incremental {:?})",
@@ -112,13 +117,7 @@ fn report_headline_speedup(_c: &mut Criterion) {
     // Re-run the headline configuration under the recorder so the
     // artifact carries the pipeline counters alongside the timings.
     let recorder = Recorder::new();
-    analyze_with_probe(
-        &graph,
-        &SystemModel::shared(),
-        options(SweepStrategy::Incremental, 0),
-        &recorder,
-    )
-    .unwrap();
+    analyze_with_probe(&graph, &SystemModel::shared(), options(0), &recorder).unwrap();
     let metrics = recorder.take_metrics();
 
     let micros = |d: std::time::Duration| Json::Int(d.as_micros() as i64);

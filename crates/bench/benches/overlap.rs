@@ -4,9 +4,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use rtlb_core::oracle::naive_bounds;
 use rtlb_core::{
-    compute_timing, overlap, partition_tasks, resource_bound_sweep, theta, CandidatePolicy,
-    SweepStrategy, SystemModel, TaskWindow,
+    compute_timing, overlap, partition_tasks, resource_bound, theta, CandidatePolicy, SystemModel,
+    TaskWindow,
 };
 use rtlb_graph::{Dur, ExecutionMode, Time};
 use rtlb_workloads::independent_tasks;
@@ -72,26 +73,28 @@ fn bench_sweep_kernel(c: &mut Criterion) {
         let timing = compute_timing(&graph, &SystemModel::shared());
         let p = graph.catalog().lookup("P0").unwrap();
         let partition = partition_tasks(&graph, &timing, p);
-        for (label, strategy) in [
-            ("naive", SweepStrategy::Naive),
-            ("incremental", SweepStrategy::Incremental),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(label, n),
-                &(&graph, &timing, &partition),
-                |b, (graph, timing, partition)| {
-                    b.iter(|| {
-                        resource_bound_sweep(
-                            black_box(graph),
-                            timing,
-                            partition,
-                            CandidatePolicy::EstLct,
-                            strategy,
-                        )
-                    })
-                },
-            );
-        }
+        let input = (&graph, &timing, &partition);
+        group.bench_with_input(
+            BenchmarkId::new("naive", n),
+            &input,
+            |b, (graph, timing, partition)| {
+                b.iter(|| {
+                    naive_bounds(
+                        black_box(graph),
+                        timing,
+                        std::slice::from_ref(*partition),
+                        CandidatePolicy::EstLct,
+                    )
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("incremental", n),
+            &input,
+            |b, (graph, timing, partition)| {
+                b.iter(|| resource_bound(black_box(graph), timing, partition))
+            },
+        );
     }
     group.finish();
 }

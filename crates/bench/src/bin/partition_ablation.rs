@@ -1,6 +1,7 @@
 //! E9 — Theorem 5 ablation: the Figure 4 partitioning must leave every
 //! bound unchanged while shrinking the number of candidate intervals the
-//! sweep examines (and hence analysis time).
+//! sweep examines (and hence analysis time). The flat side is the
+//! `rtlb_core::oracle::flat_bounds` sweep over the same windows.
 //!
 //! ```sh
 //! cargo run -p rtlb-bench --bin partition_ablation
@@ -9,7 +10,10 @@
 use std::time::Instant;
 
 use rtlb_bench::{counters_json, write_bench_json, TextTable};
-use rtlb_core::{analyze_with, analyze_with_probe, AnalysisOptions, SystemModel};
+use rtlb_core::oracle::flat_bounds;
+use rtlb_core::{
+    analyze_with_probe, compute_timing, AnalysisOptions, CandidatePolicy, SystemModel,
+};
 use rtlb_obs::{Json, Recorder};
 use rtlb_workloads::independent_tasks;
 
@@ -32,15 +36,9 @@ fn main() {
         let graph = independent_tasks(n, 3, 42);
 
         let t0 = Instant::now();
-        let flat = analyze_with(
-            &graph,
-            &SystemModel::shared(),
-            AnalysisOptions {
-                partitioning: false,
-                ..AnalysisOptions::default()
-            },
-        )
-        .expect("feasible");
+        let timing = compute_timing(&graph, &SystemModel::shared());
+        timing.check_feasible(&graph).expect("feasible");
+        let flat = flat_bounds(&graph, &timing, CandidatePolicy::EstLct).expect("feasible");
         let flat_time = t0.elapsed();
 
         let recorder = Recorder::new();
@@ -55,10 +53,9 @@ fn main() {
         let part_time = t0.elapsed();
         let metrics = recorder.take_metrics();
 
-        let flat_intervals: u64 = flat.bounds().iter().map(|b| b.intervals_examined).sum();
+        let flat_intervals: u64 = flat.iter().map(|b| b.intervals_examined).sum();
         let part_intervals: u64 = part.bounds().iter().map(|b| b.intervals_examined).sum();
         let equal = flat
-            .bounds()
             .iter()
             .zip(part.bounds())
             .all(|(a, b)| a.bound == b.bound);

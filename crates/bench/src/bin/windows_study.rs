@@ -2,10 +2,11 @@
 //! over the paper-faithful sweep on the shipped `examples/windows/`
 //! corpus, plus a random layered family for context.
 //!
-//! For every instance the three levels are run side by side:
-//! `paper` and `timeline` must agree bit-for-bit (the Timeline is a
-//! pure reimplementation of the paper's packing), and `filtered` may
-//! only raise bounds. On the shipped corpus each filtered bound is also
+//! For every instance the three levels are run side by side: `paper`
+//! (the oracle pipeline: `rtlb_core::oracle::compute_timing_paper`'s
+//! sequential packing, Figure 4, and the naive sweep) and `timeline` must
+//! agree bit-for-bit (the Timeline is a pure reimplementation of the
+//! paper's packing), and `filtered` may only raise bounds. On the shipped corpus each filtered bound is also
 //! checked against the complete exact search, so every reported gain is
 //! a *true* gain, not an unsound refutation. Writes
 //! `BENCH_windows.json`.
@@ -17,7 +18,11 @@
 use std::path::Path;
 
 use rtlb_bench::{write_bench_json, TextTable};
-use rtlb_core::{analyze_with, analyze_with_probe, AnalysisOptions, PropagationLevel, SystemModel};
+use rtlb_core::oracle::{compute_timing_paper, naive_bounds};
+use rtlb_core::{
+    analyze_with, analyze_with_probe, partition_all, AnalysisOptions, CandidatePolicy,
+    PropagationLevel, ResourceBound, SystemModel,
+};
 use rtlb_graph::TaskGraph;
 use rtlb_obs::{Json, MetricsRegistry};
 use rtlb_sched::{min_units_exact, Capacities, SearchBudget};
@@ -34,16 +39,22 @@ fn options_at(level: PropagationLevel) -> AnalysisOptions {
 /// paper/timeline bit-identity and filtered dominance asserted.
 fn levels_max_lb(graph: &TaskGraph, probe: &MetricsRegistry, name: &str) -> [u32; 3] {
     let model = SystemModel::shared();
-    let paper = analyze_with(graph, &model, options_at(PropagationLevel::Paper))
-        .unwrap_or_else(|e| panic!("{name} (paper): {e}"));
     let timeline = analyze_with(graph, &model, options_at(PropagationLevel::Timeline))
         .unwrap_or_else(|e| panic!("{name} (timeline): {e}"));
     let filtered = analyze_with_probe(graph, &model, options_at(PropagationLevel::Filtered), probe)
         .unwrap_or_else(|e| panic!("{name} (filtered): {e}"));
+    let paper_timing = compute_timing_paper(graph, &model);
+    let paper = naive_bounds(
+        graph,
+        &paper_timing,
+        &partition_all(graph, &paper_timing),
+        CandidatePolicy::EstLct,
+    )
+    .unwrap_or_else(|e| panic!("{name} (paper): {e}"));
 
     assert_eq!(
-        paper.bounds(),
-        timeline.bounds(),
+        (&paper_timing, &paper[..]),
+        (timeline.timing(), timeline.bounds()),
         "{name}: paper and timeline packing must agree bit-for-bit"
     );
     for (t, f) in timeline.bounds().iter().zip(filtered.bounds()) {
@@ -55,8 +66,8 @@ fn levels_max_lb(graph: &TaskGraph, probe: &MetricsRegistry, name: &str) -> [u32
             t.bound
         );
     }
-    let max = |a: &rtlb_core::Analysis| a.bounds().iter().map(|b| b.bound).max().unwrap_or(0);
-    [max(&paper), max(&timeline), max(&filtered)]
+    let max = |bounds: &[ResourceBound]| bounds.iter().map(|b| b.bound).max().unwrap_or(0);
+    [max(&paper), max(timeline.bounds()), max(filtered.bounds())]
 }
 
 /// Checks every filtered bound of `graph` against the complete exact
@@ -163,7 +174,7 @@ fn main() {
         if analyze_with(
             &graph,
             &SystemModel::shared(),
-            options_at(PropagationLevel::Paper),
+            options_at(PropagationLevel::Timeline),
         )
         .is_err()
         {

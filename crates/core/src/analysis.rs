@@ -5,33 +5,23 @@ use serde::{Deserialize, Serialize};
 
 use rtlb_graph::{ResourceId, TaskGraph};
 
-use crate::bounds::{resource_bound_unpartitioned_ctl, CandidatePolicy, ResourceBound};
+use crate::bounds::{fold_bound, CandidatePolicy, RatioMax, ResourceBound};
 use crate::cancel::CancelToken;
 use crate::cost::{dedicated_cost_bound, shared_cost_bound, DedicatedCostBound, SharedCostBound};
 use crate::error::AnalysisError;
-use crate::estlct::{compute_timing_ctl_packed, TimingAnalysis};
+use crate::estlct::{compute_timing_ctl, TimingAnalysis};
 use crate::model::SystemModel;
 use crate::partition::{partition_all, ResourcePartition};
-use crate::propagate::{refine_bounds, PropagationLevel};
-use crate::sweep::{sweep_partitions_ctl, SweepStrategy};
+use crate::propagate::{refine_block, PropagationLevel};
+use crate::sweep::sweep_partitions;
 
 /// Tuning knobs for [`analyze_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AnalysisOptions {
-    /// Apply the Figure 4 partitioning before the interval sweep
-    /// (Theorem 5). Disabling it produces the same bounds from a single
-    /// flat sweep per resource; exposed for the ablation study.
-    pub partitioning: bool,
     /// Which interval endpoints the Equation 6.3 sweep samples; the
     /// default is the paper's EST/LCT grid, [`CandidatePolicy::Extended`]
     /// adds the forced-overlap corners and can only tighten the bound.
     pub candidates: CandidatePolicy,
-    /// How the Equation 6.3 sweep evaluates `Θ`: the incremental
-    /// event-based scan (default) or the naive per-pair recomputation
-    /// kept as the testing oracle. Both give bit-identical results.
-    /// Ignored when `partitioning` is off (the flat ablation sweep is
-    /// always naive).
-    pub sweep: SweepStrategy,
     /// Worker threads for the partitioned sweep: `1` (default) is fully
     /// serial, `0` means one per available core. Results are identical
     /// for every value.
@@ -42,9 +32,8 @@ pub struct AnalysisOptions {
     /// taken literally. Results are identical for every value — chunk
     /// maxima merge in ascending-`t1` order with the serial tie-break.
     pub chunk_columns: usize,
-    /// Window-packing engine and post-sweep filtering level.
-    /// [`PropagationLevel::Paper`] and the default
-    /// [`PropagationLevel::Timeline`] produce bit-identical bounds;
+    /// Post-sweep filtering level: the default
+    /// [`PropagationLevel::Timeline`] reports the sweep's bounds;
     /// [`PropagationLevel::Filtered`] additionally runs
     /// capacity-conditional detectable-precedence / edge-finding
     /// filtering after the sweep and can only raise bounds.
@@ -54,9 +43,7 @@ pub struct AnalysisOptions {
 impl Default for AnalysisOptions {
     fn default() -> AnalysisOptions {
         AnalysisOptions {
-            partitioning: true,
             candidates: CandidatePolicy::EstLct,
-            sweep: SweepStrategy::default(),
             parallelism: 1,
             chunk_columns: 0,
             propagation: PropagationLevel::default(),
@@ -69,29 +56,15 @@ impl AnalysisOptions {
     /// bound, used by the result cache as part of an instance's content
     /// key.
     ///
-    /// `partitioning` and `candidates` select which bound is computed,
-    /// and `sweep` is included conservatively (the two strategies are
-    /// bit-identical by contract, but the naive oracle path is exactly
-    /// what we never want silently served from a fast-path cache entry
-    /// or vice versa when debugging a divergence). `propagation` is
-    /// included for the same two reasons at once: `filtered` computes a
-    /// genuinely different (tighter) bound, and `paper`/`timeline` are
-    /// bit-identical only by contract. `parallelism` and
+    /// `candidates` and `propagation` select which bound is computed
+    /// (`filtered` can be tighter than `timeline`). `parallelism` and
     /// `chunk_columns` are pure execution shape — results are documented
     /// and property-tested identical for every value — so they are
     /// excluded: runs at different pool sizes share cache entries.
     pub fn semantic_fingerprint(&self) -> String {
         format!(
-            "partitioning={};candidates={};sweep={};propagation={}",
-            self.partitioning,
-            match self.candidates {
-                CandidatePolicy::EstLct => "est-lct",
-                CandidatePolicy::Extended => "extended",
-            },
-            match self.sweep {
-                SweepStrategy::Naive => "naive",
-                SweepStrategy::Incremental => "incremental",
-            },
+            "candidates={};propagation={}",
+            self.candidates.label(),
             self.propagation.label(),
         )
     }
@@ -131,8 +104,7 @@ impl Analysis {
         &self.timing
     }
 
-    /// The per-resource partitions (step 2), in resource-id order. Empty
-    /// when partitioning was disabled via [`AnalysisOptions`].
+    /// The per-resource partitions (step 2), in resource-id order.
     pub fn partitions(&self) -> &[ResourcePartition] {
         &self.partitions
     }
@@ -284,7 +256,7 @@ const MAGNITUDE_LIMIT: i64 = i64::MAX / 4;
 /// Rejects instances whose raw magnitudes could overflow the pipeline's
 /// `i64` arithmetic. Sums are accumulated in `i128`, so the check itself
 /// cannot wrap.
-fn check_magnitudes(graph: &TaskGraph) -> Result<(), AnalysisError> {
+pub(crate) fn check_magnitudes(graph: &TaskGraph) -> Result<(), AnalysisError> {
     let limit = i128::from(MAGNITUDE_LIMIT);
     let mut volume: i128 = 0;
     for (t, task) in graph.tasks() {
@@ -337,7 +309,47 @@ pub fn analyze_ctl(
     ctl: &CancelToken,
 ) -> Result<Analysis, AnalysisError> {
     let _run = span(probe, "analyze", Label::None);
+    let (timing, resources) = run_stages(graph, model, options, probe, ctl)?;
+    let (partitions, bounds) = resources
+        .into_iter()
+        .map(|r| (r.partition, r.bound))
+        .unzip();
+    Ok(Analysis {
+        timing,
+        partitions,
+        bounds,
+    })
+}
 
+/// One resource's analysis state: its Figure 4 partition, one Equation
+/// 6.3 sweep maximum and one filtered refinement per block (all zero
+/// below [`PropagationLevel::Filtered`]), and the bound they fold into.
+/// [`crate::AnalysisSession`] keeps these as its per-resource caches.
+#[derive(Clone, Debug)]
+pub(crate) struct ResourceState {
+    pub(crate) partition: ResourcePartition,
+    pub(crate) block_maxima: Vec<RatioMax>,
+    pub(crate) block_refined: Vec<u32>,
+    pub(crate) bound: ResourceBound,
+}
+
+/// The from-scratch stage sequence shared by [`analyze_ctl`] and
+/// [`crate::AnalysisSession::new_ctl`]: validation and the magnitude
+/// guard, the Figure 2/3 timing, feasibility, the Figure 4 partition, the
+/// Equation 6.3 block sweep, and (at the `Filtered` level) the per-block
+/// refinement — each under its `analyze.*` span — returning the windows
+/// and one [`ResourceState`] per demanded resource, in resource-id order.
+///
+/// # Errors
+///
+/// Same as [`analyze_ctl`].
+pub(crate) fn run_stages(
+    graph: &TaskGraph,
+    model: &SystemModel,
+    options: AnalysisOptions,
+    probe: &dyn Probe,
+    ctl: &CancelToken,
+) -> Result<(TimingAnalysis, Vec<ResourceState>), AnalysisError> {
     {
         let _step = span(probe, "analyze.validate", Label::None);
         model.validate(graph)?;
@@ -346,7 +358,7 @@ pub fn analyze_ctl(
 
     let timing = {
         let _step = span(probe, "analyze.timing", Label::None);
-        compute_timing_ctl_packed(graph, model, options.propagation.packing(), probe, ctl)?
+        compute_timing_ctl(graph, model, probe, ctl)?
     };
 
     {
@@ -354,60 +366,58 @@ pub fn analyze_ctl(
         timing.check_feasible(graph)?;
     }
 
-    let (partitions, bounds) = if options.partitioning {
-        let partitions = {
-            let _step = span(probe, "analyze.partition", Label::None);
-            partition_all(graph, &timing)
-        };
-        probe.add("partition.resources", partitions.len() as u64);
-        probe.add(
-            "partition.blocks",
-            partitions.iter().map(|p| p.blocks.len() as u64).sum(),
-        );
-        probe.add(
-            "partition.tasks",
-            partitions.iter().map(|p| p.task_count() as u64).sum(),
-        );
-        for p in &partitions {
-            probe.observe("partition.blocks_per_resource", p.blocks.len() as u64);
-        }
-        let bounds = sweep_partitions_ctl(
-            graph,
-            &timing,
-            &partitions,
-            options.candidates,
-            options.sweep,
-            options.parallelism,
-            options.chunk_columns,
-            probe,
-            ctl,
-        )?;
-        (partitions, bounds)
-    } else {
-        let _step = span(probe, "analyze.sweep", Label::None);
-        let bounds: Vec<ResourceBound> = graph
-            .resources_used()
-            .into_iter()
-            .map(|r| resource_bound_unpartitioned_ctl(graph, &timing, r, options.candidates, ctl))
-            .collect::<Result<_, _>>()?;
-        probe.add(
-            "sweep.pairs_offered",
-            bounds.iter().map(|b| b.intervals_examined).sum(),
-        );
-        (Vec::new(), bounds)
+    let partitions = {
+        let _step = span(probe, "analyze.partition", Label::None);
+        partition_all(graph, &timing)
     };
-
-    let mut bounds = bounds;
-    if options.propagation.filters() {
-        let _step = span(probe, "analyze.propagate", Label::None);
-        refine_bounds(graph, &timing, &partitions, &mut bounds, probe, ctl)?;
+    probe.add("partition.resources", partitions.len() as u64);
+    probe.add(
+        "partition.blocks",
+        partitions.iter().map(|p| p.blocks.len() as u64).sum(),
+    );
+    probe.add(
+        "partition.tasks",
+        partitions.iter().map(|p| p.task_count() as u64).sum(),
+    );
+    for p in &partitions {
+        probe.observe("partition.blocks_per_resource", p.blocks.len() as u64);
     }
 
-    Ok(Analysis {
-        timing,
-        partitions,
-        bounds,
-    })
+    let maxima = {
+        let _step = span(probe, "analyze.sweep", Label::None);
+        sweep_partitions(graph, &timing, &partitions, &options, probe, ctl)?
+    };
+
+    let refined = if options.propagation.filters() {
+        let _step = span(probe, "analyze.propagate", Label::None);
+        partitions
+            .iter()
+            .map(|p| {
+                p.blocks
+                    .iter()
+                    .map(|b| refine_block(graph, &timing, &b.tasks, probe, ctl))
+                    .collect::<Result<Vec<u32>, _>>()
+            })
+            .collect::<Result<Vec<_>, _>>()?
+    } else {
+        partitions.iter().map(|p| vec![0; p.blocks.len()]).collect()
+    };
+
+    let resources = partitions
+        .into_iter()
+        .zip(maxima)
+        .zip(refined)
+        .map(|((partition, block_maxima), block_refined)| {
+            let bound = fold_bound(partition.resource, &block_maxima, &block_refined)?;
+            Ok(ResourceState {
+                partition,
+                block_maxima,
+                block_refined,
+                bound,
+            })
+        })
+        .collect::<Result<_, AnalysisError>>()?;
+    Ok((timing, resources))
 }
 
 #[cfg(test)]
@@ -439,20 +449,25 @@ mod tests {
     }
 
     #[test]
-    fn options_toggle_partitioning_without_changing_bounds() {
-        let (g, p) = three_tight_tasks();
-        let with = analyze_with(&g, &SystemModel::shared(), AnalysisOptions::default()).unwrap();
-        let without = analyze_with(
-            &g,
-            &SystemModel::shared(),
-            AnalysisOptions {
-                partitioning: false,
-                ..AnalysisOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(with.units_required(p), without.units_required(p));
-        assert!(without.partitions().is_empty());
+    fn fingerprint_names_only_bound_changing_options() {
+        let shape = AnalysisOptions {
+            parallelism: 8,
+            chunk_columns: 3,
+            ..AnalysisOptions::default()
+        };
+        assert_eq!(
+            shape.semantic_fingerprint(),
+            "candidates=est-lct;propagation=timeline"
+        );
+        let tighter = AnalysisOptions {
+            candidates: CandidatePolicy::Extended,
+            propagation: PropagationLevel::Filtered,
+            ..AnalysisOptions::default()
+        };
+        assert_eq!(
+            tighter.semantic_fingerprint(),
+            "candidates=extended;propagation=filtered"
+        );
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! paper's Section 8 we sample interval endpoints at the tasks' ESTs and
 //! LCTs, which yields a (still valid) bound `LB'_r ≤ LB_r`. Theorem 5 lets
 //! the sweep run independently inside each partition block; the
-//! unpartitioned variant is kept for the ablation study and for testing
-//! the Theorem 5 equality.
+//! unpartitioned sweep lives on in [`crate::oracle`] for the ablation
+//! study and for testing the Theorem 5 equality.
 
 use rtlb_graph::{Dur, ResourceId, TaskGraph, TaskId, Time};
+use rtlb_obs::NULL_PROBE;
 use serde::{Deserialize, Serialize};
 
 /// Which interval endpoints the Equation 6.3 sweep samples.
@@ -36,12 +37,24 @@ pub enum CandidatePolicy {
     Extended,
 }
 
+impl CandidatePolicy {
+    /// The stable spelling used by run reports and the semantic
+    /// fingerprint.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            CandidatePolicy::EstLct => "est-lct",
+            CandidatePolicy::Extended => "extended",
+        }
+    }
+}
+
+use crate::analysis::AnalysisOptions;
 use crate::cancel::CancelToken;
 use crate::error::AnalysisError;
 use crate::estlct::TimingAnalysis;
 use crate::overlap::task_overlap;
 use crate::partition::{partition_tasks, ResourcePartition};
-use crate::sweep::{sweep_partition_into, SweepStrategy};
+use crate::sweep::sweep_partitions;
 
 /// Aggregate minimum demand `Θ` of a set of tasks on an interval.
 ///
@@ -166,6 +179,30 @@ impl RatioMax {
     }
 }
 
+/// Folds per-block sweep maxima into one resource bound, in block order —
+/// bit-identical to one serial sweep over the whole partition because
+/// [`RatioMax::merge`] preserves serial offer order — then lifts it to the
+/// largest per-block filtered refinement (`refined` is empty or all zero
+/// below [`PropagationLevel::Filtered`](crate::PropagationLevel)).
+/// Witnesses are left untouched: they still describe the sweep's densest
+/// interval, and a filtered bound may exceed the ceiling that interval
+/// alone justifies.
+pub(crate) fn fold_bound(
+    resource: ResourceId,
+    maxima: &[RatioMax],
+    refined: &[u32],
+) -> Result<ResourceBound, AnalysisError> {
+    let mut total = RatioMax::default();
+    for max in maxima {
+        total.merge(*max);
+    }
+    let mut bound = total.into_bound(resource)?;
+    if let Some(&refined) = refined.iter().max() {
+        bound.bound = bound.bound.max(refined);
+    }
+    Ok(bound)
+}
+
 /// Candidate interval endpoints for a set of tasks under the given
 /// policy, deduplicated and sorted.
 pub(crate) fn candidate_points(
@@ -195,13 +232,13 @@ pub(crate) fn candidate_points(
 ///
 /// # Errors
 ///
-/// [`AnalysisError::BoundOverflow`] if the ceiling `⌈Θ/(t2−t1)⌉` exceeds
-/// `u32::MAX`. Unreachable on feasible timing (each task contributes at
-/// most `t2 − t1` ticks to `Θ`, so `LB_r` is at most the task count),
-/// but reachable through unchecked, infeasible windows via the naive
-/// strategy. The default incremental strategy's ramp decomposition
-/// requires feasible windows, so it reports an infeasible swept task as
-/// [`AnalysisError::Infeasible`] up front instead.
+/// * [`AnalysisError::Infeasible`] if a swept task's window cannot
+///   contain its computation: the incremental sweep's ramp decomposition
+///   requires feasible windows (unchecked, infeasible timing only; the
+///   pipeline rejects such instances before any sweep runs).
+/// * [`AnalysisError::BoundOverflow`] if the ceiling `⌈Θ/(t2−t1)⌉` exceeds
+///   `u32::MAX`. Unreachable on feasible timing (each task contributes at
+///   most `t2 − t1` ticks to `Θ`, so `LB_r` is at most the task count).
 ///
 /// # Example
 ///
@@ -243,92 +280,19 @@ pub fn resource_bound_with(
     partition: &ResourcePartition,
     policy: CandidatePolicy,
 ) -> Result<ResourceBound, AnalysisError> {
-    resource_bound_sweep(graph, timing, partition, policy, SweepStrategy::default())
-}
-
-/// [`resource_bound`] with explicit candidate-point policy *and* sweep
-/// strategy. Both strategies produce bit-identical results; the naive
-/// one is the differential-testing oracle.
-///
-/// # Errors
-///
-/// Same as [`resource_bound`].
-pub fn resource_bound_sweep(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    partition: &ResourcePartition,
-    policy: CandidatePolicy,
-    strategy: SweepStrategy,
-) -> Result<ResourceBound, AnalysisError> {
-    let mut max = RatioMax::default();
-    sweep_partition_into(
+    let options = AnalysisOptions {
+        candidates: policy,
+        ..AnalysisOptions::default()
+    };
+    let maxima = sweep_partitions(
         graph,
         timing,
-        partition,
-        policy,
-        strategy,
-        &mut max,
+        std::slice::from_ref(partition),
+        &options,
+        &NULL_PROBE,
         &CancelToken::none(),
     )?;
-    max.into_bound(partition.resource)
-}
-
-/// [`resource_bound`] without Theorem 5: one sweep over the candidate
-/// points of *all* tasks demanding the resource. Produces the same bound
-/// (Theorem 5) at a higher interval count; kept for the ablation study.
-///
-/// # Errors
-///
-/// Same as [`resource_bound`].
-pub fn resource_bound_unpartitioned(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    resource: ResourceId,
-) -> Result<ResourceBound, AnalysisError> {
-    resource_bound_unpartitioned_with(graph, timing, resource, CandidatePolicy::EstLct)
-}
-
-/// [`resource_bound_unpartitioned`] with an explicit candidate-point
-/// policy. Always uses the naive `Θ` recomputation, making it a second,
-/// structurally different oracle for the incremental sweep.
-///
-/// # Errors
-///
-/// Same as [`resource_bound`].
-pub fn resource_bound_unpartitioned_with(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    resource: ResourceId,
-    policy: CandidatePolicy,
-) -> Result<ResourceBound, AnalysisError> {
-    resource_bound_unpartitioned_ctl(graph, timing, resource, policy, &CancelToken::none())
-}
-
-/// [`resource_bound_unpartitioned_with`] polling `ctl` once per sweep
-/// column — the interruption checkpoint for the ablation path.
-///
-/// # Errors
-///
-/// [`AnalysisError::BoundOverflow`] as in [`resource_bound`], or
-/// [`AnalysisError::Deadline`] when `ctl` trips.
-pub fn resource_bound_unpartitioned_ctl(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    resource: ResourceId,
-    policy: CandidatePolicy,
-    ctl: &CancelToken,
-) -> Result<ResourceBound, AnalysisError> {
-    let tasks = graph.tasks_demanding(resource);
-    let mut max = RatioMax::default();
-    let points = candidate_points(graph, timing, &tasks, policy);
-    for (li, &t1) in points.iter().enumerate() {
-        ctl.check()?;
-        for &t2 in &points[li + 1..] {
-            let demand = theta(graph, timing, &tasks, t1, t2);
-            max.offer(demand, t1, t2);
-        }
-    }
-    max.into_bound(resource)
+    fold_bound(partition.resource, &maxima[0], &[])
 }
 
 /// Computes `LB_r` for every demanded resource, partitioning each with
@@ -429,7 +393,9 @@ mod tests {
         let part = partition_tasks(&g, &timing, p);
         assert!(part.blocks.len() >= 2, "fixture should partition");
         let with = resource_bound(&g, &timing, &part).unwrap();
-        let without = resource_bound_unpartitioned(&g, &timing, p).unwrap();
+        let without = crate::oracle::flat_bounds(&g, &timing, CandidatePolicy::EstLct).unwrap();
+        let without = without[0];
+        assert_eq!(without.resource, p);
         assert_eq!(with.bound, without.bound);
         // Partitioning examines no more intervals than the flat sweep.
         assert!(with.intervals_examined <= without.intervals_examined);

@@ -5,10 +5,10 @@
 //! drivers that analyze many instances need a way to give up on one
 //! instance without killing the process or the pool, so the pipeline's
 //! `*_ctl` entry points ([`crate::analyze_ctl`],
-//! [`crate::sweep_partitions_ctl`], [`crate::compute_timing_ctl`],
+//! [`crate::compute_timing_ctl`], [`crate::AnalysisSession::new_ctl`],
 //! [`crate::AnalysisSession::apply_ctl`]) accept a [`CancelToken`] and
 //! poll it at interruption checkpoints: once per task in the EST/LCT
-//! passes, once per `t1` sweep column, once per unpartitioned sweep row.
+//! passes, once per `t1` sweep column, and inside the filtering pass.
 //! A tripped token surfaces as [`AnalysisError::Deadline`]; partial
 //! results are discarded by the caller (the session keeps its dirt, see
 //! `crates/core/src/session.rs`).

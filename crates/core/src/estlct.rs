@@ -225,14 +225,7 @@ pub struct TimingTrace {
 /// # }
 /// ```
 pub fn compute_timing(graph: &TaskGraph, model: &SystemModel) -> TimingAnalysis {
-    uncancellable(compute_timing_inner(
-        graph,
-        model,
-        Packing::Timeline,
-        None,
-        &NULL_PROBE,
-        &CancelToken::none(),
-    ))
+    compute_timing_with(graph, model, &mut Timeline::new())
 }
 
 /// Like [`compute_timing`], additionally recording every merge decision.
@@ -244,7 +237,7 @@ pub fn compute_timing_traced(
     let analysis = uncancellable(compute_timing_inner(
         graph,
         model,
-        Packing::Timeline,
+        &mut Timeline::new(),
         Some(&mut trace),
         &NULL_PROBE,
         &CancelToken::none(),
@@ -265,7 +258,7 @@ pub fn compute_timing_probed(
     uncancellable(compute_timing_inner(
         graph,
         model,
-        Packing::Timeline,
+        &mut Timeline::new(),
         None,
         probe,
         &CancelToken::none(),
@@ -285,24 +278,24 @@ pub fn compute_timing_ctl(
     probe: &dyn Probe,
     ctl: &CancelToken,
 ) -> Result<TimingAnalysis, AnalysisError> {
-    compute_timing_inner(graph, model, Packing::Timeline, None, probe, ctl)
+    compute_timing_inner(graph, model, &mut Timeline::new(), None, probe, ctl)
 }
 
-/// [`compute_timing_ctl`] with an explicit packing implementation —
-/// `--propagation=paper` runs the faithful sequential re-packing as the
-/// differential baseline; the windows are bit-identical either way.
-///
-/// # Errors
-///
-/// Same as [`compute_timing_ctl`].
-pub(crate) fn compute_timing_ctl_packed(
+/// [`compute_timing`] with an explicit packing implementation — the
+/// oracle module's sequential re-packing runs through here.
+pub(crate) fn compute_timing_with(
     graph: &TaskGraph,
     model: &SystemModel,
-    packing: Packing,
-    probe: &dyn Probe,
-    ctl: &CancelToken,
-) -> Result<TimingAnalysis, AnalysisError> {
-    compute_timing_inner(graph, model, packing, None, probe, ctl)
+    packer: &mut impl Pack,
+) -> TimingAnalysis {
+    uncancellable(compute_timing_inner(
+        graph,
+        model,
+        packer,
+        None,
+        &NULL_PROBE,
+        &CancelToken::none(),
+    ))
 }
 
 /// Unwraps a timing result produced under the never-tripping token.
@@ -316,7 +309,7 @@ fn uncancellable(result: Result<TimingAnalysis, AnalysisError>) -> TimingAnalysi
 fn compute_timing_inner(
     graph: &TaskGraph,
     model: &SystemModel,
-    packing: Packing,
+    packer: &mut impl Pack,
     mut trace: Option<&mut TimingTrace>,
     probe: &dyn Probe,
     ctl: &CancelToken,
@@ -327,14 +320,13 @@ fn compute_timing_inner(
     let mut merged_succs = vec![Vec::new(); n];
     let mut merged_preds = vec![Vec::new(); n];
     let (mut candidates, mut accepted) = (0u64, 0u64);
-    let mut packer = Packer::new(packing);
 
     // LCT: sinks first.
     {
         let _pass = span(probe, "timing.lct_pass", Label::None);
         for i in graph.reverse_topological_order() {
             ctl.check()?;
-            let (value, merged, task_trace) = lct_of(graph, model, i, &lct, &mut packer);
+            let (value, merged, task_trace) = lct_of(graph, model, i, &lct, packer);
             candidates += task_trace.steps.len() as u64;
             accepted += merged.len() as u64;
             lct[i.index()] = value;
@@ -350,7 +342,7 @@ fn compute_timing_inner(
         let _pass = span(probe, "timing.est_pass", Label::None);
         for &i in graph.topological_order() {
             ctl.check()?;
-            let (value, merged, task_trace) = est_of(graph, model, i, &est, &mut packer);
+            let (value, merged, task_trace) = est_of(graph, model, i, &est, packer);
             candidates += task_trace.steps.len() as u64;
             accepted += merged.len() as u64;
             est[i.index()] = value;
@@ -379,23 +371,10 @@ fn compute_timing_inner(
     })
 }
 
-/// Which implementation evaluates the paper's `lst(A)`/`ect(A)` packings
-/// inside the Figure 2/3 merge scans. Both produce bit-identical window
-/// values; `Paper` is the faithful sequential re-packing kept as the
-/// differential baseline, `Timeline` the union-find pour that amortizes
-/// the per-prefix evaluations to near-linear.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Packing {
-    /// Sequential sorted packing straight from Equations 4.1/4.5, on a
-    /// reused scratch buffer (no per-call allocation or re-sort).
-    Paper,
-    /// Incremental union-find [`Timeline`] pour.
-    Timeline,
-}
-
-/// Reusable evaluator for the paper's `lst(A)`/`ect(A)` set packings.
+/// Reusable evaluator for the paper's `lst(A)`/`ect(A)` set packings
+/// inside the Figure 2/3 merge scans.
 ///
-/// One `Packer` serves one merge scan at a time: [`Packer::begin`] resets
+/// One packer serves one merge scan at a time: [`Pack::begin`] resets
 /// the set, `push_*` adds a task, and the clamped read-outs return the
 /// packed value of everything pushed since `begin`. The *empty* set has
 /// no packing value of its own — the pre-fix helpers returned the raw
@@ -404,97 +383,63 @@ pub(crate) enum Packing {
 /// window-clamped: the caller supplies the Figure 2/3 incumbent
 /// (`L_i^0`/`E_i^0`) and gets it back unchanged for the empty set. A scan
 /// must not mix `push_lct` and `push_est` between two `begin` calls.
-pub(crate) struct Packer {
-    packing: Packing,
-    /// Paper path: `(boundary, computation)` pairs, sorted ascending by
-    /// boundary (EST for `ect`, LCT for `lst`); reused across scans.
-    sorted: Vec<(i64, i64)>,
-    timeline: Timeline,
-}
-
-impl Packer {
-    pub(crate) fn new(packing: Packing) -> Packer {
-        Packer {
-            packing,
-            sorted: Vec::new(),
-            timeline: Timeline::new(),
-        }
-    }
-
+///
+/// The pipeline packs with the union-find [`Timeline`];
+/// [`crate::oracle::compute_timing_paper`] runs the paper's sequential
+/// re-packing through the same scans as the differential baseline.
+pub(crate) trait Pack {
     /// Starts a fresh (empty) task set, keeping allocations.
-    pub(crate) fn begin(&mut self) {
-        self.sorted.clear();
-        self.timeline.clear();
-    }
-
-    /// Total `Timeline` segment coalescings performed so far (the
-    /// `timeline.unions` counter; 0 on the paper path).
-    pub(crate) fn unions(&self) -> u64 {
-        self.timeline.unions()
-    }
-
-    fn push_sorted(&mut self, boundary: i64, c: i64) {
-        let at = self.sorted.partition_point(|&(b, _)| b <= boundary);
-        self.sorted.insert(at, (boundary, c));
-    }
+    fn begin(&mut self);
 
     /// Adds a task with window start `est` and computation `c` to the
     /// `ect` set.
-    pub(crate) fn push_est(&mut self, est: Time, c: Dur) {
-        match self.packing {
-            Packing::Paper => self.push_sorted(est.ticks(), c.ticks()),
-            Packing::Timeline => {
-                self.timeline.insert(est.ticks(), c.ticks());
-            }
-        }
-    }
+    fn push_est(&mut self, est: Time, c: Dur);
 
     /// The paper's `ect(A)` of the current set, clamped from below by
     /// `floor` (Figure 3's `E_i^0` incumbent): `max(floor, ect(A))`, and
     /// exactly `floor` for the empty set.
-    pub(crate) fn ect_clamped(&mut self, floor: Time) -> Time {
-        let packed = match self.packing {
-            Packing::Paper => {
-                let mut finish: Option<i64> = None;
-                for &(e, c) in &self.sorted {
-                    let start = finish.map_or(e, |f| f.max(e));
-                    finish = Some(start + c);
-                }
-                finish
-            }
-            Packing::Timeline => self.timeline.ect(),
-        };
-        packed.map_or(floor, |f| floor.max(Time::new(f)))
-    }
+    fn ect_clamped(&mut self, floor: Time) -> Time;
 
     /// Adds a task with window end `lct` and computation `c` to the
     /// `lst` set.
-    pub(crate) fn push_lct(&mut self, lct: Time, c: Dur) {
-        match self.packing {
-            Packing::Paper => self.push_sorted(lct.ticks(), c.ticks()),
-            // lst over {(L_j, C_j)} = -ect over {(-L_j, C_j)}.
-            Packing::Timeline => {
-                self.timeline.insert(-lct.ticks(), c.ticks());
-            }
-        }
-    }
+    fn push_lct(&mut self, lct: Time, c: Dur);
 
     /// The paper's `lst(A)` of the current set, clamped from above by
     /// `ceiling` (Figure 2's `L_i^0` incumbent): `min(ceiling, lst(A))`,
     /// and exactly `ceiling` for the empty set.
-    pub(crate) fn lst_clamped(&mut self, ceiling: Time) -> Time {
-        let packed = match self.packing {
-            Packing::Paper => {
-                let mut start: Option<i64> = None;
-                for &(l, c) in self.sorted.iter().rev() {
-                    let completion = start.map_or(l, |s| s.min(l));
-                    start = Some(completion - c);
-                }
-                start
-            }
-            Packing::Timeline => self.timeline.ect().map(|e| -e),
-        };
-        packed.map_or(ceiling, |s| ceiling.min(Time::new(s)))
+    fn lst_clamped(&mut self, ceiling: Time) -> Time;
+
+    /// Segment coalescings performed so far (the `timeline.unions`
+    /// counter; 0 for packers without a union-find).
+    fn unions(&self) -> u64 {
+        0
+    }
+}
+
+impl Pack for Timeline {
+    fn begin(&mut self) {
+        self.clear();
+    }
+
+    fn push_est(&mut self, est: Time, c: Dur) {
+        self.insert(est.ticks(), c.ticks());
+    }
+
+    fn ect_clamped(&mut self, floor: Time) -> Time {
+        self.ect().map_or(floor, |f| floor.max(Time::new(f)))
+    }
+
+    // lst over {(L_j, C_j)} = -ect over {(-L_j, C_j)}.
+    fn push_lct(&mut self, lct: Time, c: Dur) {
+        self.insert(-lct.ticks(), c.ticks());
+    }
+
+    fn lst_clamped(&mut self, ceiling: Time) -> Time {
+        self.ect().map_or(ceiling, |e| ceiling.min(Time::new(-e)))
+    }
+
+    fn unions(&self) -> u64 {
+        Timeline::unions(self)
     }
 }
 
@@ -502,13 +447,13 @@ impl Packer {
 ///
 /// Pure in `(D_i, succs' L, succs' C, messages, model)` — the incremental
 /// session relies on this to recompute single tasks out of band. The
-/// `packer` is pure scratch (either [`Packing`] yields identical values).
+/// `packer` is pure scratch (every [`Pack`] yields identical values).
 pub(crate) fn lct_of(
     graph: &TaskGraph,
     model: &SystemModel,
     i: TaskId,
     lct: &[Time],
-    packer: &mut Packer,
+    packer: &mut impl Pack,
 ) -> (Time, Vec<TaskId>, TaskTrace) {
     let deadline = graph.task(i).deadline();
     let succs = graph.successors(i);
@@ -627,14 +572,14 @@ pub(crate) fn lct_of(
 ///
 /// Pure in `(rel_i, preds' E, preds' C, messages, model)` — the
 /// incremental session relies on this to recompute single tasks out of
-/// band. The `packer` is pure scratch (either [`Packing`] yields
-/// identical values).
+/// band. The `packer` is pure scratch (every [`Pack`] yields identical
+/// values).
 pub(crate) fn est_of(
     graph: &TaskGraph,
     model: &SystemModel,
     i: TaskId,
     est: &[Time],
-    packer: &mut Packer,
+    packer: &mut impl Pack,
 ) -> (Time, Vec<TaskId>, TaskTrace) {
     let release = graph.task(i).release();
     let preds = graph.predecessors(i);
@@ -984,106 +929,5 @@ mod tests {
             compute_timing_ctl(&g, &shared(), &NULL_PROBE, &tripped),
             Err(AnalysisError::Deadline)
         );
-    }
-
-    /// lst/ect micro-checks straight from the paper's definitions.
-    #[test]
-    fn lst_and_ect_sequential_packing() {
-        for packing in [Packing::Paper, Packing::Timeline] {
-            let mut packer = Packer::new(packing);
-
-            // lst: (LCT, C) = (20,3), (15,5), (12,2) → pack from the back:
-            //   completes 20 start 17; completes min(17,15)=15 start 10;
-            //   completes min(10,12)=10 start 8.
-            packer.begin();
-            packer.push_lct(Time::new(20), Dur::new(3));
-            packer.push_lct(Time::new(15), Dur::new(5));
-            packer.push_lct(Time::new(12), Dur::new(2));
-            assert_eq!(
-                packer.lst_clamped(Time::new(100)),
-                Time::new(8),
-                "{packing:?}"
-            );
-
-            // ect: (EST, C) = (0,3), (4,5), (4,2) → [0,3], starts
-            // max(3,4)=4 ends 9, starts 9 ends 11.
-            packer.begin();
-            packer.push_est(Time::new(0), Dur::new(3));
-            packer.push_est(Time::new(4), Dur::new(5));
-            packer.push_est(Time::new(4), Dur::new(2));
-            assert_eq!(
-                packer.ect_clamped(Time::new(-50)),
-                Time::new(11),
-                "{packing:?}"
-            );
-        }
-    }
-
-    /// Regression for the sentinel defect: the pre-fix `lst(A)`/`ect(A)`
-    /// helpers returned the raw `Time::MAX`/`Time::MIN` sentinels for an
-    /// empty set — values outside the §7 magnitude envelope that overflow
-    /// `i64` the moment Ψ arithmetic composes two of them. The packer's
-    /// empty-set read-out must be the caller's window clamp, strictly
-    /// inside the envelope.
-    #[test]
-    fn empty_set_packing_is_window_clamped() {
-        for packing in [Packing::Paper, Packing::Timeline] {
-            let mut packer = Packer::new(packing);
-            packer.begin();
-            let lst = packer.lst_clamped(Time::new(17));
-            packer.begin();
-            let ect = packer.ect_clamped(Time::new(-4));
-            assert_eq!(lst, Time::new(17), "{packing:?}");
-            assert_eq!(ect, Time::new(-4), "{packing:?}");
-            // The pre-fix helpers failed exactly here: lst(∅) = Time::MAX
-            // and ect(∅) = Time::MIN escape the ±MAGNITUDE_LIMIT envelope,
-            // so e.g. `lst(∅) - ect(∅)` wraps i64 in debug builds.
-            for v in [lst, ect] {
-                assert!(
-                    v > Time::MIN && v < Time::MAX,
-                    "{packing:?}: {v:?} is a sentinel, not a window-clamped value"
-                );
-            }
-            let (a, b) = (lst.ticks(), ect.ticks());
-            assert_eq!(a.checked_sub(b), Some(21), "Ψ-style subtraction is exact");
-        }
-    }
-
-    /// The two packings are interchangeable: identical values for every
-    /// prefix of pseudo-random task sets, read mid-scan like the Figure
-    /// 2/3 merge loops do.
-    #[test]
-    fn paper_and_timeline_packings_agree_on_every_prefix() {
-        let mut state = 0x2545f4914f6cdd1du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut paper = Packer::new(Packing::Paper);
-        let mut timeline = Packer::new(Packing::Timeline);
-        for _ in 0..150 {
-            let n = 1 + (next() % 8) as usize;
-            paper.begin();
-            timeline.begin();
-            let clamp = Time::new((next() % 60) as i64);
-            for _ in 0..n {
-                let b = Time::new((next() % 50) as i64 - 10);
-                let c = Dur::new((next() % 9) as i64);
-                paper.push_lct(b, c);
-                timeline.push_lct(b, c);
-                assert_eq!(paper.lst_clamped(clamp), timeline.lst_clamped(clamp));
-            }
-            paper.begin();
-            timeline.begin();
-            for _ in 0..n {
-                let b = Time::new((next() % 50) as i64 - 10);
-                let c = Dur::new((next() % 9) as i64);
-                paper.push_est(b, c);
-                timeline.push_est(b, c);
-                assert_eq!(paper.ect_clamped(clamp), timeline.ect_clamped(clamp));
-            }
-        }
     }
 }

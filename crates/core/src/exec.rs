@@ -1,10 +1,9 @@
 //! Shared scoped-thread execution helper.
 //!
-//! Both the Θ-sweep fan-out ([`crate::sweep::sweep_partitions_probed`])
-//! and the session's dirty-resource re-sweep
-//! ([`crate::session::AnalysisSession`]) distribute independent jobs
-//! across a bounded pool of scoped threads, and batch drivers reuse the
-//! same pool to fan out whole instances. The helper lives here so there
+//! The Θ-sweep's block driver ([`crate::sweep::sweep_blocks`], behind
+//! both `analyze` and the session's dirty-block re-sweep) distributes
+//! independent chunk jobs across a bounded pool of scoped threads, and
+//! batch drivers reuse the same pool to fan out whole instances. The helper lives here so there
 //! is exactly one work-stealing loop to reason about: results come back
 //! in job order regardless of which worker ran which job, which is what
 //! makes parallel folds bit-identical to their serial counterparts.

@@ -18,7 +18,10 @@
 //!
 //! The one-call entry point is [`analyze`]. For scenario sweeps that
 //! re-analyze many small variants of one instance, [`AnalysisSession`]
-//! applies typed [`Delta`] edits and recomputes only the dirty cone.
+//! applies typed [`Delta`] edits and recomputes only the dirty cone; both
+//! run the same stages and the same block-sweep driver. The slow
+//! reference implementations the differential tests compare against live
+//! in [`oracle`].
 //!
 //! Every bound is *necessary*: a system with fewer units of some resource
 //! than `LB_r` (or cheaper than the cost bound) cannot meet the
@@ -68,6 +71,7 @@ mod fault;
 mod merge;
 mod metrics;
 mod model;
+pub mod oracle;
 mod overlap;
 mod partition;
 mod propagate;
@@ -80,9 +84,8 @@ pub use analysis::{
     analyze, analyze_ctl, analyze_with, analyze_with_probe, Analysis, AnalysisOptions,
 };
 pub use bounds::{
-    lower_bounds, resource_bound, resource_bound_sweep, resource_bound_unpartitioned,
-    resource_bound_unpartitioned_ctl, resource_bound_unpartitioned_with, resource_bound_with,
-    theta, CandidatePolicy, IntervalWitness, ResourceBound,
+    lower_bounds, resource_bound, resource_bound_with, theta, CandidatePolicy, IntervalWitness,
+    ResourceBound,
 };
 pub use cancel::{CancelToken, DEADLINE_STRIDE};
 pub use cost::{dedicated_cost_bound, shared_cost_bound, DedicatedCostBound, SharedCostBound};
@@ -104,4 +107,3 @@ pub use report::{
     render_timing_table,
 };
 pub use session::{AnalysisSession, ApplyStats, Delta};
-pub use sweep::{sweep_partitions, sweep_partitions_ctl, sweep_partitions_probed, SweepStrategy};

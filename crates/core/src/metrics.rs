@@ -8,8 +8,6 @@ use rtlb_obs::{
 };
 
 use crate::analysis::{Analysis, AnalysisOptions};
-use crate::bounds::CandidatePolicy;
-use crate::sweep::SweepStrategy;
 
 use rtlb_obs::Json;
 
@@ -18,22 +16,11 @@ use rtlb_obs::Json;
 pub fn options_as_json(options: AnalysisOptions) -> Vec<(String, Json)> {
     vec![
         (
-            "sweep".to_owned(),
-            Json::str(match options.sweep {
-                SweepStrategy::Naive => "naive",
-                SweepStrategy::Incremental => "incremental",
-            }),
-        ),
-        (
             "candidates".to_owned(),
-            Json::str(match options.candidates {
-                CandidatePolicy::EstLct => "est-lct",
-                CandidatePolicy::Extended => "extended",
-            }),
+            Json::str(options.candidates.label()),
         ),
         ("jobs".to_owned(), Json::Int(options.parallelism as i64)),
         ("chunk".to_owned(), Json::Int(options.chunk_columns as i64)),
-        ("partitioning".to_owned(), Json::Bool(options.partitioning)),
         (
             "propagation".to_owned(),
             Json::str(options.propagation.label()),
@@ -207,20 +194,22 @@ mod tests {
     #[test]
     fn options_json_round_trips_all_knobs() {
         let options = AnalysisOptions {
-            partitioning: false,
-            candidates: CandidatePolicy::Extended,
-            sweep: SweepStrategy::Naive,
+            candidates: crate::CandidatePolicy::Extended,
             parallelism: 4,
             chunk_columns: 16,
             propagation: crate::PropagationLevel::Filtered,
         };
         let pairs = options_as_json(options);
         let obj = Json::Obj(pairs.clone());
-        assert_eq!(obj.get("sweep").unwrap().as_str(), Some("naive"));
         assert_eq!(obj.get("candidates").unwrap().as_str(), Some("extended"));
         assert_eq!(obj.get("propagation").unwrap().as_str(), Some("filtered"));
         assert_eq!(obj.get("jobs").unwrap().as_int(), Some(4));
         assert_eq!(obj.get("chunk").unwrap().as_int(), Some(16));
-        assert_eq!(obj.get("partitioning"), Some(&Json::Bool(false)));
+        assert_eq!(obj.get("sweep"), None, "the sweep is not an option");
+        assert_eq!(
+            obj.get("partitioning"),
+            None,
+            "the partition is not an option"
+        );
     }
 }

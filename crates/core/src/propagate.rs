@@ -42,33 +42,28 @@
 //! positive computation; preemptive tasks still contribute their Ψ
 //! demand. Validity of the composed bound is property-tested against the
 //! `rtlb-sched` exact search in `tests/propagation_dominance.rs`, along
-//! with dominance over the unfiltered levels.
+//! with dominance over the unfiltered level.
 
-use rtlb_graph::{ExecutionMode, ResourceId, TaskGraph, TaskId, Time};
+use rtlb_graph::{ExecutionMode, TaskGraph, TaskId, Time};
 use rtlb_obs::Probe;
 
-use crate::bounds::ResourceBound;
 use crate::cancel::CancelToken;
 use crate::error::AnalysisError;
 use crate::estlct::{TaskWindow, TimingAnalysis};
 use crate::overlap::overlap;
-use crate::partition::ResourcePartition;
 use crate::timeline::Timeline;
 
-/// Which window-packing / filtering level the analysis runs at.
+/// Which filtering level the analysis runs at.
 ///
-/// `Paper` and `Timeline` produce bit-identical bounds (the Timeline is a
-/// pure reimplementation of the paper's `lst`/`ect` packing); `Filtered`
-/// additionally runs the capacity-conditional propagation pass and can
-/// only raise bounds. The paper-faithful level is kept as the
-/// differential baseline, the same pattern as the naive sweep oracle.
+/// Both levels pack the Figure 2/3 windows with the union-find
+/// Timeline; `Filtered` additionally runs the capacity-conditional
+/// propagation pass and can only raise bounds. The paper's sequential
+/// `lst`/`ect` packing survives as
+/// [`crate::oracle::compute_timing_paper`], the differential baseline
+/// for the Timeline windows.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PropagationLevel {
-    /// Sequential clone-free re-packing straight from the paper's
-    /// Equations 4.1/4.5; no filtering.
-    Paper,
-    /// Union-find Timeline packing (default); no filtering. Bounds are
-    /// bit-identical to `Paper`.
+    /// Union-find Timeline packing (default); no filtering.
     #[default]
     Timeline,
     /// Timeline packing plus detectable-precedence / edge-finding
@@ -81,7 +76,6 @@ impl PropagationLevel {
     /// fingerprint.
     pub fn label(self) -> &'static str {
         match self {
-            PropagationLevel::Paper => "paper",
             PropagationLevel::Timeline => "timeline",
             PropagationLevel::Filtered => "filtered",
         }
@@ -90,22 +84,9 @@ impl PropagationLevel {
     /// Parses the CLI spelling back into a level.
     pub fn parse(s: &str) -> Option<PropagationLevel> {
         match s {
-            "paper" => Some(PropagationLevel::Paper),
             "timeline" => Some(PropagationLevel::Timeline),
             "filtered" => Some(PropagationLevel::Filtered),
             _ => None,
-        }
-    }
-
-    /// Which `lst`/`ect` packing engine the Figure 2/3 scans use at this
-    /// level. Both engines are bit-identical by contract; `Paper` keeps
-    /// the sequential re-packing alive as the differential baseline.
-    pub(crate) fn packing(self) -> crate::estlct::Packing {
-        match self {
-            PropagationLevel::Paper => crate::estlct::Packing::Paper,
-            PropagationLevel::Timeline | PropagationLevel::Filtered => {
-                crate::estlct::Packing::Timeline
-            }
         }
     }
 
@@ -154,53 +135,6 @@ impl Item {
         )
         .ticks()
     }
-}
-
-/// Raises every computed bound by the capacity-conditional filter,
-/// block by block (or over the flat demander set when `partitions` is
-/// empty — the unpartitioned ablation). Witnesses are left untouched:
-/// they still describe the sweep's densest interval, and a filtered
-/// bound may exceed the ceiling that interval alone justifies.
-///
-/// # Errors
-///
-/// [`AnalysisError::Deadline`] when `ctl` trips.
-pub(crate) fn refine_bounds(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    partitions: &[ResourcePartition],
-    bounds: &mut [ResourceBound],
-    probe: &dyn Probe,
-    ctl: &CancelToken,
-) -> Result<(), AnalysisError> {
-    for bound in bounds.iter_mut() {
-        match partitions.iter().find(|p| p.resource == bound.resource) {
-            Some(partition) => {
-                for block in &partition.blocks {
-                    let refined = refine_block(graph, timing, &block.tasks, probe, ctl)?;
-                    bound.bound = bound.bound.max(refined);
-                }
-            }
-            None => {
-                let refined = refine_resource_flat(graph, timing, bound.resource, probe, ctl)?;
-                bound.bound = bound.bound.max(refined);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// [`refine_block`] over the whole (unpartitioned) demander set of one
-/// resource — the flat ablation path.
-pub(crate) fn refine_resource_flat(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    resource: ResourceId,
-    probe: &dyn Probe,
-    ctl: &CancelToken,
-) -> Result<u32, AnalysisError> {
-    let tasks = graph.tasks_demanding(resource);
-    refine_block(graph, timing, &tasks, probe, ctl)
 }
 
 /// The smallest capacity for `tasks` (one partition block's demanders of
@@ -482,7 +416,7 @@ mod tests {
     use super::*;
     use crate::estlct::compute_timing;
     use crate::model::SystemModel;
-    use rtlb_graph::{Catalog, Dur, TaskGraphBuilder, TaskSpec};
+    use rtlb_graph::{Catalog, Dur, ResourceId, TaskGraphBuilder, TaskSpec};
     use rtlb_obs::NULL_PROBE;
 
     /// Three non-preemptive demanders where the density bound says one

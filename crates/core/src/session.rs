@@ -21,8 +21,9 @@
 //! evaluations are pure in their neighbor values), only resources whose
 //! members were touched are re-partitioned, and within them only dirty
 //! blocks are re-swept — clean blocks replay their cached
-//! [`RatioMax`] verbatim. Dirty-block sweeps fan out across the same
-//! scoped-thread pool as the full sweep ([`crate::exec::run_jobs`]).
+//! [`RatioMax`] verbatim. Session creation runs the same stage sequence
+//! as [`analyze_with`](crate::analyze_with), and dirty blocks are
+//! re-swept by the same block driver ([`crate::sweep::sweep_blocks`]).
 //!
 //! The result is **bit-identical** to a from-scratch
 //! [`analyze_with`](crate::analyze_with) on the edited graph — same
@@ -40,16 +41,16 @@ use std::collections::{BTreeMap, BTreeSet};
 use rtlb_graph::{Dur, ExecutionMode, GraphError, ResourceId, TaskGraph, TaskId, Time};
 use rtlb_obs::{span, Label, Probe, NULL_PROBE};
 
-use crate::analysis::{Analysis, AnalysisOptions};
-use crate::bounds::{resource_bound_unpartitioned_ctl, RatioMax, ResourceBound};
+use crate::analysis::{check_magnitudes, run_stages, Analysis, AnalysisOptions, ResourceState};
+use crate::bounds::{fold_bound, RatioMax, ResourceBound};
 use crate::cancel::CancelToken;
 use crate::error::AnalysisError;
-use crate::estlct::{compute_timing_ctl_packed, est_of, lct_of, Packer, TimingAnalysis};
-use crate::exec::{effective_threads, run_jobs};
+use crate::estlct::{est_of, lct_of, TimingAnalysis};
 use crate::model::SystemModel;
-use crate::partition::{partition_tasks, ResourcePartition};
-use crate::propagate::{refine_block, refine_resource_flat};
-use crate::sweep::{plan_block, BlockPlan};
+use crate::partition::partition_tasks;
+use crate::propagate::refine_block;
+use crate::sweep::sweep_blocks;
+use crate::timeline::Timeline;
 
 /// The zero bound of an unswept resource — the placeholder a cache holds
 /// until its maxima are folded.
@@ -149,39 +150,6 @@ impl ApplyStats {
 /// filtered refinement).
 type CachedBlock = (Vec<TaskId>, (Time, Time), RatioMax, u32);
 
-/// Cached sweep state for one resource: its partition, one folded
-/// [`RatioMax`] plus one filtered-refinement capacity per block (both
-/// empty when partitioning is off; refinements are all zero below
-/// [`PropagationLevel::Filtered`](crate::PropagationLevel)), and the
-/// resulting bound.
-#[derive(Clone, Debug)]
-struct ResourceCache {
-    resource: ResourceId,
-    partition: ResourcePartition,
-    block_maxima: Vec<RatioMax>,
-    block_refined: Vec<u32>,
-    bound: ResourceBound,
-}
-
-impl ResourceCache {
-    /// Folds the per-block maxima into the resource bound, in block order
-    /// — bit-identical to the serial whole-partition sweep because
-    /// [`RatioMax::merge`] preserves serial offer order — then lifts it to
-    /// the largest per-block filtered refinement, exactly as the scratch
-    /// pipeline's propagation pass does.
-    fn fold_bound(&mut self) -> Result<(), AnalysisError> {
-        let mut total = RatioMax::default();
-        for max in &self.block_maxima {
-            total.merge(*max);
-        }
-        self.bound = total.into_bound(self.resource)?;
-        if let Some(&refined) = self.block_refined.iter().max() {
-            self.bound.bound = self.bound.bound.max(refined);
-        }
-        Ok(())
-    }
-}
-
 /// A fully analyzed instance that accepts [`Delta`] edits and recomputes
 /// only the dirty cone on [`apply`](AnalysisSession::apply).
 ///
@@ -218,7 +186,7 @@ pub struct AnalysisSession {
     timing: TimingAnalysis,
     /// Per-resource sweep caches, in resource-id order over
     /// `graph.resources_used()`.
-    caches: Vec<ResourceCache>,
+    caches: Vec<ResourceState>,
     /// Tasks whose EST must be re-evaluated on the next apply.
     pending_est: BTreeSet<TaskId>,
     /// Tasks whose LCT must be re-evaluated on the next apply.
@@ -241,8 +209,8 @@ impl AnalysisSession {
     ///
     /// # Errors
     ///
-    /// Same as [`crate::analyze_with`]: [`AnalysisError::UnhostableTask`]
-    /// or [`AnalysisError::Infeasible`].
+    /// Same as [`crate::analyze_with`]: [`AnalysisError::UnhostableTask`],
+    /// [`AnalysisError::BoundOverflow`], or [`AnalysisError::Infeasible`].
     pub fn new(
         graph: TaskGraph,
         model: SystemModel,
@@ -252,9 +220,8 @@ impl AnalysisSession {
     }
 
     /// [`AnalysisSession::new`] reporting the initial full analysis into
-    /// `probe` (same spans and counters as
-    /// [`crate::analyze_with_probe`]'s timing stages, plus the sweep
-    /// counters of the per-block pass).
+    /// `probe`: the same `analyze.*` stage spans and counters as
+    /// [`crate::analyze_with_probe`], under a `session.analyze` span.
     ///
     /// # Errors
     ///
@@ -284,166 +251,19 @@ impl AnalysisSession {
         ctl: &CancelToken,
     ) -> Result<AnalysisSession, AnalysisError> {
         let _run = span(probe, "session.analyze", Label::None);
-        model.validate(&graph)?;
-        let timing =
-            compute_timing_ctl_packed(&graph, &model, options.propagation.packing(), probe, ctl)?;
-        timing.check_feasible(&graph)?;
-        let mut session = AnalysisSession {
+        let (timing, caches) = run_stages(&graph, &model, options, probe, ctl)?;
+        Ok(AnalysisSession {
             graph,
             model,
             options,
             timing,
-            caches: Vec::new(),
+            caches,
             pending_est: BTreeSet::new(),
             pending_lct: BTreeSet::new(),
             pending_touched: BTreeSet::new(),
             pending_window: BTreeSet::new(),
             pending_demand: BTreeSet::new(),
-        };
-        session.caches = session.build_caches(probe, ctl)?;
-        Ok(session)
-    }
-
-    /// Builds the per-resource sweep caches from the current timing, one
-    /// block-sweep job per block, fanned out over the thread pool.
-    fn build_caches(
-        &self,
-        probe: &dyn Probe,
-        ctl: &CancelToken,
-    ) -> Result<Vec<ResourceCache>, AnalysisError> {
-        let resources: Vec<ResourceId> = self.graph.resources_used().into_iter().collect();
-        if !self.options.partitioning {
-            let bounds = run_jobs(
-                probe,
-                effective_threads(self.options.parallelism),
-                resources.len(),
-                |j| {
-                    let mut bound = resource_bound_unpartitioned_ctl(
-                        &self.graph,
-                        &self.timing,
-                        resources[j],
-                        self.options.candidates,
-                        ctl,
-                    )?;
-                    probe.add("sweep.pairs_offered", bound.intervals_examined);
-                    if self.options.propagation.filters() {
-                        let refined = refine_resource_flat(
-                            &self.graph,
-                            &self.timing,
-                            resources[j],
-                            probe,
-                            ctl,
-                        )?;
-                        bound.bound = bound.bound.max(refined);
-                    }
-                    Ok(bound)
-                },
-            );
-            return resources
-                .iter()
-                .zip(bounds)
-                .map(|(&r, bound)| {
-                    Ok(ResourceCache {
-                        resource: r,
-                        partition: ResourcePartition {
-                            resource: r,
-                            blocks: Vec::new(),
-                        },
-                        block_maxima: Vec::new(),
-                        block_refined: Vec::new(),
-                        bound: bound?,
-                    })
-                })
-                .collect();
-        }
-
-        let partitions: Vec<ResourcePartition> = resources
-            .iter()
-            .map(|&r| partition_tasks(&self.graph, &self.timing, r))
-            .collect();
-        let threads = effective_threads(self.options.parallelism);
-        let mut block_maxima: Vec<Vec<RatioMax>> = partitions
-            .iter()
-            .map(|p| vec![RatioMax::default(); p.blocks.len()])
-            .collect();
-        {
-            // Chunked path shared with the full sweep: plan every block
-            // in (partition, block) order, fan one job per t1 chunk, and
-            // merge chunk maxima back into their block's cached maximum
-            // in ascending-t1 job order — bit-identical to the serial
-            // block sweep by RatioMax::merge's first-wins order.
-            let mut plans: Vec<(usize, usize, BlockPlan)> = Vec::new();
-            for (pi, p) in partitions.iter().enumerate() {
-                for (bi, block) in p.blocks.iter().enumerate() {
-                    let plan = plan_block(
-                        &self.graph,
-                        &self.timing,
-                        &block.tasks,
-                        self.options.candidates,
-                        self.options.sweep,
-                        threads,
-                        self.options.chunk_columns,
-                    )?;
-                    plans.push((pi, bi, plan));
-                }
-            }
-            let jobs: Vec<(usize, usize)> = plans
-                .iter()
-                .enumerate()
-                .flat_map(|(i, (_, _, plan))| (0..plan.chunk_count()).map(move |ci| (i, ci)))
-                .collect();
-            probe.add("sweep.chunks", jobs.len() as u64);
-            let maxima = run_jobs(probe, threads, jobs.len(), |j| {
-                let (i, ci) = jobs[j];
-                let (pi, _, plan) = &plans[i];
-                let _chunk = span(probe, "sweep.chunk", Label::Index(*pi as u64));
-                let mut max = RatioMax::default();
-                let counters = plan.sweep_chunk(&self.graph, &self.timing, ci, &mut max, ctl)?;
-                probe.add("sweep.events_processed", counters.raw_events);
-                probe.add("sweep.chunk_events", counters.merged_events);
-                probe.add("sweep.pairs_offered", max.intervals());
-                probe.observe("sweep.events_per_chunk", counters.merged_events);
-                Ok(max)
-            });
-            for (j, max) in maxima.into_iter().enumerate() {
-                let (pi, bi, _) = &plans[jobs[j].0];
-                block_maxima[*pi][*bi].merge(max?);
-            }
-        }
-        partitions
-            .into_iter()
-            .zip(block_maxima)
-            .map(|(partition, block_maxima)| {
-                let block_refined = self.refine_partition(&partition, probe, ctl)?;
-                let mut cache = ResourceCache {
-                    resource: partition.resource,
-                    bound: empty_bound(partition.resource),
-                    partition,
-                    block_maxima,
-                    block_refined,
-                };
-                cache.fold_bound()?;
-                Ok(cache)
-            })
-            .collect()
-    }
-
-    /// One filtered-refinement capacity per block of `partition` under the
-    /// current timing (all zeros below the `Filtered` level).
-    fn refine_partition(
-        &self,
-        partition: &ResourcePartition,
-        probe: &dyn Probe,
-        ctl: &CancelToken,
-    ) -> Result<Vec<u32>, AnalysisError> {
-        if !self.options.propagation.filters() {
-            return Ok(vec![0; partition.blocks.len()]);
-        }
-        partition
-            .blocks
-            .iter()
-            .map(|b| refine_block(&self.graph, &self.timing, &b.tasks, probe, ctl))
-            .collect()
+        })
     }
 
     /// The instance as currently edited.
@@ -475,7 +295,7 @@ impl AnalysisSession {
     pub fn bound_for(&self, r: ResourceId) -> Option<ResourceBound> {
         self.caches
             .iter()
-            .find(|c| c.resource == r)
+            .find(|c| c.partition.resource == r)
             .map(|c| c.bound)
     }
 
@@ -511,14 +331,9 @@ impl AnalysisSession {
     /// graph, model, and options (provided no failed apply left pending
     /// edits, see [`has_pending_edits`](AnalysisSession::has_pending_edits)).
     pub fn to_analysis(&self) -> Analysis {
-        let partitions = if self.options.partitioning {
-            self.caches.iter().map(|c| c.partition.clone()).collect()
-        } else {
-            Vec::new()
-        };
         Analysis::from_parts(
             self.timing.clone(),
-            partitions,
+            self.caches.iter().map(|c| c.partition.clone()).collect(),
             self.caches.iter().map(|c| c.bound).collect(),
         )
     }
@@ -537,6 +352,8 @@ impl AnalysisSession {
     ///   task or edge, or demands a non-resource (nothing is applied).
     /// * [`AnalysisError::UnhostableTask`] if the edited instance cannot
     ///   be hosted by a dedicated model.
+    /// * [`AnalysisError::BoundOverflow`] if the edited magnitudes escape
+    ///   the pipeline's exact arithmetic range, as in [`crate::analyze`].
     /// * [`AnalysisError::Infeasible`] if the edited windows cannot
     ///   contain their computations.
     pub fn apply(&mut self, deltas: &[Delta]) -> Result<ApplyStats, AnalysisError> {
@@ -544,7 +361,8 @@ impl AnalysisSession {
     }
 
     /// [`apply`](AnalysisSession::apply) reporting into `probe`:
-    /// `session.apply` / `session.timing` / `session.sweep` spans and the
+    /// `session.apply` / `session.timing` / `session.sweep` spans (plus
+    /// `session.propagate` at the `Filtered` level) and the
     /// `session.tasks_recomputed`, `session.resources_dirty`,
     /// `session.blocks_resweeped`, `session.blocks_reused` counters
     /// (plus the usual `sweep.*` counters for re-swept blocks).
@@ -587,8 +405,10 @@ impl AnalysisSession {
         }
 
         // Timing recomputation assumes every task is hostable (merge
-        // seeds would panic otherwise), so bail first, keeping the dirt.
+        // seeds would panic otherwise) and magnitudes that cannot wrap,
+        // so bail first, keeping the dirt.
         self.model.validate(&self.graph)?;
+        check_magnitudes(&self.graph)?;
         // Cheapest cancellation point: the EST/LCT seed sets are still
         // intact, so a cancelled apply here loses nothing.
         ctl.check()?;
@@ -607,14 +427,13 @@ impl AnalysisSession {
         // stay in `pending_touched` for the next successful apply.
         self.timing.check_feasible(&self.graph)?;
 
-        {
-            let _sweep = span(probe, "session.sweep", Label::None);
-            let touched = std::mem::take(&mut self.pending_touched);
-            let window_moved = std::mem::take(&mut self.pending_window);
-            let demand = std::mem::take(&mut self.pending_demand);
-            if let Err(e) =
-                self.refresh_bounds(&touched, &window_moved, &demand, &mut stats, probe, ctl)
-            {
+        let touched = std::mem::take(&mut self.pending_touched);
+        let window_moved = std::mem::take(&mut self.pending_window);
+        let demand = std::mem::take(&mut self.pending_demand);
+        match self.refresh_bounds(&touched, &window_moved, &demand, &mut stats, probe, ctl) {
+            Ok(Some(caches)) => self.caches = caches,
+            Ok(None) => {}
+            Err(e) => {
                 // Nothing was committed; put the dirt back so the next
                 // successful apply re-sweeps everything this one touched.
                 self.pending_touched.extend(touched);
@@ -764,7 +583,7 @@ impl AnalysisSession {
             .map(|i| self.timing.est(TaskId::from_index(i)))
             .collect();
         let mut recomputed = 0u64;
-        let mut packer = Packer::new(self.options.propagation.packing());
+        let mut packer = Timeline::new();
         for &i in self.graph.topological_order() {
             if !dirty[i.index()] {
                 continue;
@@ -800,7 +619,7 @@ impl AnalysisSession {
             .map(|i| self.timing.lct(TaskId::from_index(i)))
             .collect();
         let mut recomputed = 0u64;
-        let mut packer = Packer::new(self.options.propagation.packing());
+        let mut packer = Timeline::new();
         for i in self.graph.reverse_topological_order() {
             if !dirty[i.index()] {
                 continue;
@@ -822,21 +641,26 @@ impl AnalysisSession {
     }
 
     /// Re-partitions and re-sweeps dirty resources only, replaying cached
-    /// block maxima for blocks whose members and windows are unchanged.
+    /// block maxima for blocks whose members and windows are unchanged,
+    /// and returns the refreshed caches (`None` when no resource is
+    /// dirty).
     ///
-    /// The refresh is plan → execute → commit: `self.caches` is read but
-    /// not written until every sweep job has succeeded, so an error (a
-    /// tripped token, an overflowing bound) leaves the previous caches —
-    /// and therefore the session's reported bounds — fully intact.
+    /// The dirty blocks are re-swept under a `session.sweep` span; at the
+    /// `Filtered` level their refinement follows under its own
+    /// `session.propagate` span. `self.caches` is only read: the caller
+    /// commits the result, so an error (a tripped token, an overflowing
+    /// bound) leaves the previous caches — and therefore the session's
+    /// reported bounds — fully intact.
     fn refresh_bounds(
-        &mut self,
+        &self,
         touched: &BTreeSet<TaskId>,
         window_moved: &BTreeSet<TaskId>,
         demand_dirty: &BTreeSet<ResourceId>,
         stats: &mut ApplyStats,
         probe: &dyn Probe,
         ctl: &CancelToken,
-    ) -> Result<(), AnalysisError> {
+    ) -> Result<Option<Vec<ResourceState>>, AnalysisError> {
+        let sweep = span(probe, "session.sweep", Label::None);
         // A resource is dirty when its demand set changed or any current
         // demander's sweep-relevant state moved.
         let mut dirty: BTreeSet<ResourceId> = demand_dirty.clone();
@@ -844,17 +668,17 @@ impl AnalysisSession {
             dirty.extend(self.graph.task(t).demands());
         }
         if dirty.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
 
         let resources: Vec<ResourceId> = self.graph.resources_used().into_iter().collect();
-        let mut old: BTreeMap<ResourceId, ResourceCache> = self
+        let mut old: BTreeMap<ResourceId, ResourceState> = self
             .caches
             .iter()
-            .map(|c| (c.resource, c.clone()))
+            .map(|c| (c.partition.resource, c.clone()))
             .collect();
 
-        let mut caches: Vec<ResourceCache> = Vec::with_capacity(resources.len());
+        let mut caches: Vec<ResourceState> = Vec::with_capacity(resources.len());
         let mut rebuilt: Vec<usize> = Vec::new();
         // (cache index, block index) of every block that must be swept.
         let mut jobs: Vec<(usize, usize)> = Vec::new();
@@ -866,153 +690,83 @@ impl AnalysisSession {
                     stats.resources_dirty += 1;
                     let ci = caches.len();
                     rebuilt.push(ci);
-                    if self.options.partitioning {
-                        // Figure 4's partition depends only on the member
-                        // set and each member's window, so when neither
-                        // changed the cached structure is already correct
-                        // and only blocks holding a touched member need a
-                        // fresh sweep.
-                        let structural = previous.is_none()
-                            || demand_dirty.contains(&r)
-                            || window_moved
-                                .iter()
-                                .any(|&t| self.graph.task(t).demands().any(|d| d == r));
-                        let (cache, pending) = if structural {
-                            self.plan_rebuild(r, previous, touched, stats)
-                        } else {
-                            Self::plan_reuse(previous.expect("previous checked"), touched, stats)
-                        };
-                        jobs.extend(pending.into_iter().map(|bi| (ci, bi)));
-                        caches.push(cache);
+                    // Figure 4's partition depends only on the member set
+                    // and each member's window, so when neither changed
+                    // the cached structure is already correct and only
+                    // blocks holding a touched member need a fresh sweep.
+                    let structural = previous.is_none()
+                        || demand_dirty.contains(&r)
+                        || window_moved
+                            .iter()
+                            .any(|&t| self.graph.task(t).demands().any(|d| d == r));
+                    let (cache, pending) = if structural {
+                        self.plan_rebuild(r, previous, touched, stats)
                     } else {
-                        jobs.push((ci, 0));
-                        caches.push(ResourceCache {
-                            resource: r,
-                            partition: ResourcePartition {
-                                resource: r,
-                                blocks: Vec::new(),
-                            },
-                            block_maxima: Vec::new(),
-                            block_refined: Vec::new(),
-                            bound: empty_bound(r),
-                        });
-                    }
+                        Self::plan_reuse(previous.expect("previous checked"), touched, stats)
+                    };
+                    jobs.extend(pending.into_iter().map(|bi| (ci, bi)));
+                    caches.push(cache);
                 }
             }
         }
 
-        let threads = effective_threads(self.options.parallelism);
-        if self.options.partitioning {
-            // Chunked path shared with the full sweep: plan every dirty
-            // block in (cache, block) order — the order the serial
-            // re-sweep would visit them — then fan one job per t1 chunk.
-            let mut plans: Vec<(usize, usize, BlockPlan)> = Vec::new();
+        // Dirty blocks in (cache, block) order — the order a serial
+        // re-sweep would visit them — labeled by cache index, which is the
+        // resource's partition index in a from-scratch run.
+        let blocks: Vec<_> = jobs
+            .iter()
+            .map(|&(ci, bi)| (ci, &caches[ci].partition.blocks[bi]))
+            .collect();
+        let maxima = sweep_blocks(
+            &self.graph,
+            &self.timing,
+            &blocks,
+            &self.options,
+            probe,
+            ctl,
+        )?;
+        for (&(ci, bi), max) in jobs.iter().zip(maxima) {
+            caches[ci].block_maxima[bi] = max;
+        }
+        drop(sweep);
+
+        // Re-swept blocks recompute their filtered refinement under the
+        // fresh timing; reused blocks replay the cached value — valid
+        // under exactly the maxima-reuse invariants (identical member
+        // list, unchanged windows, no touched member), because refinement
+        // is pure in the members' windows, computations, and modes.
+        if self.options.propagation.filters() {
+            let _propagate = span(probe, "session.propagate", Label::None);
             for &(ci, bi) in &jobs {
-                let plan = plan_block(
+                caches[ci].block_refined[bi] = refine_block(
                     &self.graph,
                     &self.timing,
                     &caches[ci].partition.blocks[bi].tasks,
-                    self.options.candidates,
-                    self.options.sweep,
-                    threads,
-                    self.options.chunk_columns,
-                )?;
-                plans.push((ci, bi, plan));
-            }
-            let chunk_jobs: Vec<(usize, usize)> = plans
-                .iter()
-                .enumerate()
-                .flat_map(|(i, (_, _, plan))| (0..plan.chunk_count()).map(move |ck| (i, ck)))
-                .collect();
-            probe.add("sweep.chunks", chunk_jobs.len() as u64);
-            let results = run_jobs(probe, threads, chunk_jobs.len(), |j| {
-                let (i, ck) = chunk_jobs[j];
-                let (ci, _, plan) = &plans[i];
-                let _chunk = span(probe, "sweep.chunk", Label::Index(*ci as u64));
-                let mut max = RatioMax::default();
-                let counters = plan.sweep_chunk(&self.graph, &self.timing, ck, &mut max, ctl)?;
-                probe.add("sweep.events_processed", counters.raw_events);
-                probe.add("sweep.chunk_events", counters.merged_events);
-                probe.add("sweep.pairs_offered", max.intervals());
-                probe.observe("sweep.events_per_chunk", counters.merged_events);
-                Ok(max)
-            });
-            // Fold chunk maxima per dirty block in job order (ascending
-            // t1), surfacing the first error before any cache commits.
-            let mut folded = vec![RatioMax::default(); plans.len()];
-            for (j, max) in results.into_iter().enumerate() {
-                folded[chunk_jobs[j].0].merge(max?);
-            }
-            let targets: Vec<(usize, usize)> = plans.iter().map(|(ci, bi, _)| (*ci, *bi)).collect();
-            drop(plans);
-            for (&(ci, bi), max) in targets.iter().zip(folded) {
-                caches[ci].block_maxima[bi] = max;
-            }
-            // Re-swept blocks recompute their filtered refinement under
-            // the fresh timing; reused blocks replay the cached value —
-            // valid under exactly the maxima-reuse invariants (identical
-            // member list, unchanged windows, no touched member), because
-            // refinement is pure in the members' windows, computations,
-            // and modes.
-            if self.options.propagation.filters() {
-                for &(ci, bi) in &targets {
-                    caches[ci].block_refined[bi] = refine_block(
-                        &self.graph,
-                        &self.timing,
-                        &caches[ci].partition.blocks[bi].tasks,
-                        probe,
-                        ctl,
-                    )?;
-                }
-            }
-            for ci in rebuilt {
-                caches[ci].fold_bound()?;
-            }
-        } else {
-            let results = run_jobs(probe, threads, jobs.len(), |j| {
-                let r = caches[jobs[j].0].resource;
-                let mut bound = resource_bound_unpartitioned_ctl(
-                    &self.graph,
-                    &self.timing,
-                    r,
-                    self.options.candidates,
+                    probe,
                     ctl,
                 )?;
-                probe.add("sweep.pairs_offered", bound.intervals_examined);
-                if self.options.propagation.filters() {
-                    let refined = refine_resource_flat(&self.graph, &self.timing, r, probe, ctl)?;
-                    bound.bound = bound.bound.max(refined);
-                }
-                Ok(bound)
-            });
-            for (j, bound) in results.into_iter().enumerate() {
-                caches[jobs[j].0].bound = bound?;
             }
         }
-        self.caches = caches;
-        Ok(())
+        for ci in rebuilt {
+            let cache = &mut caches[ci];
+            cache.bound = fold_bound(
+                cache.partition.resource,
+                &cache.block_maxima,
+                &cache.block_refined,
+            )?;
+        }
+        Ok(Some(caches))
     }
 
-    /// Re-partitions one dirty resource and decides block-by-block
-    /// whether the cached sweep can be replayed, returning the new cache
-    /// (dirty maxima zeroed) plus the block indices that must be swept.
-    ///
-    /// A block is clean when an old block with the same leading task
-    /// carries the identical member list, the same covering
-    /// [`PartitionBlock::window_span`], and none of its members were
-    /// touched — blocks partition `ST_r`, so the leading task is a
-    /// unique, stable key.
-    ///
-    /// [`PartitionBlock::window_span`]: crate::PartitionBlock::window_span
     /// Keeps a dirty resource's cached partition in place — valid only
     /// when the demand set is unchanged and no member window moved —
     /// zeroing the maxima of blocks that hold a touched member and
     /// returning their indices for re-sweeping.
     fn plan_reuse(
-        mut cache: ResourceCache,
+        mut cache: ResourceState,
         touched: &BTreeSet<TaskId>,
         stats: &mut ApplyStats,
-    ) -> (ResourceCache, Vec<usize>) {
+    ) -> (ResourceState, Vec<usize>) {
         let mut pending_jobs = Vec::new();
         for (bi, block) in cache.partition.blocks.iter().enumerate() {
             if block.tasks.iter().any(|t| touched.contains(t)) {
@@ -1027,13 +781,24 @@ impl AnalysisSession {
         (cache, pending_jobs)
     }
 
+    /// Re-partitions one dirty resource and decides block-by-block
+    /// whether the cached sweep can be replayed, returning the new cache
+    /// (dirty maxima zeroed) plus the block indices that must be swept.
+    ///
+    /// A block is clean when an old block with the same leading task
+    /// carries the identical member list, the same covering
+    /// [`PartitionBlock::window_span`], and none of its members were
+    /// touched — blocks partition `ST_r`, so the leading task is a
+    /// unique, stable key.
+    ///
+    /// [`PartitionBlock::window_span`]: crate::PartitionBlock::window_span
     fn plan_rebuild(
         &self,
         r: ResourceId,
-        previous: Option<ResourceCache>,
+        previous: Option<ResourceState>,
         touched: &BTreeSet<TaskId>,
         stats: &mut ApplyStats,
-    ) -> (ResourceCache, Vec<usize>) {
+    ) -> (ResourceState, Vec<usize>) {
         let partition = partition_tasks(&self.graph, &self.timing, r);
         let mut old_blocks: BTreeMap<TaskId, CachedBlock> = BTreeMap::new();
         if let Some(prev) = previous {
@@ -1072,8 +837,7 @@ impl AnalysisSession {
             }
         }
         (
-            ResourceCache {
-                resource: r,
+            ResourceState {
                 partition,
                 block_maxima,
                 block_refined,

@@ -54,41 +54,30 @@
 //!
 //! Columns are independent, so [`plan_block`] splits each block's `t1`
 //! range into contiguous chunks ([`crate::exec::chunk_spans`]) and
-//! [`sweep_partitions`] fans block×chunk jobs across cores with
-//! `std::thread::scope`. Merging the per-chunk maxima in deterministic
-//! ascending-`t1` chunk order with the first-wins strict comparison of
-//! [`RatioMax::merge`] reproduces the serial result exactly, whatever the
-//! thread count or chunk size.
+//! [`sweep_blocks`] — the one sweep driver behind `analyze`, session
+//! creation, and the session's dirty-block re-sweep — fans block×chunk
+//! jobs across cores with `std::thread::scope`. Merging the per-chunk
+//! maxima in deterministic ascending-`t1` chunk order with the first-wins
+//! strict comparison of [`RatioMax::merge`] reproduces the serial result
+//! exactly, whatever the thread count or chunk size.
 //!
 //! Results are **bit-identical** to the naive sweep (same demands, same
 //! candidate pairs offered in the same order, same tie-breaks), which the
-//! differential suite in `tests/sweep_equivalence.rs` enforces; the naive
-//! path survives behind [`SweepStrategy::Naive`] as the testing oracle.
+//! differential suite in `tests/sweep_equivalence.rs` enforces against
+//! [`crate::oracle::naive_bounds`].
 
 use std::ops::Range;
 
 use rtlb_graph::{Dur, TaskGraph, TaskId, Time};
-use rtlb_obs::{span, Label, Probe, NULL_PROBE};
-use serde::{Deserialize, Serialize};
+use rtlb_obs::{span, Label, Probe};
 
-use crate::bounds::{candidate_points, CandidatePolicy, RatioMax, ResourceBound};
+use crate::analysis::AnalysisOptions;
+use crate::bounds::{candidate_points, CandidatePolicy, RatioMax};
 use crate::cancel::CancelToken;
 use crate::error::AnalysisError;
 use crate::estlct::TimingAnalysis;
 use crate::exec::{chunk_spans, effective_threads, run_jobs};
 use crate::partition::{PartitionBlock, ResourcePartition};
-
-/// How the Equation 6.3 interval sweep evaluates `Θ`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SweepStrategy {
-    /// Recompute `Θ` from scratch for every candidate pair —
-    /// `O(P²·N)` per block. Kept as the differential-testing oracle.
-    Naive,
-    /// Arena-based incremental accumulation — `O(P·(P + N))` per block
-    /// after an `O(N log N)` per-block sort, bit-identical results.
-    #[default]
-    Incremental,
-}
 
 /// A slope event at a constant position, alive while `t1 <= until`.
 #[derive(Clone, Copy, Debug)]
@@ -137,7 +126,7 @@ struct BandEvent {
 /// See the module docs for the regime decomposition; the differential
 /// unit test `arena_streams_match_ramp_decomposition` pins each stream
 /// against [`psi_ramp`] exhaustively.
-pub(crate) struct BlockArena {
+struct BlockArena {
     /// `+1` at a fixed position (NP early/mid regime, P early regime).
     start_fixed: Vec<ClampEvent>,
     /// `+1` at `key + t1` (P mid regime).
@@ -383,21 +372,6 @@ fn psi_ramp(
     Some(ramp)
 }
 
-/// The naive oracle for one fixed `t1`: full `Θ` recomputation per `t2`.
-fn naive_t1_sweep(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    tasks: &[TaskId],
-    points: &[Time],
-    li: usize,
-    max: &mut RatioMax,
-) {
-    let t1 = points[li];
-    for &t2 in &points[li + 1..] {
-        max.offer(crate::bounds::theta(graph, timing, tasks, t1, t2), t1, t2);
-    }
-}
-
 /// Walks the candidate `t2` points of one `t1` column once with a
 /// running slope over the pre-merged `events`, offering every pair to
 /// `max` — exactly the accumulation the sorted per-column event list
@@ -426,247 +400,129 @@ fn accumulate_column(points: &[Time], li: usize, events: &[(i64, i64)], max: &mu
 /// entries actually walked (`sweep.chunk_events` — smaller whenever
 /// coalescing collapses same-position deltas).
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ChunkCounters {
-    pub(crate) raw_events: u64,
-    pub(crate) merged_events: u64,
+struct ChunkCounters {
+    raw_events: u64,
+    merged_events: u64,
 }
 
-/// One block's sweep, planned: candidate points, the SoA event arena
-/// (incremental strategy only), and the ascending-`t1` chunk spans.
-/// Chunks are independent units of work whose maxima merge back in span
-/// order — the session's dirty-block re-sweep and the full fan-out both
-/// execute these plans through [`BlockPlan::sweep_chunk`].
-pub(crate) struct BlockPlan<'a> {
-    tasks: &'a [TaskId],
+/// One block's sweep, planned: candidate points, the SoA event arena,
+/// and the ascending-`t1` chunk spans. Chunks are independent units of
+/// work whose maxima merge back in span order.
+struct BlockPlan {
     points: Vec<Time>,
-    arena: Option<BlockArena>,
+    arena: BlockArena,
     chunks: Vec<Range<usize>>,
+    /// Upper bound on one column's merged event count (two per task plus
+    /// the coalesced `t1` event), the per-chunk buffer size.
+    max_events: usize,
 }
 
-/// Plans one block's chunked sweep: computes the candidate grid, splits
-/// the `t1` range off the worker pool (`chunk_columns` forces a size,
-/// `0` auto-sizes; see [`chunk_spans`]), and — for the incremental
-/// strategy — builds the block's event arena.
+/// Plans one block's chunked sweep: builds the block's event arena,
+/// computes the candidate grid, and splits the `t1` range off the worker
+/// pool (`chunk_columns` forces a size, `0` auto-sizes; see
+/// [`chunk_spans`]).
 ///
 /// # Errors
 ///
 /// [`AnalysisError::Infeasible`] if a swept task's window cannot contain
-/// its computation (incremental strategy only; the naive oracle stays
-/// defined either way).
-pub(crate) fn plan_block<'a>(
+/// its computation.
+fn plan_block(
     graph: &TaskGraph,
     timing: &TimingAnalysis,
-    tasks: &'a [TaskId],
+    tasks: &[TaskId],
     policy: CandidatePolicy,
-    strategy: SweepStrategy,
     threads: usize,
     chunk_columns: usize,
-) -> Result<BlockPlan<'a>, AnalysisError> {
-    let arena = match strategy {
-        SweepStrategy::Naive => None,
-        SweepStrategy::Incremental => Some(BlockArena::build(graph, timing, tasks)?),
-    };
+) -> Result<BlockPlan, AnalysisError> {
+    let arena = BlockArena::build(graph, timing, tasks)?;
     let points = candidate_points(graph, timing, tasks, policy);
     let t1_count = points.len().saturating_sub(1);
     Ok(BlockPlan {
-        tasks,
         chunks: chunk_spans(t1_count, threads, chunk_columns),
         points,
         arena,
+        max_events: tasks.len() * 2 + 1,
     })
 }
 
-impl BlockPlan<'_> {
-    /// Number of chunk jobs this plan fans out.
-    pub(crate) fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
+impl BlockPlan {
     /// Sweeps chunk `ci` into `max`, polling `ctl` once per `t1` column
     /// (the interruption checkpoint — a column is the unit of work
     /// between checks, so cancellation latency is one column, not one
     /// whole chunk). The event buffer is allocated once per chunk and
     /// reused across its columns; the merge itself never allocates.
-    pub(crate) fn sweep_chunk(
+    fn sweep_chunk(
         &self,
-        graph: &TaskGraph,
-        timing: &TimingAnalysis,
         ci: usize,
         max: &mut RatioMax,
         ctl: &CancelToken,
     ) -> Result<ChunkCounters, AnalysisError> {
         let mut counters = ChunkCounters::default();
-        let mut events: Vec<(i64, i64)> = Vec::with_capacity(match &self.arena {
-            Some(_) => self.tasks.len() * 2 + 1,
-            None => 0,
-        });
+        let mut events: Vec<(i64, i64)> = Vec::with_capacity(self.max_events);
         for li in self.chunks[ci].clone() {
             ctl.check()?;
-            match &self.arena {
-                None => naive_t1_sweep(graph, timing, self.tasks, &self.points, li, max),
-                Some(arena) => {
-                    counters.raw_events += arena.emit_column(self.points[li].ticks(), &mut events);
-                    counters.merged_events += events.len() as u64;
-                    accumulate_column(&self.points, li, &events, max);
-                }
-            }
+            counters.raw_events += self.arena.emit_column(self.points[li].ticks(), &mut events);
+            counters.merged_events += events.len() as u64;
+            accumulate_column(&self.points, li, &events, max);
         }
         Ok(counters)
     }
 }
 
-/// Sweeps one partition block into `max` with the chosen strategy,
-/// serially, returning the number of raw slope events processed (zero
-/// for the naive strategy).
-pub(crate) fn sweep_block_into(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    block: &PartitionBlock,
-    policy: CandidatePolicy,
-    strategy: SweepStrategy,
-    max: &mut RatioMax,
-    ctl: &CancelToken,
-) -> Result<u64, AnalysisError> {
-    let plan = plan_block(graph, timing, &block.tasks, policy, strategy, 1, 0)?;
-    let mut raw = 0u64;
-    for ci in 0..plan.chunk_count() {
-        raw += plan.sweep_chunk(graph, timing, ci, max, ctl)?.raw_events;
-    }
-    Ok(raw)
-}
-
-/// Sweeps every block of one partition sequentially (Theorem 5), with the
-/// chosen strategy.
-pub(crate) fn sweep_partition_into(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    partition: &ResourcePartition,
-    policy: CandidatePolicy,
-    strategy: SweepStrategy,
-    max: &mut RatioMax,
-    ctl: &CancelToken,
-) -> Result<(), AnalysisError> {
-    for block in &partition.blocks {
-        sweep_block_into(graph, timing, block, policy, strategy, max, ctl)?;
-    }
-    Ok(())
-}
-
-/// Computes `LB_r` for every partition, fanning the per-block sweeps out
-/// across `parallelism` threads (`0` = all available cores, `1` =
-/// serial). Blocks are further split into contiguous `t1` chunks for
-/// load balance. Results are bit-identical to the serial sweep for any
-/// thread count: chunk maxima are merged in deterministic ascending-`t1`
-/// order with the same first-wins tie-break the serial scan applies.
+/// Sweeps every block of `blocks` into one [`RatioMax`], returned in
+/// input order, fanning the work across `options.parallelism` threads
+/// (`0` = all available cores, `1` = serial). Each entry pairs a block
+/// with the index that labels its `sweep.chunk` spans (the partition's
+/// position in the run).
+///
+/// Every block is planned first, in input order, so a planning error
+/// surfaces in the order a serial sweep would hit it. Blocks are then
+/// split into contiguous `t1` chunks for load balance, one job per chunk,
+/// and chunk maxima fold back per block in ascending-`t1` order with the
+/// serial first-wins tie-break — bit-identical for any thread count and
+/// chunk size. On error (the first in job order wins) all partial maxima
+/// are discarded; workers that observe a tripped `ctl` stop at their
+/// next column boundary.
+///
+/// Reports the `sweep.blocks` / `sweep.jobs` / `sweep.chunks` counters,
+/// a `sweep.worker` span per worker thread, a `sweep.chunk` span per
+/// job, and per chunk the `sweep.pairs_offered` /
+/// `sweep.events_processed` / `sweep.chunk_events` counters and the
+/// `sweep.events_per_chunk` distribution. Instrumentation is
+/// observational only.
 ///
 /// # Errors
 ///
-/// [`AnalysisError::BoundOverflow`] if some bound's ceiling exceeds
-/// `u32::MAX` (unreachable on feasible timing).
-pub fn sweep_partitions(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    partitions: &[ResourcePartition],
-    policy: CandidatePolicy,
-    strategy: SweepStrategy,
-    parallelism: usize,
-) -> Result<Vec<ResourceBound>, AnalysisError> {
-    sweep_partitions_probed(
-        graph,
-        timing,
-        partitions,
-        policy,
-        strategy,
-        parallelism,
-        &NULL_PROBE,
-    )
-}
-
-/// [`sweep_partitions`] reporting into `probe`: an `analyze.sweep` span
-/// around the whole step, a `sweep.worker` span per worker thread, a
-/// `sweep.chunk` span (labeled with the partition index) per chunk job,
-/// and the `sweep.blocks` / `sweep.jobs` / `sweep.chunks` /
-/// `sweep.pairs_offered` / `sweep.events_processed` /
-/// `sweep.chunk_events` counters. Instrumentation is observational only —
-/// bounds, witnesses, and tie-breaks are bit-identical to the unprobed
-/// sweep (enforced by `tests/sweep_equivalence.rs`).
-///
-/// # Errors
-///
-/// Same as [`sweep_partitions`].
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_partitions_probed(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    partitions: &[ResourcePartition],
-    policy: CandidatePolicy,
-    strategy: SweepStrategy,
-    parallelism: usize,
-    probe: &dyn Probe,
-) -> Result<Vec<ResourceBound>, AnalysisError> {
-    sweep_partitions_ctl(
-        graph,
-        timing,
-        partitions,
-        policy,
-        strategy,
-        parallelism,
-        0,
-        probe,
-        &CancelToken::none(),
-    )
-}
-
-/// [`sweep_partitions_probed`] with an explicit chunk size
-/// (`chunk_columns`, `0` = auto) and polling `ctl` once per `t1` column
-/// in every worker. Workers that observe a tripped token stop at their
-/// next column boundary; the first error in job order is returned and
-/// all partial maxima are discarded.
-///
-/// # Errors
-///
-/// [`AnalysisError::BoundOverflow`] as in [`sweep_partitions`], or
+/// [`AnalysisError::Infeasible`] as in [`plan_block`], or
 /// [`AnalysisError::Deadline`] when `ctl` trips.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_partitions_ctl(
+pub(crate) fn sweep_blocks(
     graph: &TaskGraph,
     timing: &TimingAnalysis,
-    partitions: &[ResourcePartition],
-    policy: CandidatePolicy,
-    strategy: SweepStrategy,
-    parallelism: usize,
-    chunk_columns: usize,
+    blocks: &[(usize, &PartitionBlock)],
+    options: &AnalysisOptions,
     probe: &dyn Probe,
     ctl: &CancelToken,
-) -> Result<Vec<ResourceBound>, AnalysisError> {
-    let _sweep = span(probe, "analyze.sweep", Label::None);
-    let threads = effective_threads(parallelism);
-
-    // Plan every block up front — candidate points, event arena, chunk
-    // split — in (partition, block) order, so a planning error (an
-    // infeasible window) surfaces in the order the serial sweep would
-    // have hit it.
-    let mut plans: Vec<(usize, BlockPlan)> = Vec::new();
-    for (pi, partition) in partitions.iter().enumerate() {
-        for block in &partition.blocks {
-            let plan = plan_block(
+) -> Result<Vec<RatioMax>, AnalysisError> {
+    let threads = effective_threads(options.parallelism);
+    let plans = blocks
+        .iter()
+        .map(|(_, block)| {
+            plan_block(
                 graph,
                 timing,
                 &block.tasks,
-                policy,
-                strategy,
+                options.candidates,
                 threads,
-                chunk_columns,
-            )?;
-            plans.push((pi, plan));
-        }
-    }
+                options.chunk_columns,
+            )
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
-    // One job per contiguous t1 chunk, in (partition, block, chunk) order.
+    // One job per contiguous t1 chunk, in (block, chunk) order.
     let jobs: Vec<(usize, usize)> = plans
         .iter()
         .enumerate()
-        .flat_map(|(bi, (_, plan))| (0..plan.chunk_count()).map(move |ci| (bi, ci)))
+        .flat_map(|(bi, plan)| (0..plan.chunks.len()).map(move |ci| (bi, ci)))
         .collect();
 
     probe.add("sweep.blocks", plans.len() as u64);
@@ -675,10 +531,9 @@ pub fn sweep_partitions_ctl(
 
     let chunk_maxima = run_jobs(probe, threads, jobs.len(), |j| {
         let (bi, ci) = jobs[j];
-        let (pi, plan) = &plans[bi];
-        let _chunk = span(probe, "sweep.chunk", Label::Index(*pi as u64));
+        let _chunk = span(probe, "sweep.chunk", Label::Index(blocks[bi].0 as u64));
         let mut max = RatioMax::default();
-        let counters = plan.sweep_chunk(graph, timing, ci, &mut max, ctl)?;
+        let counters = plans[bi].sweep_chunk(ci, &mut max, ctl)?;
         probe.add("sweep.pairs_offered", max.intervals());
         probe.add("sweep.events_processed", counters.raw_events);
         probe.add("sweep.chunk_events", counters.merged_events);
@@ -686,28 +541,51 @@ pub fn sweep_partitions_ctl(
         Ok(max)
     });
 
-    // Fold chunk maxima back per partition, preserving job order so ties
-    // resolve exactly as in the serial sweep. The first error in job
-    // order wins, matching what the serial sweep would have hit first.
-    let mut folded = vec![RatioMax::default(); partitions.len()];
+    let mut folded = vec![RatioMax::default(); plans.len()];
     for ((bi, _), max) in jobs.iter().zip(chunk_maxima) {
-        folded[plans[*bi].0].merge(max?);
+        folded[*bi].merge(max?);
     }
-    folded
-        .into_iter()
-        .zip(partitions)
-        .map(|(max, partition)| max.into_bound(partition.resource))
-        .collect()
+    Ok(folded)
+}
+
+/// [`sweep_blocks`] over every block of `partitions`, regrouped into one
+/// [`RatioMax`] per block per partition; chunk spans carry the partition
+/// index.
+///
+/// # Errors
+///
+/// Same as [`sweep_blocks`].
+pub(crate) fn sweep_partitions(
+    graph: &TaskGraph,
+    timing: &TimingAnalysis,
+    partitions: &[ResourcePartition],
+    options: &AnalysisOptions,
+    probe: &dyn Probe,
+    ctl: &CancelToken,
+) -> Result<Vec<Vec<RatioMax>>, AnalysisError> {
+    let blocks: Vec<(usize, &PartitionBlock)> = partitions
+        .iter()
+        .enumerate()
+        .flat_map(|(pi, p)| p.blocks.iter().map(move |b| (pi, b)))
+        .collect();
+    let mut maxima = sweep_blocks(graph, timing, &blocks, options, probe, ctl)?.into_iter();
+    Ok(partitions
+        .iter()
+        .map(|p| maxima.by_ref().take(p.blocks.len()).collect())
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::{fold_bound, ResourceBound};
     use crate::estlct::{compute_timing, TaskWindow};
     use crate::model::SystemModel;
+    use crate::oracle::naive_bounds;
     use crate::overlap::overlap;
     use crate::partition::partition_all;
     use rtlb_graph::{Catalog, ExecutionMode, ResourceId, TaskGraphBuilder, TaskSpec};
+    use rtlb_obs::NULL_PROBE;
 
     /// The ramp decomposition must equal Equation 6.1/6.2 pointwise on
     /// every feasible small window, both modes, all t1 < t2.
@@ -833,23 +711,67 @@ mod tests {
         (b.build().unwrap(), p)
     }
 
+    /// The sweep knobs under test.
+    fn options(
+        candidates: CandidatePolicy,
+        parallelism: usize,
+        chunk_columns: usize,
+    ) -> AnalysisOptions {
+        AnalysisOptions {
+            candidates,
+            parallelism,
+            chunk_columns,
+            ..AnalysisOptions::default()
+        }
+    }
+
+    /// Sweeps every partition through the driver and folds one bound per
+    /// resource, as the pipeline does.
+    fn sweep(
+        g: &rtlb_graph::TaskGraph,
+        timing: &TimingAnalysis,
+        partitions: &[ResourcePartition],
+        options: AnalysisOptions,
+        probe: &dyn Probe,
+        ctl: &CancelToken,
+    ) -> Result<Vec<ResourceBound>, AnalysisError> {
+        let maxima = sweep_partitions(g, timing, partitions, &options, probe, ctl)?;
+        partitions
+            .iter()
+            .zip(maxima)
+            .map(|(p, maxima)| fold_bound(p.resource, &maxima, &[]))
+            .collect()
+    }
+
+    /// [`sweep`] without a probe or a deadline.
+    fn sweep_plain(
+        g: &rtlb_graph::TaskGraph,
+        timing: &TimingAnalysis,
+        partitions: &[ResourcePartition],
+        candidates: CandidatePolicy,
+        parallelism: usize,
+        chunk_columns: usize,
+    ) -> Vec<ResourceBound> {
+        let options = options(candidates, parallelism, chunk_columns);
+        sweep(
+            g,
+            timing,
+            partitions,
+            options,
+            &NULL_PROBE,
+            &CancelToken::none(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn incremental_matches_naive_including_witness_and_count() {
         let (g, _) = fixture();
         let timing = compute_timing(&g, &SystemModel::shared());
         let partitions = partition_all(&g, &timing);
         for policy in [CandidatePolicy::EstLct, CandidatePolicy::Extended] {
-            let naive = sweep_partitions(&g, &timing, &partitions, policy, SweepStrategy::Naive, 1)
-                .unwrap();
-            let inc = sweep_partitions(
-                &g,
-                &timing,
-                &partitions,
-                policy,
-                SweepStrategy::Incremental,
-                1,
-            )
-            .unwrap();
+            let naive = naive_bounds(&g, &timing, &partitions, policy).unwrap();
+            let inc = sweep_plain(&g, &timing, &partitions, policy, 1, 0);
             assert_eq!(naive, inc, "policy {policy:?}");
         }
     }
@@ -859,129 +781,78 @@ mod tests {
         let (g, _) = fixture();
         let timing = compute_timing(&g, &SystemModel::shared());
         let partitions = partition_all(&g, &timing);
-        let serial = sweep_partitions(
-            &g,
-            &timing,
-            &partitions,
-            CandidatePolicy::Extended,
-            SweepStrategy::Incremental,
-            1,
-        )
-        .unwrap();
+        let serial = sweep_plain(&g, &timing, &partitions, CandidatePolicy::Extended, 1, 0);
         for threads in [0, 2, 3, 8] {
-            let par = sweep_partitions(
+            let par = sweep_plain(
                 &g,
                 &timing,
                 &partitions,
                 CandidatePolicy::Extended,
-                SweepStrategy::Incremental,
                 threads,
-            )
-            .unwrap();
+                0,
+            );
             assert_eq!(serial, par, "threads = {threads}");
         }
     }
 
     /// Forcing explicit chunk sizes — including size 1, one job per t1
     /// column — must leave every bound, witness, and interval count
-    /// bit-identical, serial and parallel alike, for both strategies.
+    /// bit-identical, serial and parallel alike.
     #[test]
     fn explicit_chunk_sizes_are_bit_identical() {
         let (g, _) = fixture();
         let timing = compute_timing(&g, &SystemModel::shared());
         let partitions = partition_all(&g, &timing);
-        for strategy in [SweepStrategy::Incremental, SweepStrategy::Naive] {
-            let serial = sweep_partitions_ctl(
-                &g,
-                &timing,
-                &partitions,
-                CandidatePolicy::Extended,
-                strategy,
-                1,
-                0,
-                &NULL_PROBE,
-                &CancelToken::none(),
-            )
-            .unwrap();
-            for chunk_columns in [1, 2, 3, 7] {
-                for threads in [1, 2, 8] {
-                    let chunked = sweep_partitions_ctl(
-                        &g,
-                        &timing,
-                        &partitions,
-                        CandidatePolicy::Extended,
-                        strategy,
-                        threads,
-                        chunk_columns,
-                        &NULL_PROBE,
-                        &CancelToken::none(),
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        serial, chunked,
-                        "{strategy:?} chunk={chunk_columns} threads={threads}"
-                    );
-                }
+        let serial = sweep_plain(&g, &timing, &partitions, CandidatePolicy::Extended, 1, 0);
+        for chunk_columns in [1, 2, 3, 7] {
+            for threads in [1, 2, 8] {
+                let chunked = sweep_plain(
+                    &g,
+                    &timing,
+                    &partitions,
+                    CandidatePolicy::Extended,
+                    threads,
+                    chunk_columns,
+                );
+                assert_eq!(serial, chunked, "chunk={chunk_columns} threads={threads}");
             }
         }
     }
 
     /// An attached recorder observes the sweep without perturbing it, and
-    /// both strategies offer the same number of candidate pairs.
+    /// counts exactly the candidate pairs the naive oracle examines.
     #[test]
     fn recorder_observes_without_perturbing() {
         use rtlb_obs::Recorder;
         let (g, _) = fixture();
         let timing = compute_timing(&g, &SystemModel::shared());
         let partitions = partition_all(&g, &timing);
-        let plain = sweep_partitions(
+        let plain = sweep_plain(&g, &timing, &partitions, CandidatePolicy::EstLct, 1, 0);
+
+        let recorder = Recorder::new();
+        let probed = sweep(
             &g,
             &timing,
             &partitions,
-            CandidatePolicy::EstLct,
-            SweepStrategy::Incremental,
-            1,
+            options(CandidatePolicy::EstLct, 1, 0),
+            &recorder,
+            &CancelToken::none(),
         )
         .unwrap();
-
-        let mut pairs = Vec::new();
-        for strategy in [SweepStrategy::Incremental, SweepStrategy::Naive] {
-            let recorder = Recorder::new();
-            let probed = sweep_partitions_probed(
-                &g,
-                &timing,
-                &partitions,
-                CandidatePolicy::EstLct,
-                strategy,
-                1,
-                &recorder,
-            )
-            .unwrap();
-            assert_eq!(plain, probed, "{strategy:?} must be bit-identical");
-            let metrics = recorder.take_metrics();
-            let offered: u64 = plain.iter().map(|b| b.intervals_examined).sum();
-            assert_eq!(metrics.counter("sweep.pairs_offered"), offered);
-            assert_eq!(metrics.span_count("analyze.sweep"), 1);
-            assert_eq!(metrics.span_count("sweep.worker"), 1);
-            assert!(metrics.span_count("sweep.chunk") >= 1);
-            assert_eq!(
-                metrics.counter("sweep.chunks"),
-                metrics.span_count("sweep.chunk")
-            );
-            pairs.push(metrics.counter("sweep.pairs_offered"));
-            if strategy == SweepStrategy::Incremental {
-                assert!(metrics.counter("sweep.events_processed") > 0);
-                // Coalescing can only shrink the merged stream.
-                assert!(
-                    metrics.counter("sweep.chunk_events")
-                        <= metrics.counter("sweep.events_processed")
-                );
-            } else {
-                assert_eq!(metrics.counter("sweep.events_processed"), 0);
-                assert_eq!(metrics.counter("sweep.chunk_events"), 0);
-            }
-        }
-        assert_eq!(pairs[0], pairs[1], "strategies offer identical pairs");
+        assert_eq!(plain, probed, "probing must be bit-identical");
+        let metrics = recorder.take_metrics();
+        let naive = naive_bounds(&g, &timing, &partitions, CandidatePolicy::EstLct).unwrap();
+        let offered: u64 = naive.iter().map(|b| b.intervals_examined).sum();
+        assert_eq!(metrics.counter("sweep.pairs_offered"), offered);
+        assert_eq!(metrics.span_count("sweep.worker"), 1);
+        assert!(metrics.span_count("sweep.chunk") >= 1);
+        assert_eq!(
+            metrics.counter("sweep.chunks"),
+            metrics.span_count("sweep.chunk")
+        );
+        assert!(metrics.counter("sweep.events_processed") > 0);
+        // Coalescing can only shrink the merged stream.
+        assert!(metrics.counter("sweep.chunk_events") <= metrics.counter("sweep.events_processed"));
     }
 
     /// With a parallel fan-out, the recorder sees one worker span per
@@ -992,24 +863,15 @@ mod tests {
         let (g, _) = fixture();
         let timing = compute_timing(&g, &SystemModel::shared());
         let partitions = partition_all(&g, &timing);
-        let serial = sweep_partitions(
-            &g,
-            &timing,
-            &partitions,
-            CandidatePolicy::Extended,
-            SweepStrategy::Incremental,
-            1,
-        )
-        .unwrap();
+        let serial = sweep_plain(&g, &timing, &partitions, CandidatePolicy::Extended, 1, 0);
         let recorder = Recorder::new();
-        let par = sweep_partitions_probed(
+        let par = sweep(
             &g,
             &timing,
             &partitions,
-            CandidatePolicy::Extended,
-            SweepStrategy::Incremental,
-            3,
+            options(CandidatePolicy::Extended, 3, 0),
             &recorder,
+            &CancelToken::none(),
         )
         .unwrap();
         assert_eq!(serial, par);
@@ -1035,14 +897,11 @@ mod tests {
         let ctl = CancelToken::new();
         ctl.cancel();
         for threads in [1, 3] {
-            let err = sweep_partitions_ctl(
+            let err = sweep(
                 &g,
                 &timing,
                 &partitions,
-                CandidatePolicy::EstLct,
-                SweepStrategy::Incremental,
-                threads,
-                0,
+                options(CandidatePolicy::EstLct, threads, 0),
                 &NULL_PROBE,
                 &ctl,
             )

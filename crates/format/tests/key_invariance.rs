@@ -159,17 +159,12 @@ proptest! {
         let edges = forward_edges(&raw_edges, tasks.len());
         let text = base_text(&tasks, &edges);
         let parsed = parse(&text).expect("base parses");
-        let fp = |level: &str| {
-            format!("partitioning=true;candidates=est-lct;sweep=incremental;propagation={level}")
-        };
+        let fp = |level: &str| format!("candidates=est-lct;propagation={level}");
         let keys = [
-            content_key(&parsed, &fp("paper")),
             content_key(&parsed, &fp("timeline")),
             content_key(&parsed, &fp("filtered")),
         ];
         prop_assert_ne!(keys[0], keys[1]);
-        prop_assert_ne!(keys[1], keys[2]);
-        prop_assert_ne!(keys[0], keys[2]);
-        prop_assert_eq!(content_key(&parsed, &fp("filtered")), keys[2]);
+        prop_assert_eq!(content_key(&parsed, &fp("filtered")), keys[1]);
     }
 }

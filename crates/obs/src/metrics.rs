@@ -481,7 +481,7 @@ impl MetricsSnapshot {
     }
 
     /// Parses and validates a `rtlb-metrics-v1` document back into a
-    /// snapshot — the CI smoke step and `rtlb check-metrics` run every
+    /// snapshot — `rtlb check-report` and the CI smoke steps run every
     /// emitted export through this.
     ///
     /// # Errors

@@ -387,8 +387,9 @@ pub struct PhaseStat {
 /// is the Figs. 2–3 fixpoint (`analyze.timing` plus incremental
 /// `session.timing`), `partition` the Fig. 4 block partitioning,
 /// `sweep` the Eq. 6.3 interval sweep (`analyze.sweep` plus
-/// `session.sweep`), and `cost-bounds` the Step-4 shared/dedicated cost
-/// totals. `other` is whatever part of the top-level spans the mapped
+/// `session.sweep`), `propagate` the filtered level's per-block
+/// refinement (`analyze.propagate` plus `session.propagate`), and
+/// `cost-bounds` the Step-4 shared/dedicated cost totals. `other` is whatever part of the top-level spans the mapped
 /// phases do not cover, and `telemetry_micros` is the profiler watching
 /// itself: the time spent snapshotting and serializing the registry,
 /// measured by the caller and recorded here.
@@ -421,6 +422,7 @@ impl PhaseProfile {
             ("feasibility", &["analyze.feasibility"]),
             ("partition", &["analyze.partition"]),
             ("sweep", &["analyze.sweep", "session.sweep"]),
+            ("propagate", &["analyze.propagate", "session.propagate"]),
             ("cost-bounds", &["cost.shared", "cost.dedicated"]),
         ];
         let (total_micros, _) = spans(&["analyze", "session.analyze", "session.apply"]);
@@ -710,6 +712,8 @@ mod tests {
             "analyze.feasibility",
             "analyze.partition",
             "analyze.sweep",
+            "analyze.propagate",
+            "session.propagate",
             "cost.shared",
             "cost.dedicated",
             "sweep.chunk",
@@ -728,6 +732,7 @@ mod tests {
         };
         assert_eq!(by_name("est-lct-fixpoint").spans, 1);
         assert_eq!(by_name("sweep").spans, 1);
+        assert_eq!(by_name("propagate").spans, 2);
         assert_eq!(by_name("cost-bounds").spans, 2);
         assert_eq!(by_name("other").spans, 0);
         assert_eq!(

@@ -77,8 +77,8 @@ pub const HEARTBEAT_SCHEMA: &str = "rtlb-heartbeat-v1";
 /// Everything the batch driver accepts besides the target path.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchOptions {
-    /// Per-instance analysis knobs (sweep strategy, candidate policy,
-    /// partitioning). The per-instance `parallelism` is forced to 1
+    /// Per-instance analysis knobs (candidate policy, propagation level,
+    /// sweep pool shape). The per-instance `parallelism` is forced to 1
     /// whenever the batch itself runs on more than one worker.
     pub analysis: AnalysisOptions,
     /// Batch worker threads; `0` means one per core.

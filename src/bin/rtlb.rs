@@ -24,14 +24,14 @@ use rtlb::check::{check_document, check_shard_stream};
 use rtlb::core::{
     analyze_with, analyze_with_probe, build_run_report, effective_threads, render_analysis,
     render_bounds, render_dedicated_cost, render_shared_cost, AnalysisOptions, AnalysisSession,
-    CandidatePolicy, PropagationLevel, SweepStrategy, SystemModel,
+    CandidatePolicy, PropagationLevel, SystemModel,
 };
 use rtlb::fmt::content_key;
 use rtlb::format::{parse, render};
 use rtlb::graph::to_dot;
 use rtlb::obs::{
     chrome_trace, prometheus_text, Json, MetricsRegistry, MetricsSnapshot, PhaseProfile, Probe,
-    Recorder, TeeProbe, METRICS_SCHEMA, NULL_PROBE,
+    Recorder, TeeProbe, NULL_PROBE,
 };
 use rtlb::scenario::{parse_scenarios, resolve};
 use rtlb::sched::{list_schedule, validate_schedule, Capacities};
@@ -61,8 +61,6 @@ usage:
                                 files back into one rtlb-batch-v1 aggregate
                                 (rows sorted by path, timing zeroed — byte-
                                 identical however the shards were produced)
-  rtlb check-metrics <file>     validate a file against the rtlb-metrics-v1
-                                schema (exit 0 iff it parses and validates)
   rtlb check-report <file>...   validate rtlb-report-v1, rtlb-batch-v1,
                                 rtlb-scenarios-v1, rtlb-metrics-v1,
                                 rtlb-cache-v1, or rtlb-cache-entry-v1 JSON
@@ -86,25 +84,21 @@ exit codes (every subcommand):
      setup failure
   2  usage error: unknown command or flag, missing or invalid argument
 
-analyze flags:
-  --sweep=naive|incremental  Θ-sweep strategy (default: incremental; naive is
-                             the O(P²·N) differential-testing oracle)
+analysis flags (accepted by analyze, sweep-scenarios, batch, and serve):
   --jobs=N                   sweep worker threads; 0 = one per core
-                             (default: 1, fully serial)
+                             (default: 1, fully serial; for batch see below)
   --chunk=N                  candidate-t1 columns per sweep chunk; 0 sizes
                              chunks off the worker pool (default: 0).
                              Results are identical for every value
   --extended                 denser candidate-point grid (adds the
                              forced-overlap corners E_i+C_i and L_i−C_i)
-  --no-partition             skip the Theorem 5 partitioning and sweep each
-                             resource flat (ablation mode)
-  --propagation=LEVEL        window packing / filtering level: `paper`
-                             (sequential re-packing, the differential
-                             baseline), `timeline` (union-find Timeline
-                             packing, default; bit-identical bounds), or
-                             `filtered` (adds capacity-conditional
-                             detectable-precedence / edge-finding filtering
-                             after the sweep; bounds only get tighter)
+  --propagation=LEVEL        filtering level: `timeline` (union-find
+                             Timeline packing, default) or `filtered` (adds
+                             capacity-conditional detectable-precedence /
+                             edge-finding filtering after the sweep; bounds
+                             only get tighter)
+
+analyze flags (plus the analysis and telemetry flags):
   --metrics=off|text|json    observability sink (default: off).
                              text appends a stage/counter summary after the
                              normal output; json prints only the versioned
@@ -122,26 +116,25 @@ analyze flags:
 
 telemetry flags (accepted by analyze, sweep-scenarios, and batch):
   --profile                  print a per-phase wall-time breakdown (EST/LCT
-                             fixpoint, partitioning, sweep, cost bounds) to
-                             stderr, aggregated from the metrics registry;
-                             with --metrics=json the rtlb-report-v1 document
-                             gains a `profile` section
+                             fixpoint, partitioning, sweep, propagate, cost
+                             bounds) to stderr, aggregated from the metrics
+                             registry; with --metrics=json the
+                             rtlb-report-v1 document gains a `profile`
+                             section
   --metrics-out=FILE         write the aggregated rtlb-metrics-v1 JSON export
                              (counters, gauges, log2-bucket histograms)
                              atomically to FILE
   --prom-out=FILE            write the same snapshot in Prometheus text
                              exposition format atomically to FILE
 
-sweep-scenarios flags (plus --sweep=, --jobs=, --chunk=, --extended,
---no-partition, --propagation=, and the telemetry flags):
+sweep-scenarios flags (plus the analysis and telemetry flags):
   --check                    re-analyze every scenario from scratch and fail
                              unless the incremental bounds, witnesses, and
                              interval counts are bit-identical (CI oracle)
   --json                     print only a versioned rtlb-scenarios-v1 JSON
                              report on stdout
 
-batch flags (plus --sweep=, --extended, --no-partition, --propagation=, and
-the telemetry flags):
+batch flags (plus the analysis and telemetry flags):
   --jobs=N                   batch worker threads, one instance per job;
                              0 = one per core (default: 0). With more than
                              one worker each instance sweeps serially
@@ -186,9 +179,8 @@ merge-shards flags:
                              instead of the text table
   --out=FILE                 write the aggregate atomically to FILE
 
-serve flags (plus --sweep=, --jobs=, --chunk=, --extended, --no-partition,
---propagation=, and the telemetry flags; telemetry exports are written when
-the daemon stops):
+serve flags (plus the analysis and telemetry flags; telemetry exports are
+written when the daemon stops):
   --addr=HOST:PORT           bind address (default: 127.0.0.1:0; port 0
                              lets the OS pick — the bound address is the
                              first stdout line, for scripts to capture)
@@ -236,8 +228,7 @@ examples:
   rtlb batch examples/batch --shards=2 --shard=0 --shard-out=s0.jsonl
   rtlb batch examples/batch --shards=2 --shard=1 --shard-out=s1.jsonl --resume
   rtlb merge-shards s0.jsonl s1.jsonl --out=aggregate.json
-  rtlb check-metrics metrics.json
-  rtlb check-report report.json batch.json
+  rtlb check-report report.json batch.json metrics.json
   rtlb serve --addr=127.0.0.1:7421 --max-sessions=8 --max-inflight=4 &
   printf '{\"proto\":\"rtlb-rpc-v1\",\"op\":\"stats\"}\\n' | nc 127.0.0.1 7421
   rtlb bench-serve f.rtlb --clients=4 --out=BENCH_serve.json
@@ -273,7 +264,6 @@ fn main() -> ExitCode {
         // report rows plus exit 1, not a driver error.
         Some("batch") => cmd_batch(&args),
         Some("merge-shards") => cmd_merge_shards(&args),
-        Some("check-metrics") => cmd_check_metrics(&args),
         Some("check-report") => cmd_check_report(&args),
         Some("serve") => cmd_serve(&args),
         Some("bench-serve") => cmd_bench_serve(&args),
@@ -369,6 +359,31 @@ fn telemetry_flag(args: &mut TelemetryArgs, flag: &str) -> Result<bool, String> 
     Ok(true)
 }
 
+/// Tries `flag` against the analysis flags shared by `analyze`, `serve`,
+/// `sweep-scenarios`, and `batch`; `Ok(true)` means it was consumed.
+/// `--jobs=` sets `options.parallelism` (`batch` reads it back as its
+/// worker count).
+fn analysis_flag(options: &mut AnalysisOptions, flag: &str) -> Result<bool, String> {
+    if let Some(jobs) = flag.strip_prefix("--jobs=") {
+        options.parallelism = jobs
+            .parse()
+            .map_err(|_| format!("invalid job count `{jobs}`"))?;
+    } else if let Some(columns) = flag.strip_prefix("--chunk=") {
+        options.chunk_columns = columns
+            .parse()
+            .map_err(|_| format!("invalid chunk size `{columns}`"))?;
+    } else if flag == "--extended" {
+        options.candidates = CandidatePolicy::Extended;
+    } else if let Some(level) = flag.strip_prefix("--propagation=") {
+        options.propagation = PropagationLevel::parse(level).ok_or_else(|| {
+            format!("unknown propagation level `{level}` (expected timeline or filtered)")
+        })?;
+    } else {
+        return Ok(false);
+    }
+    Ok(true)
+}
+
 /// Drains `registry` into its export sinks: the `rtlb-metrics-v1` JSON
 /// and Prometheus files (written atomically) and the stderr profile
 /// table. Returns the phase breakdown with `telemetry_micros` set to
@@ -412,25 +427,6 @@ fn export_snapshot(
     Ok(Some(profile))
 }
 
-fn cmd_check_metrics(args: &[String]) -> Result<ExitCode, Failure> {
-    if args.len() < 2 {
-        return Err(Failure::Usage(
-            "`check-metrics` needs a file argument".to_owned(),
-        ));
-    }
-    let path = &args[1];
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = rtlb::obs::json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-    let snapshot = MetricsSnapshot::from_json(&doc).map_err(|e| format!("{path}: {e}"))?;
-    println!(
-        "{path}: valid {METRICS_SCHEMA} ({} counters, {} gauges, {} histograms)",
-        snapshot.counters.len(),
-        snapshot.gauges.len(),
-        snapshot.histograms.len()
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
 fn cmd_check_report(args: &[String]) -> Result<ExitCode, Failure> {
     if args.len() < 2 {
         return Err(Failure::Usage(
@@ -465,13 +461,6 @@ fn cmd_check_report(args: &[String]) -> Result<ExitCode, Failure> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Parses a `--propagation=` value shared by every analyzing subcommand.
-fn parse_propagation(value: &str) -> Result<PropagationLevel, String> {
-    PropagationLevel::parse(value).ok_or_else(|| {
-        format!("unknown propagation level `{value}` (expected paper, timeline, or filtered)")
-    })
-}
-
 /// Everything `rtlb analyze` accepts after the file argument.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct AnalyzeArgs {
@@ -486,26 +475,8 @@ struct AnalyzeArgs {
 fn analyze_options(flags: &[String]) -> Result<AnalyzeArgs, String> {
     let mut args = AnalyzeArgs::default();
     for flag in flags {
-        if let Some(strategy) = flag.strip_prefix("--sweep=") {
-            args.options.sweep = match strategy {
-                "naive" => SweepStrategy::Naive,
-                "incremental" => SweepStrategy::Incremental,
-                other => return Err(format!("unknown sweep strategy `{other}`")),
-            };
-        } else if let Some(jobs) = flag.strip_prefix("--jobs=") {
-            args.options.parallelism = jobs
-                .parse()
-                .map_err(|_| format!("invalid job count `{jobs}`"))?;
-        } else if let Some(columns) = flag.strip_prefix("--chunk=") {
-            args.options.chunk_columns = columns
-                .parse()
-                .map_err(|_| format!("invalid chunk size `{columns}`"))?;
-        } else if flag == "--extended" {
-            args.options.candidates = CandidatePolicy::Extended;
-        } else if flag == "--no-partition" {
-            args.options.partitioning = false;
-        } else if let Some(level) = flag.strip_prefix("--propagation=") {
-            args.options.propagation = parse_propagation(level)?;
+        if analysis_flag(&mut args.options, flag)? || telemetry_flag(&mut args.telemetry, flag)? {
+            // consumed by the shared flags
         } else if let Some(mode) = flag.strip_prefix("--metrics=") {
             args.metrics = match mode {
                 "off" => MetricsMode::Off,
@@ -527,8 +498,6 @@ fn analyze_options(flags: &[String]) -> Result<AnalyzeArgs, String> {
                 return Err("--cache needs a directory path".to_owned());
             }
             args.cache = Some(dir.to_owned());
-        } else if telemetry_flag(&mut args.telemetry, flag)? {
-            // consumed by the shared telemetry flags
         } else {
             return Err(format!("unknown flag `{flag}` (see `rtlb --help`)"));
         }
@@ -693,7 +662,11 @@ struct ServeArgs {
 fn serve_options(flags: &[String]) -> Result<ServeArgs, String> {
     let mut args = ServeArgs::default();
     for flag in flags {
-        if let Some(addr) = flag.strip_prefix("--addr=") {
+        if analysis_flag(&mut args.config.options, flag)?
+            || telemetry_flag(&mut args.telemetry, flag)?
+        {
+            // consumed by the shared flags
+        } else if let Some(addr) = flag.strip_prefix("--addr=") {
             if addr.is_empty() {
                 return Err("--addr needs a HOST:PORT".to_owned());
             }
@@ -714,28 +687,6 @@ fn serve_options(flags: &[String]) -> Result<ServeArgs, String> {
                 return Err("--cache needs a directory path".to_owned());
             }
             args.config.cache_dir = Some(dir.into());
-        } else if let Some(strategy) = flag.strip_prefix("--sweep=") {
-            args.config.options.sweep = match strategy {
-                "naive" => SweepStrategy::Naive,
-                "incremental" => SweepStrategy::Incremental,
-                other => return Err(format!("unknown sweep strategy `{other}`")),
-            };
-        } else if let Some(jobs) = flag.strip_prefix("--jobs=") {
-            args.config.options.parallelism = jobs
-                .parse()
-                .map_err(|_| format!("invalid job count `{jobs}`"))?;
-        } else if let Some(columns) = flag.strip_prefix("--chunk=") {
-            args.config.options.chunk_columns = columns
-                .parse()
-                .map_err(|_| format!("invalid chunk size `{columns}`"))?;
-        } else if flag == "--extended" {
-            args.config.options.candidates = CandidatePolicy::Extended;
-        } else if flag == "--no-partition" {
-            args.config.options.partitioning = false;
-        } else if let Some(level) = flag.strip_prefix("--propagation=") {
-            args.config.options.propagation = parse_propagation(level)?;
-        } else if telemetry_flag(&mut args.telemetry, flag)? {
-            // consumed by the shared telemetry flags
         } else {
             return Err(format!("unknown flag `{flag}` (see `rtlb --help`)"));
         }
@@ -904,32 +855,12 @@ struct ScenarioArgs {
 fn scenario_options(flags: &[String]) -> Result<ScenarioArgs, String> {
     let mut args = ScenarioArgs::default();
     for flag in flags {
-        if let Some(strategy) = flag.strip_prefix("--sweep=") {
-            args.options.sweep = match strategy {
-                "naive" => SweepStrategy::Naive,
-                "incremental" => SweepStrategy::Incremental,
-                other => return Err(format!("unknown sweep strategy `{other}`")),
-            };
-        } else if let Some(jobs) = flag.strip_prefix("--jobs=") {
-            args.options.parallelism = jobs
-                .parse()
-                .map_err(|_| format!("invalid job count `{jobs}`"))?;
-        } else if let Some(columns) = flag.strip_prefix("--chunk=") {
-            args.options.chunk_columns = columns
-                .parse()
-                .map_err(|_| format!("invalid chunk size `{columns}`"))?;
-        } else if flag == "--extended" {
-            args.options.candidates = CandidatePolicy::Extended;
-        } else if flag == "--no-partition" {
-            args.options.partitioning = false;
-        } else if let Some(level) = flag.strip_prefix("--propagation=") {
-            args.options.propagation = parse_propagation(level)?;
+        if analysis_flag(&mut args.options, flag)? || telemetry_flag(&mut args.telemetry, flag)? {
+            // consumed by the shared flags
         } else if flag == "--check" {
             args.check = true;
         } else if flag == "--json" {
             args.json = true;
-        } else if telemetry_flag(&mut args.telemetry, flag)? {
-            // consumed by the shared telemetry flags
         } else {
             return Err(format!("unknown flag `{flag}` (see `rtlb --help`)"));
         }
@@ -1106,23 +1037,15 @@ struct BatchArgs {
 /// Parses `batch` flags (everything after the directory/manifest).
 fn batch_options(flags: &[String]) -> Result<BatchArgs, String> {
     let mut args = BatchArgs::default();
+    // `--jobs=` is the batch worker count: the shared parser writes it
+    // to this copy's pool knob, moved over once every flag is read.
+    let mut analysis = AnalysisOptions {
+        parallelism: args.options.jobs,
+        ..args.options.analysis
+    };
     for flag in flags {
-        if let Some(strategy) = flag.strip_prefix("--sweep=") {
-            args.options.analysis.sweep = match strategy {
-                "naive" => SweepStrategy::Naive,
-                "incremental" => SweepStrategy::Incremental,
-                other => return Err(format!("unknown sweep strategy `{other}`")),
-            };
-        } else if let Some(jobs) = flag.strip_prefix("--jobs=") {
-            args.options.jobs = jobs
-                .parse()
-                .map_err(|_| format!("invalid job count `{jobs}`"))?;
-        } else if flag == "--extended" {
-            args.options.analysis.candidates = CandidatePolicy::Extended;
-        } else if flag == "--no-partition" {
-            args.options.analysis.partitioning = false;
-        } else if let Some(level) = flag.strip_prefix("--propagation=") {
-            args.options.analysis.propagation = parse_propagation(level)?;
+        if analysis_flag(&mut analysis, flag)? || telemetry_flag(&mut args.telemetry, flag)? {
+            // consumed by the shared flags
         } else if let Some(ms) = flag.strip_prefix("--timeout-ms=") {
             args.options.timeout_ms =
                 Some(ms.parse().map_err(|_| format!("invalid timeout `{ms}`"))?);
@@ -1184,12 +1107,15 @@ fn batch_options(flags: &[String]) -> Result<BatchArgs, String> {
             args.shard_out = Some(path.to_owned());
         } else if flag == "--resume" {
             args.resume = true;
-        } else if telemetry_flag(&mut args.telemetry, flag)? {
-            // consumed by the shared telemetry flags
         } else {
             return Err(format!("unknown flag `{flag}` (see `rtlb --help`)"));
         }
     }
+    args.options.jobs = analysis.parallelism;
+    args.options.analysis = AnalysisOptions {
+        parallelism: args.options.analysis.parallelism,
+        ..analysis
+    };
     if args.shard_out.is_none() && (args.shards.is_some() || args.shard.is_some() || args.resume) {
         return Err("--shards/--shard/--resume need --shard-out=FILE (the stream file)".to_owned());
     }
@@ -1379,11 +1305,10 @@ mod tests {
     #[test]
     fn all_flags_parse_together() {
         let args = analyze_options(&flags(&[
-            "--sweep=naive",
             "--jobs=4",
             "--chunk=32",
             "--extended",
-            "--no-partition",
+            "--propagation=filtered",
             "--metrics=json",
             "--trace-out=t.json",
             "--profile",
@@ -1391,11 +1316,10 @@ mod tests {
             "--prom-out=m.prom",
         ]))
         .unwrap();
-        assert_eq!(args.options.sweep, SweepStrategy::Naive);
         assert_eq!(args.options.parallelism, 4);
         assert_eq!(args.options.chunk_columns, 32);
         assert_eq!(args.options.candidates, CandidatePolicy::Extended);
-        assert!(!args.options.partitioning);
+        assert_eq!(args.options.propagation, PropagationLevel::Filtered);
         assert_eq!(args.metrics, MetricsMode::Json);
         assert_eq!(args.trace_out.as_deref(), Some("t.json"));
         assert!(args.telemetry.profile);
@@ -1475,16 +1399,31 @@ mod tests {
         assert!(err.contains("unknown metrics mode"), "{err}");
     }
 
+    /// The sweep strategy and the partition are not options: every
+    /// `--sweep=` value and `--no-partition` are unknown flags on every
+    /// analyzing subcommand.
     #[test]
     fn bad_sweep_strategy_is_rejected() {
-        let err = analyze_options(&flags(&["--sweep=quadratic"])).unwrap_err();
-        assert!(err.contains("unknown sweep strategy"), "{err}");
+        for flag in [
+            "--sweep=quadratic",
+            "--sweep=naive",
+            "--sweep=incremental",
+            "--no-partition",
+        ] {
+            for err in [
+                analyze_options(&flags(&[flag])).unwrap_err(),
+                scenario_options(&flags(&[flag])).unwrap_err(),
+                batch_options(&flags(&[flag])).unwrap_err(),
+                serve_options(&flags(&[flag])).unwrap_err(),
+            ] {
+                assert!(err.contains("unknown flag"), "{flag}: {err}");
+            }
+        }
     }
 
     #[test]
     fn propagation_levels_parse_on_every_subcommand() {
         for (raw, level) in [
-            ("--propagation=paper", PropagationLevel::Paper),
             ("--propagation=timeline", PropagationLevel::Timeline),
             ("--propagation=filtered", PropagationLevel::Filtered),
         ] {
@@ -1529,6 +1468,9 @@ mod tests {
         assert!(err.contains("unknown propagation level"), "{err}");
         let err = batch_options(&flags(&["--propagation="])).unwrap_err();
         assert!(err.contains("unknown propagation level"), "{err}");
+        // Paper packing is a test oracle, not a level.
+        let err = serve_options(&flags(&["--propagation=paper"])).unwrap_err();
+        assert!(err.contains("unknown propagation level"), "{err}");
     }
 
     #[test]
@@ -1540,16 +1482,17 @@ mod tests {
     #[test]
     fn usage_mentions_every_analyze_flag() {
         for flag in [
-            "--sweep=",
             "--jobs=",
             "--chunk=",
             "--extended",
-            "--no-partition",
             "--propagation=",
             "--metrics=",
             "--trace-out=",
         ] {
             assert!(USAGE.contains(flag), "usage is missing {flag}");
+        }
+        for gone in ["--sweep=", "--no-partition", "check-metrics"] {
+            assert!(!USAGE.contains(gone), "usage still mentions {gone}");
         }
     }
 
@@ -1563,20 +1506,18 @@ mod tests {
     #[test]
     fn scenario_flags_parse_together() {
         let args = scenario_options(&flags(&[
-            "--sweep=naive",
             "--jobs=2",
             "--chunk=5",
             "--extended",
-            "--no-partition",
+            "--propagation=filtered",
             "--check",
             "--json",
         ]))
         .unwrap();
-        assert_eq!(args.options.sweep, SweepStrategy::Naive);
         assert_eq!(args.options.parallelism, 2);
         assert_eq!(args.options.chunk_columns, 5);
         assert_eq!(args.options.candidates, CandidatePolicy::Extended);
-        assert!(!args.options.partitioning);
+        assert_eq!(args.options.propagation, PropagationLevel::Filtered);
         assert!(args.check);
         assert!(args.json);
     }
@@ -1584,10 +1525,10 @@ mod tests {
     #[test]
     fn batch_flags_parse_together() {
         let args = batch_options(&flags(&[
-            "--sweep=naive",
             "--jobs=8",
+            "--chunk=3",
             "--extended",
-            "--no-partition",
+            "--propagation=filtered",
             "--timeout-ms=250",
             "--tolerate=infeasible,timeout",
             "--json",
@@ -1601,10 +1542,16 @@ mod tests {
             args.options.cache.as_deref(),
             Some(std::path::Path::new(".cache"))
         );
-        assert_eq!(args.options.analysis.sweep, SweepStrategy::Naive);
         assert_eq!(args.options.analysis.candidates, CandidatePolicy::Extended);
-        assert!(!args.options.analysis.partitioning);
+        assert_eq!(args.options.analysis.chunk_columns, 3);
+        assert_eq!(
+            args.options.analysis.propagation,
+            PropagationLevel::Filtered
+        );
+        // --jobs= is the worker count; each instance keeps its serial
+        // default pool.
         assert_eq!(args.options.jobs, 8);
+        assert_eq!(args.options.analysis.parallelism, 1);
         assert_eq!(args.options.timeout_ms, Some(250));
         assert_eq!(
             args.options.tolerate,
@@ -1779,7 +1726,6 @@ mod tests {
             "--prom-out=",
             "rtlb-metrics-v1",
             "rtlb-heartbeat-v1",
-            "check-metrics",
         ] {
             assert!(USAGE.contains(needle), "usage is missing {needle}");
         }
@@ -1792,11 +1738,10 @@ mod tests {
             "--max-sessions=3",
             "--max-inflight=9",
             "--deadline-ms=250",
-            "--sweep=naive",
             "--jobs=2",
             "--chunk=7",
             "--extended",
-            "--no-partition",
+            "--propagation=filtered",
             "--metrics-out=m.json",
         ]))
         .unwrap();
@@ -1804,11 +1749,10 @@ mod tests {
         assert_eq!(args.config.max_sessions, 3);
         assert_eq!(args.config.max_inflight, 9);
         assert_eq!(args.config.default_deadline_ms, Some(250));
-        assert_eq!(args.config.options.sweep, SweepStrategy::Naive);
         assert_eq!(args.config.options.parallelism, 2);
         assert_eq!(args.config.options.chunk_columns, 7);
         assert_eq!(args.config.options.candidates, CandidatePolicy::Extended);
-        assert!(!args.config.options.partitioning);
+        assert_eq!(args.config.options.propagation, PropagationLevel::Filtered);
         assert_eq!(args.telemetry.metrics_out.as_deref(), Some("m.json"));
     }
 

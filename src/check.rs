@@ -1,6 +1,5 @@
 //! Structural validators for the versioned JSON documents the tools
-//! emit — the `rtlb check-report` subcommand (the `check-metrics`
-//! analog for everything else).
+//! emit — the `rtlb check-report` subcommand.
 //!
 //! [`check_document`] dispatches on the document's `schema` tag:
 //!
@@ -12,8 +11,7 @@
 //! * `rtlb-scenarios-v1` — the scenario sweep's report
 //!   ([`check_scenarios`]);
 //! * `rtlb-metrics-v1` — delegated to
-//!   [`MetricsSnapshot::from_json`](rtlb_obs::MetricsSnapshot::from_json),
-//!   the same validation `rtlb check-metrics` runs;
+//!   [`MetricsSnapshot::from_json`](rtlb_obs::MetricsSnapshot::from_json);
 //! * `rtlb-cache-v1` — a result-cache `index.json` pin
 //!   ([`check_cache_index`]);
 //! * `rtlb-cache-entry-v1` — one stored cache entry

@@ -12,9 +12,7 @@
 //! partition shapes — must already be stable because chunk maxima are
 //! merged in ascending-`t1` order regardless of completion order.
 
-use rtlb::core::{
-    analyze_with_probe, build_run_report, AnalysisOptions, SweepStrategy, SystemModel,
-};
+use rtlb::core::{analyze_with_probe, build_run_report, AnalysisOptions, SystemModel};
 use rtlb::obs::Recorder;
 use rtlb::workloads::independent_tasks;
 
@@ -32,7 +30,6 @@ fn test_jobs() -> usize {
 fn chunked_report(parallelism: usize, chunk_columns: usize) -> String {
     let graph = independent_tasks(400, 20, 11);
     let options = AnalysisOptions {
-        sweep: SweepStrategy::Incremental,
         parallelism,
         chunk_columns,
         ..AnalysisOptions::default()

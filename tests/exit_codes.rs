@@ -48,7 +48,6 @@ fn usage_errors_are_exit_two() {
     );
     assert_eq!(exit_code(&["sweep-scenarios"]), 2);
     assert_eq!(exit_code(&["batch"]), 2);
-    assert_eq!(exit_code(&["check-metrics"]), 2);
     assert_eq!(exit_code(&["check-report"]), 2);
     assert_eq!(exit_code(&["bench-serve"]), 2);
     // Unknown or malformed flags, on old and new subcommands alike.
@@ -61,6 +60,21 @@ fn usage_errors_are_exit_two() {
         2
     );
     assert_eq!(exit_code(&["serve", "--max-inflight=lots"]), 2);
+    // The sweep strategy, the partition switch, and the paper packing are
+    // test oracles, not options.
+    for flag in ["--sweep=naive", "--no-partition", "--propagation=paper"] {
+        assert_eq!(
+            exit_code(&["analyze", "examples/instances/paper_fig7.rtlb", flag]),
+            2,
+            "analyze {flag}"
+        );
+        assert_eq!(
+            exit_code(&["batch", "examples/batch", flag]),
+            2,
+            "batch {flag}"
+        );
+        assert_eq!(exit_code(&["serve", flag]), 2, "serve {flag}");
+    }
     assert_eq!(
         exit_code(&[
             "bench-serve",

@@ -4,15 +4,17 @@
 //! typed [`AnalysisError`] — never as a panic, never as a silent wrap.
 //! The property tests push magnitudes far past the pipeline's exact
 //! arithmetic range; the directed tests pin each converted panic site
-//! (the Equation 6.3 ceiling overflow, cooperative cancellation, and the
-//! session's failed-apply recovery).
+//! (the Equation 6.3 ceiling overflow, cooperative cancellation, the
+//! session's failed-apply recovery, and the magnitude guard on every
+//! session entry).
 
 use proptest::prelude::*;
 
+use rtlb::core::oracle::{flat_bounds, naive_bounds};
 use rtlb::core::{
     analyze, analyze_ctl, analyze_with, compute_timing, partition_tasks, resource_bound,
-    resource_bound_sweep, resource_bound_unpartitioned, AnalysisError, AnalysisOptions,
-    AnalysisSession, CancelToken, CandidatePolicy, Delta, SweepStrategy, SystemModel,
+    AnalysisError, AnalysisOptions, AnalysisSession, CancelToken, CandidatePolicy, Delta,
+    SystemModel,
 };
 use rtlb::graph::{Catalog, Dur, TaskGraph, TaskGraphBuilder, TaskId, TaskSpec, Time};
 use rtlb::obs::NULL_PROBE;
@@ -90,8 +92,9 @@ proptest! {
         }
     }
 
-    /// The never-panic contract holds in both execution models and with
-    /// partitioning disabled.
+    /// The never-panic contract holds for preemptive tasks, and the flat
+    /// (unpartitioned) oracle never panics on any instance the front door
+    /// accepts, agreeing with it on every bound (Theorem 5).
     #[test]
     fn extreme_magnitudes_never_panic_unpartitioned(
         rel in -(i64::MAX / 2)..=i64::MAX / 2,
@@ -101,22 +104,29 @@ proptest! {
         let Some(graph) = chain_graph(&[(rel, deadline, c, 0, true)]) else {
             return Ok(());
         };
-        let options = AnalysisOptions {
-            partitioning: false,
-            ..AnalysisOptions::default()
-        };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            analyze_with(&graph, &SystemModel::shared(), options)
+            analyze(&graph, &SystemModel::shared()).map(|analysis| {
+                let flat = flat_bounds(&graph, analysis.timing(), CandidatePolicy::EstLct);
+                (analysis, flat)
+            })
         }));
-        prop_assert!(result.is_ok(), "analyze_with panicked");
+        let Ok(result) = result else {
+            return Err(TestCaseError::Fail("analyze or the flat oracle panicked".into()));
+        };
+        if let Ok((analysis, flat)) = result {
+            let flat = flat.expect("feasible windows keep the flat oracle exact");
+            for (part, whole) in analysis.bounds().iter().zip(&flat) {
+                prop_assert_eq!(part.bound, whole.bound);
+            }
+        }
     }
 }
 
 /// A computed-but-infeasible timing can push the Equation 6.3 ceiling
-/// past `u32::MAX`; every public sweep entry point must come back with a
-/// typed error instead of panicking in the `u32::try_from` (naive) or
-/// the ramp decomposition's feasibility assertion (incremental) that
-/// used to sit there.
+/// past `u32::MAX`; every public sweep entry point, oracles included,
+/// must come back with a typed error instead of panicking in the
+/// `u32::try_from` (naive) or the ramp decomposition's feasibility
+/// assertion (incremental) that used to sit there.
 #[test]
 fn ceiling_overflow_is_an_error_not_a_panic() {
     let mut catalog = Catalog::new();
@@ -136,24 +146,23 @@ fn ceiling_overflow_is_an_error_not_a_panic() {
 
     // The naive oracle computes Θ = 2^40 over a length-1 interval and
     // trips the converted ceiling overflow.
-    let err = resource_bound_sweep(
+    let err = naive_bounds(
         &graph,
         &timing,
-        &partition,
+        std::slice::from_ref(&partition),
         CandidatePolicy::EstLct,
-        SweepStrategy::Naive,
     )
     .unwrap_err();
     assert!(
         matches!(err, AnalysisError::BoundOverflow { .. }),
         "expected BoundOverflow, got {err:?}"
     );
-    // So does the unpartitioned oracle (always naive).
-    let err = resource_bound_unpartitioned(&graph, &timing, p).unwrap_err();
+    // So does the unpartitioned oracle.
+    let err = flat_bounds(&graph, &timing, CandidatePolicy::EstLct).unwrap_err();
     assert!(matches!(err, AnalysisError::BoundOverflow { .. }));
 
-    // The default incremental strategy refuses the infeasible window
-    // outright rather than decomposing an undefined ramp.
+    // The incremental sweep refuses the infeasible window outright
+    // rather than decomposing an undefined ramp.
     let err = resource_bound(&graph, &timing, &partition).unwrap_err();
     assert!(
         matches!(err, AnalysisError::Infeasible { .. }),
@@ -255,4 +264,75 @@ fn failed_apply_keeps_dirt_and_recovers() {
     let scratch = analyze_with(session.graph(), &model, AnalysisOptions::default()).unwrap();
     assert_eq!(session.bounds(), scratch.bounds().to_vec());
     assert_ne!(session.bounds(), before, "the edit must move the bounds");
+}
+
+/// Three tasks whose total computation (`3 · i64::MAX/8`) escapes the
+/// pipeline's exact range while every deadline sits exactly on it.
+fn overflowing_graph() -> TaskGraph {
+    let mut catalog = Catalog::new();
+    let p = catalog.processor("P");
+    let mut builder = TaskGraphBuilder::new(catalog);
+    for i in 0..3 {
+        builder
+            .add_task(
+                TaskSpec::new(format!("t{i}"), Dur::new(i64::MAX / 8), p)
+                    .deadline(Time::new(i64::MAX / 4)),
+            )
+            .unwrap();
+    }
+    builder.build().unwrap()
+}
+
+/// Opening a session runs the same magnitude guard as `analyze`: an
+/// instance the one-shot path rejects must not open with a bound.
+#[test]
+fn session_open_rejects_what_analyze_rejects() {
+    let graph = overflowing_graph();
+    let model = SystemModel::shared();
+    assert!(matches!(
+        analyze(&graph, &model),
+        Err(AnalysisError::BoundOverflow { .. })
+    ));
+    let opened = AnalysisSession::new(graph, model, AnalysisOptions::default());
+    assert!(
+        matches!(opened, Err(AnalysisError::BoundOverflow { .. })),
+        "expected BoundOverflow, got {:?}",
+        opened.map(|s| s.bounds())
+    );
+}
+
+/// An apply that edits an instance past the magnitude guard fails like
+/// `analyze` on the edited graph, and keeps its dirt like any failed
+/// apply.
+#[test]
+fn apply_past_the_magnitude_guard_is_rejected_and_keeps_dirt() {
+    let graph = small_feasible_graph();
+    let model = SystemModel::shared();
+    let mut session = AnalysisSession::new(graph, model.clone(), AnalysisOptions::default())
+        .expect("small instance opens");
+    let deltas: Vec<Delta> = (0..3)
+        .flat_map(|i| {
+            let task = TaskId::from_index(i);
+            [
+                Delta::SetComputation {
+                    task,
+                    computation: Dur::new(i64::MAX / 8),
+                },
+                Delta::SetDeadline {
+                    task,
+                    deadline: Time::new(i64::MAX / 4),
+                },
+            ]
+        })
+        .collect();
+    let err = session.apply(&deltas).unwrap_err();
+    assert!(
+        matches!(err, AnalysisError::BoundOverflow { .. }),
+        "expected BoundOverflow, got {err:?}"
+    );
+    assert!(session.has_pending_edits(), "a failed apply keeps its dirt");
+    assert!(matches!(
+        analyze(session.graph(), &model),
+        Err(AnalysisError::BoundOverflow { .. })
+    ));
 }

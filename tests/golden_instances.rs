@@ -1,6 +1,7 @@
 //! Golden-file tests: the shipped `.rtlb` instances must produce these
 //! exact analysis results — bounds, witness intervals, interval counts,
-//! and partition block structure — under both sweep strategies.
+//! and partition block structure — and the naive sweep oracle must
+//! reproduce the bounds bit for bit.
 //!
 //! The values were produced by the analysis itself and reviewed against
 //! the paper (Figure 7 / Table 1 for `paper_fig7`); they pin the
@@ -8,7 +9,8 @@
 //! algorithm change shifts a witness or interval count, re-derive the
 //! constants and say why in the commit.
 
-use rtlb::core::{analyze_with, Analysis, AnalysisOptions, SweepStrategy, SystemModel};
+use rtlb::core::oracle::naive_bounds;
+use rtlb::core::{analyze, CandidatePolicy, SystemModel};
 use rtlb::format::ParsedSystem;
 use rtlb::graph::Time;
 
@@ -16,18 +18,6 @@ fn load(name: &str) -> ParsedSystem {
     let path = format!("{}/examples/instances/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     rtlb::format::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
-fn analyze_strategy(parsed: &ParsedSystem, sweep: SweepStrategy) -> Analysis {
-    analyze_with(
-        &parsed.graph,
-        &SystemModel::shared(),
-        AnalysisOptions {
-            sweep,
-            ..AnalysisOptions::default()
-        },
-    )
-    .unwrap()
 }
 
 /// One resource's expected outcome: bound, witness `(t1, t2, demand)`,
@@ -47,17 +37,23 @@ struct ExpectedBlock {
     span: (i64, i64),
 }
 
-fn check(name: &str, bounds: &[ExpectedBound], blocks: &[ExpectedBlock]) {
+fn check(name: &str, expected: &[ExpectedBound], blocks: &[ExpectedBlock]) {
     let parsed = load(name);
-    for sweep in [SweepStrategy::Incremental, SweepStrategy::Naive] {
-        let analysis = analyze_strategy(&parsed, sweep);
-        let catalog = parsed.graph.catalog();
-
-        assert_eq!(analysis.bounds().len(), bounds.len(), "{name}: bound count");
-        for expect in bounds {
+    let analysis = analyze(&parsed.graph, &SystemModel::shared()).unwrap();
+    let naive = naive_bounds(
+        &parsed.graph,
+        analysis.timing(),
+        analysis.partitions(),
+        CandidatePolicy::EstLct,
+    )
+    .unwrap();
+    let catalog = parsed.graph.catalog();
+    for (oracle, bounds) in [("incremental", analysis.bounds()), ("naive", &naive[..])] {
+        assert_eq!(bounds.len(), expected.len(), "{name}: bound count");
+        for expect in expected {
             let r = catalog.lookup(expect.resource).unwrap();
-            let b = analysis.bound_for(r).unwrap();
-            let ctx = format!("{name}/{}/{sweep:?}", expect.resource);
+            let b = bounds.iter().find(|b| b.resource == r).unwrap();
+            let ctx = format!("{name}/{}/{oracle}", expect.resource);
             assert_eq!(b.bound, expect.bound, "{ctx}: LB");
             assert_eq!(b.intervals_examined, expect.intervals, "{ctx}: intervals");
             let w = b.witness.unwrap();
@@ -67,45 +63,45 @@ fn check(name: &str, bounds: &[ExpectedBound], blocks: &[ExpectedBlock]) {
                 "{ctx}: witness"
             );
         }
-
-        let mut seen = 0;
-        for expect in blocks {
-            let r = catalog.lookup(expect.resource).unwrap();
-            let partition = analysis
-                .partitions()
-                .iter()
-                .find(|p| p.resource == r)
-                .unwrap();
-            let block = partition
-                .blocks
-                .iter()
-                .find(|b| b.start == Time::new(expect.span.0))
-                .unwrap_or_else(|| {
-                    panic!(
-                        "{name}/{}: no block starting at {}",
-                        expect.resource, expect.span.0
-                    )
-                });
-            let mut got: Vec<&str> = block
-                .tasks
-                .iter()
-                .map(|&t| parsed.graph.task(t).name())
-                .collect();
-            got.sort_unstable();
-            let mut want = expect.tasks.to_vec();
-            want.sort_unstable();
-            assert_eq!(got, want, "{name}/{}: block membership", expect.resource);
-            assert_eq!(
-                block.finish,
-                Time::new(expect.span.1),
-                "{name}/{}: block finish",
-                expect.resource
-            );
-            seen += 1;
-        }
-        let total: usize = analysis.partitions().iter().map(|p| p.blocks.len()).sum();
-        assert_eq!(total, seen, "{name}: every partition block is pinned");
     }
+
+    let mut seen = 0;
+    for expect in blocks {
+        let r = catalog.lookup(expect.resource).unwrap();
+        let partition = analysis
+            .partitions()
+            .iter()
+            .find(|p| p.resource == r)
+            .unwrap();
+        let block = partition
+            .blocks
+            .iter()
+            .find(|b| b.start == Time::new(expect.span.0))
+            .unwrap_or_else(|| {
+                panic!(
+                    "{name}/{}: no block starting at {}",
+                    expect.resource, expect.span.0
+                )
+            });
+        let mut got: Vec<&str> = block
+            .tasks
+            .iter()
+            .map(|&t| parsed.graph.task(t).name())
+            .collect();
+        got.sort_unstable();
+        let mut want = expect.tasks.to_vec();
+        want.sort_unstable();
+        assert_eq!(got, want, "{name}/{}: block membership", expect.resource);
+        assert_eq!(
+            block.finish,
+            Time::new(expect.span.1),
+            "{name}/{}: block finish",
+            expect.resource
+        );
+        seen += 1;
+    }
+    let total: usize = analysis.partitions().iter().map(|p| p.blocks.len()).sum();
+    assert_eq!(total, seen, "{name}: every partition block is pinned");
 }
 
 /// The paper's 15-task avionics example (Figure 7): published bounds

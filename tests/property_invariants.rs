@@ -14,9 +14,10 @@
 
 use proptest::prelude::*;
 
+use rtlb::core::oracle::flat_bounds;
 use rtlb::core::{
-    analyze, compute_timing, overlap, partition_tasks, resource_bound,
-    resource_bound_unpartitioned, theta, SystemModel, TaskWindow,
+    analyze, compute_timing, overlap, partition_tasks, resource_bound, theta, CandidatePolicy,
+    SystemModel, TaskWindow,
 };
 use rtlb::graph::{Catalog, Dur, ExecutionMode, TaskGraphBuilder, TaskSpec, Time};
 use rtlb::ilp::{brute_force_ilp, solve_ilp, Constraint, Outcome, Problem, Rational};
@@ -166,7 +167,8 @@ proptest! {
         let timing = compute_timing(&graph, &SystemModel::shared());
         let part = partition_tasks(&graph, &timing, p);
         let with = resource_bound(&graph, &timing, &part).unwrap();
-        let without = resource_bound_unpartitioned(&graph, &timing, p).unwrap();
+        let without = flat_bounds(&graph, &timing, CandidatePolicy::EstLct).unwrap()[0];
+        prop_assert_eq!(without.resource, p);
         prop_assert_eq!(with.bound, without.bound);
         prop_assert!(with.intervals_examined <= without.intervals_examined);
     }

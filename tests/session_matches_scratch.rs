@@ -153,22 +153,20 @@ proptest! {
             graph, AnalysisOptions::default(), seed ^ 0xd1a6, 6)?;
     }
 
-    /// Every options corner: extended candidates, flat (unpartitioned)
-    /// sweeps, parallel fan-out, explicit chunk sizes, and all three
-    /// propagation levels must all stay bit-identical.
+    /// Every options corner: extended candidates, parallel fan-out,
+    /// explicit chunk sizes, and both propagation levels must all stay
+    /// bit-identical.
     #[test]
     fn session_matches_scratch_under_all_options(
         seed in 0u64..1_000_000,
         count in 2usize..25,
-        partitioning in 0u32..2,
         extended in 0u32..2,
         threads in 0usize..5,
         chunk in 0usize..4,
-        propagation in 0usize..3,
+        propagation in 0usize..2,
     ) {
         let graph = independent_tasks(count, 4, seed);
         let options = AnalysisOptions {
-            partitioning: partitioning == 1,
             candidates: if extended == 1 {
                 CandidatePolicy::Extended
             } else {
@@ -176,12 +174,7 @@ proptest! {
             },
             parallelism: threads,
             chunk_columns: [0, 1, 3, 16][chunk],
-            propagation: [
-                PropagationLevel::Paper,
-                PropagationLevel::Timeline,
-                PropagationLevel::Filtered,
-            ][propagation],
-            ..AnalysisOptions::default()
+            propagation: [PropagationLevel::Timeline, PropagationLevel::Filtered][propagation],
         };
         assert_session_matches_scratch(graph, options, seed ^ 0xca5e, 5)?;
     }

@@ -1,18 +1,20 @@
 //! Differential tests of the incremental Θ-sweep against its oracles.
 //!
 //! The incremental event-based sweep must be **bit-identical** to the
-//! naive per-pair recomputation it replaced — same bound, same witness
+//! naive per-pair recomputation it replaced
+//! ([`rtlb::core::oracle::naive_bounds`]) — same bound, same witness
 //! interval, same `intervals_examined` — on every generated workload,
-//! under both candidate-point policies, at every thread count. A second,
-//! structurally different oracle is the unpartitioned flat sweep, which
-//! must agree on the bound value by Theorem 5.
+//! under both candidate-point policies, at every thread count and chunk
+//! size. A second, structurally different oracle is the unpartitioned
+//! flat sweep ([`rtlb::core::oracle::flat_bounds`]), which must agree on
+//! the bound value by Theorem 5.
 
 use proptest::prelude::*;
 
+use rtlb::core::oracle::{flat_bounds, naive_bounds};
 use rtlb::core::{
-    analyze_with, analyze_with_probe, compute_timing, effective_threads, partition_all,
-    sweep_partitions, theta, AnalysisOptions, CandidatePolicy, ResourceBound, SweepStrategy,
-    SystemModel,
+    analyze_with, analyze_with_probe, effective_threads, theta, Analysis, AnalysisOptions,
+    CandidatePolicy, ResourceBound, SystemModel,
 };
 use rtlb::graph::{Catalog, Dur, TaskGraph, TaskGraphBuilder, TaskSpec, Time};
 use rtlb::obs::{MetricsRegistry, Recorder};
@@ -23,52 +25,39 @@ const POLICIES: [CandidatePolicy; 2] = [CandidatePolicy::EstLct, CandidatePolicy
 /// Runs the full pipeline with the given knobs, skipping infeasible
 /// instances (the generators aim for feasibility but the property layer
 /// must not depend on it).
-fn bounds_with(
+fn analysis_with(
     graph: &TaskGraph,
     policy: CandidatePolicy,
-    sweep: SweepStrategy,
-    parallelism: usize,
-    partitioning: bool,
-) -> Option<Vec<ResourceBound>> {
-    analyze_with(
-        graph,
-        &SystemModel::shared(),
-        AnalysisOptions {
-            partitioning,
-            candidates: policy,
-            sweep,
-            parallelism,
-            chunk_columns: 0,
-            ..AnalysisOptions::default()
-        },
-    )
-    .ok()
-    .map(|a| a.bounds().to_vec())
-}
-
-/// [`bounds_with`] at a forced intra-block chunk size, the knob the
-/// chunked-sweep differential tests exercise.
-fn bounds_chunked(
-    graph: &TaskGraph,
-    policy: CandidatePolicy,
-    sweep: SweepStrategy,
     parallelism: usize,
     chunk_columns: usize,
-) -> Option<Vec<ResourceBound>> {
+) -> Option<Analysis> {
     analyze_with(
         graph,
         &SystemModel::shared(),
         AnalysisOptions {
-            partitioning: true,
             candidates: policy,
-            sweep,
             parallelism,
             chunk_columns,
             ..AnalysisOptions::default()
         },
     )
     .ok()
-    .map(|a| a.bounds().to_vec())
+}
+
+/// [`analysis_with`]'s bounds.
+fn bounds_with(
+    graph: &TaskGraph,
+    policy: CandidatePolicy,
+    parallelism: usize,
+    chunk_columns: usize,
+) -> Option<Vec<ResourceBound>> {
+    analysis_with(graph, policy, parallelism, chunk_columns).map(|a| a.bounds().to_vec())
+}
+
+/// The serial naive oracle over the pipeline's own windows and
+/// partitions.
+fn naive(analysis: &Analysis, graph: &TaskGraph, policy: CandidatePolicy) -> Vec<ResourceBound> {
+    naive_bounds(graph, analysis.timing(), analysis.partitions(), policy).unwrap()
 }
 
 /// The chunk sizes the differential layer forces: degenerate single
@@ -79,34 +68,23 @@ fn chunk_sizes() -> Vec<usize> {
 }
 
 /// Asserts that every forced chunk size, at serial and parallel thread
-/// counts, reproduces the serial incremental sweep and the naive oracle
-/// bit for bit on `graph`.
+/// counts, reproduces the serial naive oracle bit for bit on `graph`.
 fn assert_chunked_equivalence(
     graph: &TaskGraph,
     policy: CandidatePolicy,
 ) -> Result<(), TestCaseError> {
-    let naive = bounds_with(graph, policy, SweepStrategy::Naive, 1, true);
-    prop_assume!(naive.is_some());
-    let naive = naive.unwrap();
-    let serial = bounds_with(graph, policy, SweepStrategy::Incremental, 1, true).unwrap();
-    prop_assert_eq!(&naive, &serial);
+    let serial = analysis_with(graph, policy, 1, 0);
+    prop_assume!(serial.is_some());
+    let serial = serial.unwrap();
+    let naive = naive(&serial, graph, policy);
+    prop_assert_eq!(&naive, &serial.bounds().to_vec());
     for chunk in chunk_sizes() {
         for threads in [1usize, 2, 0] {
-            let chunked =
-                bounds_chunked(graph, policy, SweepStrategy::Incremental, threads, chunk).unwrap();
-            prop_assert_eq!(
-                &serial,
-                &chunked,
-                "incremental chunk={} threads={}",
-                chunk,
-                threads
-            );
-            let naive_chunked =
-                bounds_chunked(graph, policy, SweepStrategy::Naive, threads, chunk).unwrap();
+            let chunked = bounds_with(graph, policy, threads, chunk).unwrap();
             prop_assert_eq!(
                 &naive,
-                &naive_chunked,
-                "naive chunk={} threads={}",
+                &chunked,
+                "incremental chunk={} threads={}",
                 chunk,
                 threads
             );
@@ -120,13 +98,13 @@ fn assert_chunked_equivalence(
 /// values, under both candidate policies.
 fn assert_equivalence(graph: &TaskGraph) -> Result<(), TestCaseError> {
     for policy in POLICIES {
-        let naive = bounds_with(graph, policy, SweepStrategy::Naive, 1, true);
-        let incremental = bounds_with(graph, policy, SweepStrategy::Incremental, 1, true);
-        prop_assume!(naive.is_some());
-        let (naive, incremental) = (naive.unwrap(), incremental.unwrap());
-        prop_assert_eq!(&naive, &incremental);
+        let analysis = analysis_with(graph, policy, 1, 0);
+        prop_assume!(analysis.is_some());
+        let analysis = analysis.unwrap();
+        let naive = naive(&analysis, graph, policy);
+        prop_assert_eq!(&naive, &analysis.bounds().to_vec());
 
-        let flat = bounds_with(graph, policy, SweepStrategy::Naive, 1, false).unwrap();
+        let flat = flat_bounds(graph, analysis.timing(), policy).unwrap();
         prop_assert_eq!(naive.len(), flat.len());
         for (part, whole) in naive.iter().zip(&flat) {
             prop_assert_eq!(part.resource, whole.resource);
@@ -142,23 +120,14 @@ fn assert_equivalence(graph: &TaskGraph) -> Result<(), TestCaseError> {
 /// claimed demand when Θ is recomputed from Equations 6.1/6.2, and the
 /// bound must be exactly ⌈demand / length⌉.
 fn assert_witnesses(graph: &TaskGraph) -> Result<(), TestCaseError> {
-    let model = SystemModel::shared();
-    let timing = compute_timing(graph, &model);
-    let partitions = partition_all(graph, &timing);
     for policy in POLICIES {
-        let bounds = sweep_partitions(
-            graph,
-            &timing,
-            &partitions,
-            policy,
-            SweepStrategy::Incremental,
-            1,
-        )
-        .unwrap();
-        for b in &bounds {
+        let Some(analysis) = analysis_with(graph, policy, 1, 0) else {
+            continue;
+        };
+        for b in analysis.bounds() {
             let Some(w) = b.witness else { continue };
             let tasks = graph.tasks_demanding(b.resource);
-            let recomputed = theta(graph, &timing, &tasks, w.t1, w.t2);
+            let recomputed = theta(graph, analysis.timing(), &tasks, w.t1, w.t2);
             prop_assert_eq!(recomputed, w.demand);
             let len = w.t2.diff(w.t1);
             prop_assert!(len > 0);
@@ -219,8 +188,7 @@ proptest! {
 
     /// Intra-block chunking must be invisible: every forced chunk size
     /// (1, 2, 3, 7, num_cpus), serial or parallel, reproduces the serial
-    /// incremental path and the naive oracle bit for bit — bounds,
-    /// witnesses, and interval counts. Chunk boundaries land mid-block
+    /// naive oracle bit for bit — bounds, witnesses, and interval counts. Chunk boundaries land mid-block
     /// for almost every draw, so a tie-ordering bug in the ascending-t1
     /// merge cannot hide.
     #[test]
@@ -255,21 +223,18 @@ proptest! {
         threads in 0usize..9,
     ) {
         let graph = independent_tasks(count, 4, seed);
-        let serial = bounds_with(
-            &graph, CandidatePolicy::Extended, SweepStrategy::Incremental, 1, true);
+        let serial = bounds_with(&graph, CandidatePolicy::Extended, 1, 0);
         prop_assume!(serial.is_some());
-        let parallel = bounds_with(
-            &graph, CandidatePolicy::Extended, SweepStrategy::Incremental, threads, true);
+        let parallel = bounds_with(&graph, CandidatePolicy::Extended, threads, 0);
         prop_assert_eq!(serial, parallel);
     }
 
     /// Attaching a [`Recorder`] or a [`MetricsRegistry`] must not
     /// perturb any computed result: bounds, witnesses, and partition
     /// blocks are bit-identical to the default null-probe run, at any
-    /// thread count. And since the probes only observe, the naive and
-    /// incremental strategies must report the same `sweep.pairs_offered`
-    /// count (they examine the same candidate pairs by construction),
-    /// and both sinks must agree on it.
+    /// thread count. And since the probes only observe, the
+    /// `sweep.pairs_offered` count must equal the candidate pairs the
+    /// naive oracle examines, and both sinks must agree on it.
     #[test]
     fn recorder_attached_run_is_bit_identical(
         seed in 0u64..1_000_000,
@@ -278,46 +243,36 @@ proptest! {
         threads in 0usize..5,
     ) {
         let graph = independent_tasks(count, load, seed);
-        let options = |sweep| AnalysisOptions {
-            sweep,
+        let options = AnalysisOptions {
             parallelism: threads,
             ..AnalysisOptions::default()
         };
         let model = SystemModel::shared();
 
-        let plain = analyze_with(&graph, &model, options(SweepStrategy::Incremental)).ok();
+        let plain = analyze_with(&graph, &model, options).ok();
         prop_assume!(plain.is_some());
         let plain = plain.unwrap();
+        let offered: u64 = naive(&plain, &graph, CandidatePolicy::EstLct)
+            .iter()
+            .map(|b| b.intervals_examined)
+            .sum();
 
-        let mut pairs_offered = Vec::new();
-        for sweep in [SweepStrategy::Incremental, SweepStrategy::Naive] {
-            let recorder = Recorder::new();
-            let probed = analyze_with_probe(&graph, &model, options(sweep), &recorder).unwrap();
-            if sweep == SweepStrategy::Incremental {
-                prop_assert_eq!(plain.bounds(), probed.bounds());
-                prop_assert_eq!(plain.partitions(), probed.partitions());
-            }
-            let metrics = recorder.take_metrics();
-            let offered: u64 = probed.bounds().iter().map(|b| b.intervals_examined).sum();
-            prop_assert_eq!(metrics.counter("sweep.pairs_offered"), offered);
-            pairs_offered.push(offered);
-        }
-        prop_assert_eq!(
-            pairs_offered[0], pairs_offered[1],
-            "strategies must offer the same candidate pairs"
-        );
+        let recorder = Recorder::new();
+        let probed = analyze_with_probe(&graph, &model, options, &recorder).unwrap();
+        prop_assert_eq!(plain.bounds(), probed.bounds());
+        prop_assert_eq!(plain.partitions(), probed.partitions());
+        let metrics = recorder.take_metrics();
+        prop_assert_eq!(metrics.counter("sweep.pairs_offered"), offered);
 
         // The sharded registry is the second probe implementation; it
         // must be just as invisible, and its merged snapshot must agree
         // with the recorder on the offered-pair count.
         let registry = MetricsRegistry::new();
-        let probed =
-            analyze_with_probe(&graph, &model, options(SweepStrategy::Incremental), &registry)
-                .unwrap();
+        let probed = analyze_with_probe(&graph, &model, options, &registry).unwrap();
         prop_assert_eq!(plain.bounds(), probed.bounds());
         prop_assert_eq!(plain.partitions(), probed.partitions());
         let snapshot = registry.snapshot();
-        prop_assert_eq!(snapshot.counter("sweep.pairs_offered"), pairs_offered[0]);
+        prop_assert_eq!(snapshot.counter("sweep.pairs_offered"), offered);
     }
 }
 
@@ -368,14 +323,16 @@ fn chunked_sweep_on_degenerate_blocks() {
     ];
     for (name, graph) in &degenerates {
         for policy in POLICIES {
-            let naive = bounds_with(graph, policy, SweepStrategy::Naive, 1, true).unwrap();
-            let serial = bounds_with(graph, policy, SweepStrategy::Incremental, 1, true).unwrap();
-            assert_eq!(naive, serial, "{name} {policy:?} serial");
+            let analysis = analysis_with(graph, policy, 1, 0).unwrap();
+            let serial = analysis.bounds().to_vec();
+            assert_eq!(
+                naive(&analysis, graph, policy),
+                serial,
+                "{name} {policy:?} serial"
+            );
             for chunk in chunk_sizes() {
                 for threads in [1usize, 2, 0] {
-                    let chunked =
-                        bounds_chunked(graph, policy, SweepStrategy::Incremental, threads, chunk)
-                            .unwrap();
+                    let chunked = bounds_with(graph, policy, threads, chunk).unwrap();
                     assert_eq!(
                         serial, chunked,
                         "{name} {policy:?} chunk={chunk} threads={threads}"
@@ -395,11 +352,13 @@ fn equivalence_on_golden_instances() {
         let text = std::fs::read_to_string(&path).unwrap();
         let parsed = rtlb::format::parse(&text).unwrap();
         for policy in POLICIES {
-            let naive = bounds_with(&parsed.graph, policy, SweepStrategy::Naive, 1, true);
-            let incremental =
-                bounds_with(&parsed.graph, policy, SweepStrategy::Incremental, 1, true);
-            assert_eq!(naive, incremental, "{name} {policy:?}");
-            assert!(naive.is_some(), "{name} must analyze");
+            let analysis = analysis_with(&parsed.graph, policy, 1, 0)
+                .unwrap_or_else(|| panic!("{name} must analyze"));
+            assert_eq!(
+                naive(&analysis, &parsed.graph, policy),
+                analysis.bounds(),
+                "{name} {policy:?}"
+            );
         }
     }
 }

@@ -21,7 +21,11 @@ use rtlb::batch::{
     run_batch, run_batch_probed, BatchOptions, HeartbeatOptions, BATCH_SCHEMA, HEARTBEAT_SCHEMA,
     OUTCOME_KINDS,
 };
-use rtlb::core::{analyze_with_probe, AnalysisOptions, ResourceBound, SystemModel};
+use rtlb::core::{
+    analyze_with_probe, AnalysisOptions, AnalysisSession, Delta, PropagationLevel, ResourceBound,
+    SystemModel,
+};
+use rtlb::graph::{Dur, TaskId};
 use rtlb::obs::{prometheus_text, MetricsRegistry, MetricsSnapshot, PhaseProfile, NULL_PROBE};
 use rtlb::workloads::independent_tasks;
 
@@ -258,4 +262,38 @@ fn normalized_profile_is_byte_identical_across_runs() {
             "threads={threads}: normalized profile drifted between runs"
         );
     }
+
+    // Filtering is its own `propagate` row, never lumped into `other`:
+    // both a filtered `analyze` and a filtered session `apply` (whose
+    // refinement runs after its sweep span closes) report it.
+    let filtered = AnalysisOptions {
+        propagation: PropagationLevel::Filtered,
+        ..AnalysisOptions::default()
+    };
+    let propagate_spans = |registry: &MetricsRegistry| {
+        let profile = PhaseProfile::from_snapshot(&registry.snapshot());
+        let row = profile.phases.iter().find(|p| p.phase == "propagate");
+        row.expect("profile has a propagate row").spans
+    };
+    let graph = independent_tasks(30, 4, 7);
+    let registry = MetricsRegistry::new();
+    analyze_with_probe(&graph, &SystemModel::shared(), filtered, &registry).unwrap();
+    assert_eq!(propagate_spans(&registry), 1, "filtered analyze");
+
+    let mut session = AnalysisSession::new(graph, SystemModel::shared(), filtered).unwrap();
+    let registry = MetricsRegistry::new();
+    let edit = Delta::SetComputation {
+        task: TaskId::from_index(0),
+        computation: Dur::new(1),
+    };
+    session.apply_probed(&[edit], &registry).unwrap();
+    assert_eq!(propagate_spans(&registry), 1, "filtered session apply");
+    let snapshot = registry.snapshot();
+    assert_eq!(
+        snapshot
+            .histogram("span.session.propagate.micros")
+            .map(|h| h.count),
+        Some(1),
+        "the session's refinement runs under its own span"
+    );
 }
