@@ -22,7 +22,11 @@
 //! mid-store can never leave a torn entry: an entry either exists in
 //! full or not at all. Reads are correspondingly forgiving — a missing,
 //! unreadable, or malformed entry is a **miss**, never an error; a
-//! cache must not be able to fail a run.
+//! cache must not be able to fail a run. "Malformed" is decided by the
+//! same readers `rtlb check-report` uses: [`check_index`] for the
+//! index, [`entry_from_json`] for an entry, and within it the
+//! bound-row codec ([`bound_json`] / [`bound_from_json`]) that batch
+//! reports, shard streams and `rtlb-rpc-v1` responses share.
 //!
 //! Only healthy (`ok`) results are cached. Failure outcomes are cheap
 //! to recompute (parse errors, infeasibility) or nondeterministic under
@@ -53,6 +57,13 @@ pub const KEY_ALGO: &str = "siphash-2-4-128";
 /// The canonical-form version pinned in the index (see
 /// `rtlb_format::canon`).
 pub const CANON_VERSION: &str = "rtlb-canon-v1";
+
+/// The fields of `index.json`, in write order, with this build's values.
+const INDEX_PINS: [(&str, &str); 3] = [
+    ("schema", CACHE_SCHEMA),
+    ("key_algo", KEY_ALGO),
+    ("canon", CANON_VERSION),
+];
 
 /// Bounds by resource name, exactly as a batch row or `rtlb analyze`
 /// carries them.
@@ -107,30 +118,12 @@ impl ResultCache {
             .map_err(|e| format!("cannot create cache dir {}: {e}", dir.display()))?;
         let index = dir.join("index.json");
         match std::fs::read_to_string(&index) {
-            Ok(text) => {
-                let doc = json::parse(&text)
-                    .map_err(|e| format!("corrupt cache index {}: {e}", index.display()))?;
-                for (field, want) in [
-                    ("schema", CACHE_SCHEMA),
-                    ("key_algo", KEY_ALGO),
-                    ("canon", CANON_VERSION),
-                ] {
-                    let got = doc.get(field).and_then(Json::as_str);
-                    if got != Some(want) {
-                        return Err(format!(
-                            "cache index {}: {field} is {:?}, this build needs {want:?}",
-                            index.display(),
-                            got.unwrap_or("missing"),
-                        ));
-                    }
-                }
-            }
+            Ok(text) => json::parse(&text)
+                .map_err(|e| e.to_string())
+                .and_then(|doc| check_index(&doc))
+                .map_err(|e| format!("cache index {}: {e}", index.display()))?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let doc = Json::obj([
-                    ("schema", Json::str(CACHE_SCHEMA)),
-                    ("key_algo", Json::str(KEY_ALGO)),
-                    ("canon", Json::str(CANON_VERSION)),
-                ]);
+                let doc = Json::obj(INDEX_PINS.map(|(field, pin)| (field, Json::str(pin))));
                 write_atomic(&index, &doc.render())?;
             }
             Err(e) => return Err(format!("cannot read cache index {}: {e}", index.display())),
@@ -158,41 +151,9 @@ impl ResultCache {
     /// correctness.
     pub fn lookup(&self, key: ContentKey) -> Option<NamedBounds> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        let doc = json::parse(&text).ok()?;
-        if doc.get("schema").and_then(Json::as_str) != Some(CACHE_ENTRY_SCHEMA) {
-            return None;
-        }
+        let (stored, bounds) = entry_from_json(&json::parse(&text).ok()?).ok()?;
         // A copied or renamed entry must not impersonate another key.
-        if doc.get("key").and_then(Json::as_str) != Some(key.to_hex().as_str()) {
-            return None;
-        }
-        let rows = doc.get("bounds").and_then(Json::as_arr)?;
-        let mut bounds = Vec::with_capacity(rows.len());
-        for row in rows {
-            let name = row.get("resource").and_then(Json::as_str)?.to_owned();
-            let index = usize::try_from(row.get("index").and_then(Json::as_int)?).ok()?;
-            let lb = u32::try_from(row.get("lb").and_then(Json::as_int)?).ok()?;
-            let intervals =
-                u64::try_from(row.get("intervals_examined").and_then(Json::as_int)?).ok()?;
-            let witness = match row.get("witness")? {
-                Json::Null => None,
-                w => Some(IntervalWitness {
-                    t1: Time::new(w.get("t1").and_then(Json::as_int)?),
-                    t2: Time::new(w.get("t2").and_then(Json::as_int)?),
-                    demand: Dur::try_new(w.get("demand").and_then(Json::as_int)?)?,
-                }),
-            };
-            bounds.push((
-                name,
-                ResourceBound {
-                    resource: ResourceId::from_index(index),
-                    bound: lb,
-                    witness,
-                    intervals_examined: intervals,
-                },
-            ));
-        }
-        Some(bounds)
+        (stored == key).then_some(bounds)
     }
 
     /// Stores `bounds` under `key`, atomically. `options_fingerprint`
@@ -237,7 +198,8 @@ pub fn resolve_bounds(catalog: &Catalog, named: &NamedBounds) -> Option<Vec<Reso
         .collect()
 }
 
-/// The `rtlb-cache-entry-v1` document for one stored result.
+/// The `rtlb-cache-entry-v1` document for one stored result: each
+/// [`bound_json`] row gains the resource's catalog `index`.
 pub fn entry_json(
     key: ContentKey,
     options_fingerprint: &str,
@@ -246,24 +208,14 @@ pub fn entry_json(
     let rows: Vec<Json> = bounds
         .iter()
         .map(|(name, b)| {
-            let witness = match &b.witness {
-                None => Json::Null,
-                Some(w) => Json::obj([
-                    ("t1", Json::Int(w.t1.ticks())),
-                    ("t2", Json::Int(w.t2.ticks())),
-                    ("demand", Json::Int(w.demand.ticks())),
-                ]),
+            let Json::Obj(mut fields) = bound_json(name, b) else {
+                unreachable!("bound_json returns an object")
             };
-            Json::obj([
-                ("resource", Json::str(name.as_str())),
-                ("index", Json::Int(b.resource.index() as i64)),
-                ("lb", Json::Int(i64::from(b.bound))),
-                (
-                    "intervals_examined",
-                    Json::Int(i64::try_from(b.intervals_examined).unwrap_or(i64::MAX)),
-                ),
-                ("witness", witness),
-            ])
+            fields.insert(
+                1,
+                ("index".to_owned(), Json::Int(b.resource.index() as i64)),
+            );
+            Json::Obj(fields)
         })
         .collect();
     Json::obj([
@@ -272,6 +224,145 @@ pub fn entry_json(
         ("options", Json::str(options_fingerprint)),
         ("bounds", Json::Arr(rows)),
     ])
+}
+
+/// Decodes an [`entry_json`] document into the key it was stored under
+/// and its bounds, each bound to its stored catalog `index`. This is
+/// the one entry reader: [`ResultCache::lookup`] treats any error as a
+/// miss, and `rtlb check-report` reports it.
+///
+/// # Errors
+///
+/// A message naming the first field that breaks the entry schema or
+/// the [`bound_from_json`] row rules.
+pub fn entry_from_json(doc: &Json) -> Result<(ContentKey, NamedBounds), String> {
+    if doc.get("schema").and_then(Json::as_str) != Some(CACHE_ENTRY_SCHEMA) {
+        return Err(format!("not an {CACHE_ENTRY_SCHEMA} document"));
+    }
+    let hex = json::str_field(doc, "", "key")?;
+    let key = ContentKey::parse(hex)
+        .ok_or_else(|| format!("key: `{hex}` is not a 128-bit hex content key"))?;
+    json::str_field(doc, "", "options")?;
+    let bounds = json::arr_field(doc, "", "bounds")?
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let path = format!("bounds[{i}]");
+            let index = json::nonneg_field(row, &path, "index")?;
+            let index = u32::try_from(index)
+                .map_err(|_| format!("{path}.index: {index} is not a catalog index"))?;
+            bound_from_json(row, &path, ResourceId::from_index(index as usize))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((key, bounds))
+}
+
+/// Checks a cache directory's `rtlb-cache-v1` `index.json` against the
+/// pins this build relies on — the one check behind
+/// [`ResultCache::open`] and `rtlb check-report`. Serving entries
+/// across a mismatch could return bounds for a *different*
+/// normalization.
+///
+/// # Errors
+///
+/// A pin is missing, not a string, or differs from this build's.
+pub fn check_index(doc: &Json) -> Result<(), String> {
+    let found = INDEX_PINS
+        .iter()
+        .map(|(field, _)| json::str_field(doc, "", field))
+        .collect::<Result<Vec<_>, _>>()?;
+    for ((field, want), got) in INDEX_PINS.iter().zip(found) {
+        if got != *want {
+            return Err(format!("{field} is {got:?}, this build needs {want:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// The JSON row for one resource's bound — `{resource, lb,
+/// intervals_examined, witness}`, where `witness` is `null` or the
+/// interval `{t1, t2, demand}` whose demand `Θ(r, t1, t2)` attains
+/// `LB_r` (Eq. 6.3). Batch reports, shard streams, cache entries and
+/// `rtlb-rpc-v1` responses all carry this row; [`bound_from_json`]
+/// reads it back.
+pub fn bound_json(name: &str, bound: &ResourceBound) -> Json {
+    let witness = match &bound.witness {
+        None => Json::Null,
+        Some(w) => Json::obj([
+            ("t1", Json::Int(w.t1.ticks())),
+            ("t2", Json::Int(w.t2.ticks())),
+            ("demand", Json::Int(w.demand.ticks())),
+        ]),
+    };
+    Json::obj([
+        ("resource", Json::str(name)),
+        ("lb", Json::Int(i64::from(bound.bound))),
+        (
+            "intervals_examined",
+            Json::Int(i64::try_from(bound.intervals_examined).unwrap_or(i64::MAX)),
+        ),
+        ("witness", witness),
+    ])
+}
+
+/// Decodes a [`bound_json`] row found at `path` (which errors name)
+/// into its resource name and bound, attributed to `resource`.
+///
+/// The row must keep the witness rule the sweep guarantees: the
+/// witness is `null` exactly when no interval was examined, a witness
+/// interval has `t1 < t2`, and `lb > 0` needs a witness. A witness with
+/// `lb` 0 is valid (only zero-computation tasks demand the resource),
+/// and `lb` may exceed the ceiling the witness alone justifies
+/// (filtered propagation raises it).
+///
+/// # Errors
+///
+/// A message naming the first field that breaks the row shape or the
+/// witness rule.
+pub fn bound_from_json(
+    row: &Json,
+    path: &str,
+    resource: ResourceId,
+) -> Result<(String, ResourceBound), String> {
+    let name = json::str_field(row, path, "resource")?;
+    let lb = json::nonneg_field(row, path, "lb")?;
+    let bound = u32::try_from(lb).map_err(|_| format!("{path}.lb: {lb} exceeds a u32 bound"))?;
+    let intervals_examined = json::nonneg_field(row, path, "intervals_examined")?;
+    let witness = match row.get("witness") {
+        None => return Err(format!("missing `{path}.witness` (null when none)")),
+        Some(Json::Null) => None,
+        Some(w) => {
+            let at = format!("{path}.witness");
+            let t1 = json::int_field(w, &at, "t1")?;
+            let t2 = json::int_field(w, &at, "t2")?;
+            let demand = Dur::try_new(json::int_field(w, &at, "demand")?)
+                .ok_or_else(|| format!("{at}.demand: must be non-negative"))?;
+            if t1 >= t2 {
+                return Err(format!("{at}: degenerate interval [{t1}, {t2}]"));
+            }
+            Some(IntervalWitness {
+                t1: Time::new(t1),
+                t2: Time::new(t2),
+                demand,
+            })
+        }
+    };
+    match (witness, intervals_examined) {
+        (None, _) if bound > 0 => Err(format!(
+            "{path}: lb {bound} > 0 requires a witness interval"
+        )),
+        (None, n) if n > 0 => Err(format!("{path}: {n} interval(s) examined but no witness")),
+        (Some(_), 0) => Err(format!("{path}: a witness needs an examined interval")),
+        _ => Ok((
+            name.to_owned(),
+            ResourceBound {
+                resource,
+                bound,
+                witness,
+                intervals_examined,
+            },
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -305,7 +396,7 @@ mod tests {
                     resource: ResourceId::from_index(2),
                     bound: 0,
                     witness: None,
-                    intervals_examined: 4,
+                    intervals_examined: 0,
                 },
             ),
         ]
@@ -364,7 +455,60 @@ mod tests {
         std::fs::copy(cache.entry_path(other), cache.entry_path(key)).unwrap();
         assert_eq!(cache.lookup(key), None);
         assert!(cache.lookup(other).is_some());
+
+        // A bound raised past its missing witness: miss.
+        let text = std::fs::read_to_string(cache.entry_path(other)).unwrap();
+        let tampered = text.replacen(r#""lb":3"#, r#""lb":8"#, 1).replacen(
+            r#"{"t1":2,"t2":9,"demand":21}"#,
+            "null",
+            1,
+        );
+        assert_ne!(tampered, text);
+        std::fs::write(cache.entry_path(other), tampered).unwrap();
+        assert_eq!(cache.lookup(other), None);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bound_rows_keep_the_witness_rule() {
+        let row = |text: &str| {
+            bound_from_json(&json::parse(text).unwrap(), "b", ResourceId::from_index(0))
+        };
+        // Only zero-computation tasks demand the resource: lb 0 with a witness.
+        let (name, bound) =
+            row(r#"{"resource":"r","lb":0,"intervals_examined":1,"witness":{"t1":0,"t2":10,"demand":0}}"#)
+                .unwrap();
+        assert_eq!((name.as_str(), bound.bound), ("r", 0));
+        assert!(row(r#"{"resource":"r","lb":0,"intervals_examined":0,"witness":null}"#).is_ok());
+        for (text, expected) in [
+            (
+                r#"{"resource":"r","lb":2,"intervals_examined":4,"witness":null}"#,
+                "requires a witness",
+            ),
+            (
+                r#"{"resource":"r","lb":0,"intervals_examined":4,"witness":null}"#,
+                "no witness",
+            ),
+            (
+                r#"{"resource":"r","lb":1,"intervals_examined":0,"witness":{"t1":0,"t2":4,"demand":4}}"#,
+                "needs an examined interval",
+            ),
+            (
+                r#"{"resource":"r","lb":1,"intervals_examined":3,"witness":{"t1":5,"t2":5,"demand":1}}"#,
+                "degenerate",
+            ),
+            (
+                r#"{"resource":"r","lb":0,"intervals_examined":0}"#,
+                "missing `b.witness`",
+            ),
+            (
+                r#"{"resource":"r","lb":-1,"intervals_examined":0,"witness":null}"#,
+                "b.lb",
+            ),
+        ] {
+            let err = row(text).expect_err(text);
+            assert!(err.contains(expected), "{text}: {err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The end-to-end analysis pipeline (Section 3's four steps).
 
 use rtlb_obs::{span, Label, Probe, NULL_PROBE};
-use serde::{Deserialize, Serialize};
 
 use rtlb_graph::{ResourceId, TaskGraph};
 
@@ -76,7 +75,7 @@ impl AnalysisOptions {
 ///
 /// Cost bounds (Section 7) are computed on demand from the stored bounds
 /// via [`Analysis::shared_cost`] / [`Analysis::dedicated_cost`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Analysis {
     timing: TimingAnalysis,
     partitions: Vec<ResourcePartition>,

@@ -18,7 +18,6 @@
 
 use rtlb_graph::{Dur, ResourceId, TaskGraph, TaskId, Time};
 use rtlb_obs::NULL_PROBE;
-use serde::{Deserialize, Serialize};
 
 /// Which interval endpoints the Equation 6.3 sweep samples.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// under-approximate the supremum); denser sets are tighter but cost more
 /// intervals. The paper's Section 8 uses ESTs and LCTs; the extended
 /// policy is this crate's extension.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CandidatePolicy {
     /// Endpoints at every task's `E_i` and `L_i` (the paper's sampling).
     #[default]
@@ -75,7 +74,7 @@ pub fn theta(
 }
 
 /// The interval achieving the maximum demand ratio for a resource.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IntervalWitness {
     /// Interval start.
     pub t1: Time,
@@ -86,7 +85,7 @@ pub struct IntervalWitness {
 }
 
 /// The lower bound on the number of units of one resource.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResourceBound {
     /// The resource being bounded.
     pub resource: ResourceId,

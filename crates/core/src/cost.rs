@@ -11,8 +11,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use rtlb_graph::{ResourceId, TaskGraph};
 use rtlb_ilp::{solve_ilp, solve_lp, Constraint, Outcome, Problem, Rational};
 
@@ -21,7 +19,7 @@ use crate::error::AnalysisError;
 use crate::model::{DedicatedModel, NodeTypeId, SharedModel};
 
 /// Cost bound for the shared model.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SharedCostBound {
     /// `Σ CostR(r) · LB_r`.
     pub total: i64,
@@ -67,7 +65,7 @@ pub fn shared_cost_bound(
 }
 
 /// Cost bound for the dedicated model.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DedicatedCostBound {
     /// Optimum of the integer program: the cost lower bound.
     pub total: i64,

@@ -37,7 +37,6 @@
 
 use rtlb_graph::{Dur, TaskGraph, TaskId, Time};
 use rtlb_obs::{span, Label, Probe, NULL_PROBE};
-use serde::{Deserialize, Serialize};
 
 use crate::cancel::CancelToken;
 use crate::error::AnalysisError;
@@ -49,7 +48,7 @@ use crate::timeline::Timeline;
 type Boundary = (TaskId, Time);
 
 /// The timing window of one task: `[E_i, L_i]`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TaskWindow {
     /// Earliest start time `E_i`.
     pub est: Time,
@@ -58,7 +57,7 @@ pub struct TaskWindow {
 }
 
 /// Result of the EST/LCT analysis over a whole application.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TimingAnalysis {
     windows: Vec<TaskWindow>,
     merged_preds: Vec<Vec<TaskId>>,
@@ -148,7 +147,7 @@ impl TimingAnalysis {
 }
 
 /// Outcome of considering one merge candidate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MergeDecision {
     /// The candidate is part of the best (smallest optimal) prefix and
     /// was merged.
@@ -162,7 +161,7 @@ pub enum MergeDecision {
 }
 
 /// One step of the greedy merge scan for a single task.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MergeStep {
     /// The successor/predecessor considered for merging.
     pub candidate: TaskId,
@@ -175,7 +174,7 @@ pub struct MergeStep {
 }
 
 /// Full trace of the merge scan for one task.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskTrace {
     /// The task being bounded.
     pub task: TaskId,
@@ -190,7 +189,7 @@ pub struct TaskTrace {
 }
 
 /// Traces for every task: how each `L_i` and `E_i` was derived.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TimingTrace {
     /// One LCT trace per task, in reverse topological evaluation order.
     pub lct: Vec<TaskTrace>,

@@ -4,14 +4,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use rtlb_graph::{ResourceId, Task, TaskGraph};
 
 use crate::error::AnalysisError;
 
 /// Identifier of a node type inside one [`DedicatedModel`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeTypeId(u32);
 
 impl NodeTypeId {
@@ -35,7 +33,7 @@ impl fmt::Display for NodeTypeId {
 
 /// One node type `n ∈ Λ` of the dedicated model: a processor of one type
 /// plus a set of resources dedicated to it, with a unit cost `CostN(n)`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeType {
     name: String,
     processor: ResourceId,
@@ -104,7 +102,7 @@ impl NodeType {
 /// The shared model: every processor reaches every resource over an
 /// interconnection network, so a task may run on *any* processor of its
 /// type. Carries the per-unit costs `CostR(r)` used by the cost bound.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SharedModel {
     costs: BTreeMap<ResourceId, i64>,
 }
@@ -138,7 +136,7 @@ impl SharedModel {
 /// The dedicated model: the system is assembled from node types `Λ`; each
 /// task must be placed on a node that hosts its processor type and all of
 /// its resources.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DedicatedModel {
     node_types: Vec<NodeType>,
 }
@@ -196,7 +194,7 @@ impl DedicatedModel {
 ///
 /// The model determines *mergeability* (Definitions 1 and 2) during the
 /// EST/LCT analysis, and the shape of the cost bound (Section 7).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SystemModel {
     /// All resources reachable from all processors.
     Shared(SharedModel),

@@ -15,13 +15,12 @@
 //! subset.
 
 use rtlb_graph::{ResourceId, TaskGraph, TaskId, Time};
-use serde::{Deserialize, Serialize};
 
 use crate::estlct::TimingAnalysis;
 
 /// One subset `P_rk` together with its covering interval `[s_k, f_k]`
 /// (`s_k = min EST`, `f_k = max LCT` over the subset's tasks).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionBlock {
     /// Tasks of the subset, in increasing-EST order as scanned.
     pub tasks: Vec<TaskId>,
@@ -42,7 +41,7 @@ impl PartitionBlock {
 }
 
 /// The ordered partition of `ST_r` for one resource.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResourcePartition {
     /// The resource this partition is for.
     pub resource: ResourceId,

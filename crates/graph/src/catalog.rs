@@ -10,15 +10,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GraphError;
 
 /// Identifier of an interned processor or resource type.
 ///
 /// Ids are dense indices into the owning [`Catalog`]; they are only
 /// meaningful together with the catalog that produced them.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ResourceId(u32);
 
 impl ResourceId {
@@ -45,7 +43,7 @@ impl fmt::Display for ResourceId {
 
 /// Whether an interned type is a processor type (`φ`) or a plain resource
 /// type (an element of some `R_i`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ResourceKind {
     /// A processor type: tasks execute *on* it, exactly one per task.
     Processor,
@@ -76,7 +74,7 @@ impl fmt::Display for ResourceKind {
 /// assert_eq!(catalog.name(r1), "r1");
 /// assert_eq!(catalog.lookup("P1"), Some(p1));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Catalog {
     names: Vec<String>,
     kinds: Vec<ResourceKind>,

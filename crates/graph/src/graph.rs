@@ -3,8 +3,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::catalog::{Catalog, ResourceId, ResourceKind};
 use crate::error::GraphError;
 use crate::task::{ExecutionMode, Task, TaskSpec};
@@ -14,7 +12,7 @@ use crate::time::{Dur, Time};
 ///
 /// Ids are dense indices assigned in insertion order; they are only
 /// meaningful together with the graph (or builder) that produced them.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TaskId(u32);
 
 impl TaskId {
@@ -44,7 +42,7 @@ impl fmt::Display for TaskId {
 /// The `message` field is the paper's `m_ji`: the time to transmit the
 /// message between the two tasks if they are assigned to *different*
 /// processors/nodes. Co-located tasks communicate for free.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Edge {
     /// The task at the far end of the edge (a successor when obtained from
     /// [`TaskGraph::successors`], a predecessor when obtained from
@@ -301,7 +299,7 @@ fn topological_sort(
 /// message time, or a resource demand — but not *shape* edits: tasks and
 /// edges can be neither added nor removed, so the cached topological order
 /// stays valid across all edits.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TaskGraph {
     catalog: Catalog,
     tasks: Vec<Task>,

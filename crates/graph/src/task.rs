@@ -3,8 +3,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::catalog::ResourceId;
 use crate::time::{Dur, Time};
 
@@ -13,7 +11,7 @@ use crate::time::{Dur, Time};
 /// The overlap analysis (Theorems 3 and 4 of the paper) differs between the
 /// two modes: a preemptive task can split its execution around an interval,
 /// a non-preemptive task cannot.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum ExecutionMode {
     /// The task, once started, runs to completion.
     #[default]
@@ -52,7 +50,7 @@ impl fmt::Display for ExecutionMode {
 ///     .preemptive();
 /// assert_eq!(spec.name(), "sample");
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskSpec {
     name: String,
     computation: Dur,
@@ -137,7 +135,7 @@ impl TaskSpec {
 /// A validated task inside a [`TaskGraph`](crate::TaskGraph).
 ///
 /// Corresponds to an annotated vertex of the paper's application DAG.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Task {
     name: String,
     computation: Dur,

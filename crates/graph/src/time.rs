@@ -11,8 +11,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in time, measured in integer ticks from an arbitrary origin.
 ///
 /// `Time` is ordered, copyable and cheap; negative values are allowed
@@ -28,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t, Time::new(15));
 /// assert_eq!(t.diff(Time::new(3)), 12);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(i64);
 
 impl Time {
@@ -131,7 +129,7 @@ impl SubAssign<Dur> for Time {
 /// let total: Dur = [Dur::new(2), Dur::new(3)].into_iter().sum();
 /// assert_eq!(total, Dur::new(5));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dur(i64);
 
 impl Dur {

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rational::Rational;
 
 /// Identifier of a decision variable inside one [`Problem`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VarId(pub(crate) usize);
 
 impl VarId {
@@ -24,7 +22,7 @@ impl fmt::Display for VarId {
 }
 
 /// Comparison sense of a linear constraint.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Cmp {
     /// `Σ a_j x_j ≤ rhs`
     Le,
@@ -45,7 +43,7 @@ impl fmt::Display for Cmp {
 }
 
 /// One linear constraint `Σ a_j x_j (≤|≥|=) rhs`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Constraint {
     /// Sparse coefficient list; variables absent from the list have
     /// coefficient zero.
@@ -124,7 +122,7 @@ impl Constraint {
 /// ));
 /// assert_eq!(p.num_vars(), 2);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Problem {
     names: Vec<String>,
     costs: Vec<Rational>,
@@ -236,7 +234,7 @@ impl Problem {
 }
 
 /// An optimal solution to a program.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Solution {
     /// Optimal variable assignment, indexed by [`VarId`].
     pub values: Vec<Rational>,
@@ -269,7 +267,7 @@ impl Solution {
 }
 
 /// Result of solving a program.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Outcome {
     /// An optimal solution was found.
     Optimal(Solution),

@@ -11,8 +11,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An exact rational number `num/den` with `den > 0`, in lowest terms.
 ///
 /// # Example
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a + Rational::from(1), Rational::new(3, 2));
 /// assert_eq!(Rational::new(7, 2).ceil(), 4);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rational {
     num: i128,
     den: i128,

@@ -1,11 +1,13 @@
 //! A minimal JSON value, writer, and parser.
 //!
-//! The workspace builds offline (the vendored `serde` is a marker-trait
-//! stand-in that performs no serialization — see `vendor/README.md`), so
-//! the report and trace sinks carry their own JSON support. Objects
-//! preserve insertion order, which keeps rendered reports stable for
-//! golden tests; the parser exists so tests and CI can validate that
-//! emitted documents are well-formed without external tools.
+//! The workspace builds offline with no serialization crate, so every
+//! document the tools write or read back — reports, traces, batch and
+//! shard rows, cache entries, `rtlb-rpc-v1` messages — goes through
+//! this module. Objects preserve insertion order, which keeps rendered
+//! reports stable for golden tests. The field readers
+//! ([`str_field`], [`int_field`], [`nonneg_field`], [`arr_field`]) name
+//! the offending field by its path, so a decoder's error doubles as a
+//! validator's message.
 
 use std::fmt::Write as _;
 
@@ -196,6 +198,65 @@ impl std::fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// `path.key`, or just `key` at the document root: how the field
+/// readers below name a field in their errors.
+fn at(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_owned()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+/// Reads the string field `doc[key]` of the object at `path`.
+///
+/// # Errors
+///
+/// A message naming `path.key`: the field is missing or not a string.
+pub fn str_field<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a str, String> {
+    match doc.get(key) {
+        Some(Json::Str(s)) => Ok(s),
+        Some(_) => Err(format!("{}: must be a string", at(path, key))),
+        None => Err(format!("missing `{}`", at(path, key))),
+    }
+}
+
+/// Reads the integer field `doc[key]` of the object at `path`.
+///
+/// # Errors
+///
+/// A message naming `path.key`: the field is missing or not an integer.
+pub fn int_field(doc: &Json, path: &str, key: &str) -> Result<i64, String> {
+    doc.get(key)
+        .and_then(Json::as_int)
+        .ok_or_else(|| format!("{}: must be an integer", at(path, key)))
+}
+
+/// Reads the non-negative integer field `doc[key]` of the object at
+/// `path`.
+///
+/// # Errors
+///
+/// As [`int_field`], or the integer is negative.
+pub fn nonneg_field(doc: &Json, path: &str, key: &str) -> Result<u64, String> {
+    let v = int_field(doc, path, key)?;
+    u64::try_from(v).map_err(|_| format!("{}: must be non-negative, got {v}", at(path, key)))
+}
+
+/// Reads the array field `doc[key]` of the object at `path`.
+///
+/// # Errors
+///
+/// A message naming `path.key`: the field is missing or not an array.
+pub fn arr_field<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a [Json], String> {
+    match doc.get(key) {
+        Some(value) => value
+            .as_arr()
+            .ok_or_else(|| format!("{}: must be an array", at(path, key))),
+        None => Err(format!("missing `{}`", at(path, key))),
+    }
+}
 
 /// Parses a complete JSON document (rejecting trailing garbage).
 ///

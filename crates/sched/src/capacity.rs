@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use rtlb_core::ResourceBound;
 use rtlb_graph::{ResourceId, TaskGraph};
 
@@ -24,7 +22,7 @@ use rtlb_graph::{ResourceId, TaskGraph};
 /// assert_eq!(caps.units(r), 3);
 /// assert_eq!(caps.units(ResourceId::from_index(9)), 0);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Capacities {
     units: BTreeMap<ResourceId, u32>,
 }

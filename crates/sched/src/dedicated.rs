@@ -19,8 +19,6 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use rtlb_core::{DedicatedModel, NodeTypeId};
 use rtlb_graph::{TaskGraph, TaskId, Time};
 
@@ -28,7 +26,7 @@ use crate::schedule::Slice;
 
 /// How many node instances of each type a candidate dedicated system has
 /// (the decision vector `x_n` of Section 7).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeMix {
     counts: BTreeMap<NodeTypeId, u32>,
 }
@@ -89,7 +87,7 @@ impl NodeMix {
 ///
 /// Dedicated scheduling here is non-preemptive (one slice); preemptive
 /// tasks are scheduled without preemption, which is always valid.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodePlacement {
     /// The placed task.
     pub task: TaskId,
@@ -103,7 +101,7 @@ pub struct NodePlacement {
 }
 
 /// A complete dedicated-model schedule.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DedicatedSchedule {
     placements: Vec<NodePlacement>,
 }

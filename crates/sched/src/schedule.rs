@@ -1,11 +1,9 @@
 //! Schedule representation: where and when each task executes.
 
-use serde::{Deserialize, Serialize};
-
 use rtlb_graph::{Dur, TaskGraph, TaskId, Time};
 
 /// One contiguous execution slice `[start, end)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Slice {
     /// Inclusive start.
     pub start: Time,
@@ -37,7 +35,7 @@ impl Slice {
 
 /// The placement of one task: which unit of its processor type it runs
 /// on, and its execution slices (one slice unless the task is preemptive).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Placement {
     /// The placed task.
     pub task: TaskId,
@@ -86,7 +84,7 @@ impl Placement {
 }
 
 /// A complete shared-model schedule: one placement per task.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Schedule {
     placements: Vec<Placement>,
 }

@@ -26,6 +26,7 @@
 //! `no-session`, or one of the batch taxonomy labels
 //! (`parse-error`, `infeasible`, `overflow`, `timeout`, `panicked`).
 
+use rtlb_cache::bound_json;
 use rtlb_core::{OutcomeKind, ResourceBound};
 use rtlb_graph::TaskGraph;
 use rtlb_obs::{json, Json};
@@ -262,32 +263,14 @@ pub fn err_response(id: &Option<String>, op: &str, error: &RpcError) -> Json {
 }
 
 /// The bounds payload every successful analysis response carries:
-/// `bounds` in the `rtlb-batch-v1` per-instance shape and `text`, the
-/// exact bounds table `rtlb analyze` prints for the same instance
-/// (byte-for-byte — both call
+/// `bounds`, one [`bound_json`] row per resource (the `rtlb-batch-v1`
+/// per-instance shape), and `text`, the exact bounds table `rtlb
+/// analyze` prints for the same instance (byte-for-byte — both call
 /// [`render_bounds`](rtlb_core::render_bounds)).
 pub fn bounds_body(graph: &TaskGraph, bounds: &[ResourceBound]) -> Vec<(String, Json)> {
-    let rows: Vec<Json> = bounds
+    let rows = bounds
         .iter()
-        .map(|b| {
-            let witness = match &b.witness {
-                None => Json::Null,
-                Some(w) => Json::obj([
-                    ("t1", Json::Int(w.t1.ticks())),
-                    ("t2", Json::Int(w.t2.ticks())),
-                    ("demand", Json::Int(w.demand.ticks())),
-                ]),
-            };
-            Json::obj([
-                ("resource", Json::str(graph.catalog().name(b.resource))),
-                ("lb", Json::Int(i64::from(b.bound))),
-                (
-                    "intervals_examined",
-                    Json::Int(i64::try_from(b.intervals_examined).unwrap_or(i64::MAX)),
-                ),
-                ("witness", witness),
-            ])
-        })
+        .map(|b| bound_json(graph.catalog().name(b.resource), b))
         .collect();
     vec![
         ("bounds".to_owned(), Json::Arr(rows)),

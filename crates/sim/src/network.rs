@@ -12,10 +12,9 @@
 //!   paper's bounds can stop being achievable (experiment E14).
 
 use rtlb_graph::{Dur, Time};
-use serde::{Deserialize, Serialize};
 
 /// Contention model of the interconnection network.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NetworkModel {
     /// Unlimited parallel links: delivery at `ready + m` (the paper's
     /// assumption).

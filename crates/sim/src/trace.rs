@@ -1,10 +1,9 @@
 //! Simulation traces and reports.
 
 use rtlb_graph::{Dur, TaskGraph, TaskId, Time};
-use serde::{Deserialize, Serialize};
 
 /// One observable event of a simulation run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimEvent {
     /// A task began executing on `(processor type index, unit)`.
     Started {
@@ -45,7 +44,7 @@ impl SimEvent {
 }
 
 /// Outcome of a simulation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimReport {
     /// Chronological event log.
     pub events: Vec<SimEvent>,

@@ -54,13 +54,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use rtlb_cache::{NamedBounds, ResultCache};
+use rtlb_cache::{bound_from_json, bound_json, NamedBounds, ResultCache};
 use rtlb_core::{
     analyze_ctl, effective_threads, run_jobs, AnalysisOptions, CancelToken, ResourceBound,
     SystemModel,
 };
 use rtlb_format::{content_key, ContentKey};
-use rtlb_obs::{Json, Probe, NULL_PROBE};
+use rtlb_graph::ResourceId;
+use rtlb_obs::{json, Json, Probe, NULL_PROBE};
 
 use crate::format;
 
@@ -235,7 +236,8 @@ impl BatchReport {
 
 /// The JSON row for one instance outcome — the element shape of the
 /// `rtlb-batch-v1` `instances` array and (with a `key` field added) of
-/// each `rtlb-batch-shard-v1` stream line.
+/// each `rtlb-batch-shard-v1` stream line. Only `ok` rows carry
+/// `bounds`, one [`bound_json`] row per resource.
 pub(crate) fn outcome_json(i: &InstanceOutcome) -> Json {
     let mut fields = vec![
         ("path", Json::str(i.path.display().to_string())),
@@ -246,71 +248,52 @@ pub(crate) fn outcome_json(i: &InstanceOutcome) -> Json {
         fields.push(("detail", Json::str(detail.as_str())));
     }
     if i.kind == OutcomeKind::Ok {
-        let bounds: Vec<Json> = i
-            .bounds
-            .iter()
-            .map(|(name, b)| {
-                let witness = match &b.witness {
-                    None => Json::Null,
-                    Some(w) => Json::obj([
-                        ("t1", Json::Int(w.t1.ticks())),
-                        ("t2", Json::Int(w.t2.ticks())),
-                        ("demand", Json::Int(w.demand.ticks())),
-                    ]),
-                };
-                Json::obj([
-                    ("resource", Json::str(name.as_str())),
-                    ("lb", Json::Int(i64::from(b.bound))),
-                    ("intervals_examined", Json::Int(int(b.intervals_examined))),
-                    ("witness", witness),
-                ])
-            })
-            .collect();
-        fields.push(("bounds", Json::Arr(bounds)));
+        let bounds = i.bounds.iter().map(|(name, b)| bound_json(name, b));
+        fields.push(("bounds", Json::Arr(bounds.collect())));
     }
     Json::obj(fields)
 }
 
-/// Parses an [`outcome_json`] row back; `None` on any malformed shape.
-/// The stored row carries resource *names*, not catalog ids, so the
-/// reconstructed [`ResourceBound::resource`] is the row position — fine
+/// Reads an [`outcome_json`] row found at `path` (which errors name)
+/// back — the one row reader behind shard streams and `rtlb
+/// check-report`. The row carries resource *names*, not catalog ids, so
+/// each bound's [`ResourceBound::resource`] is its row position: fine
 /// for re-rendering (which goes by name), not for catalog lookups.
-pub(crate) fn outcome_from_json(doc: &Json) -> Option<InstanceOutcome> {
-    let path = PathBuf::from(doc.get("path")?.as_str()?);
-    let label = doc.get("outcome")?.as_str()?;
-    let kind = OUTCOME_KINDS.into_iter().find(|k| k.label() == label)?;
-    let micros = u64::try_from(doc.get("micros")?.as_int()?).ok()?;
+///
+/// # Errors
+///
+/// A message naming the first field that breaks the row shape: an
+/// unknown outcome, bounds on a row that is not `ok`, or a bound row
+/// that [`bound_from_json`] refuses.
+pub(crate) fn outcome_from_json(doc: &Json, path: &str) -> Result<InstanceOutcome, String> {
+    let file = json::str_field(doc, path, "path")?;
+    let micros = json::nonneg_field(doc, path, "micros")?;
+    let label = json::str_field(doc, path, "outcome")?;
+    let kind = OutcomeKind::from_label(label)
+        .ok_or_else(|| format!("{path}.outcome: unknown outcome `{label}`"))?;
     let detail = match doc.get("detail") {
         None => None,
-        Some(d) => Some(d.as_str()?.to_owned()),
+        Some(_) => Some(json::str_field(doc, path, "detail")?.to_owned()),
     };
-    let mut bounds = Vec::new();
-    if kind == OutcomeKind::Ok {
-        for (idx, row) in doc.get("bounds")?.as_arr()?.iter().enumerate() {
-            let name = row.get("resource")?.as_str()?.to_owned();
-            let lb = u32::try_from(row.get("lb")?.as_int()?).ok()?;
-            let intervals = u64::try_from(row.get("intervals_examined")?.as_int()?).ok()?;
-            let witness = match row.get("witness")? {
-                Json::Null => None,
-                w => Some(rtlb_core::IntervalWitness {
-                    t1: rtlb_graph::Time::new(w.get("t1")?.as_int()?),
-                    t2: rtlb_graph::Time::new(w.get("t2")?.as_int()?),
-                    demand: rtlb_graph::Dur::try_new(w.get("demand")?.as_int()?)?,
-                }),
-            };
-            bounds.push((
-                name,
-                ResourceBound {
-                    resource: rtlb_graph::ResourceId::from_index(idx),
-                    bound: lb,
-                    witness,
-                    intervals_examined: intervals,
-                },
-            ));
-        }
-    }
-    Some(InstanceOutcome {
-        path,
+    let bounds = if kind == OutcomeKind::Ok {
+        json::arr_field(doc, path, "bounds")?
+            .iter()
+            .enumerate()
+            .map(|(j, row)| {
+                bound_from_json(
+                    row,
+                    &format!("{path}.bounds[{j}]"),
+                    ResourceId::from_index(j),
+                )
+            })
+            .collect::<Result<_, _>>()?
+    } else if doc.get("bounds").is_some() {
+        return Err(format!("{path}: a `{label}` row must not carry bounds"));
+    } else {
+        Vec::new()
+    };
+    Ok(InstanceOutcome {
+        path: PathBuf::from(file),
         kind,
         detail,
         micros,

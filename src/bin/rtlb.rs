@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use rtlb::batch::{run_batch_probed, write_atomic, BatchOptions, HeartbeatOptions, OutcomeKind};
 use rtlb::cache::{resolve_bounds, NamedBounds, ResultCache};
-use rtlb::check::{check_document, check_shard_stream};
+use rtlb::check::check_text;
 use rtlb::core::{
     analyze_with, analyze_with_probe, build_run_report, effective_threads, render_analysis,
     render_bounds, render_dedicated_cost, render_shared_cost, AnalysisOptions, AnalysisSession,
@@ -172,7 +172,8 @@ batch flags (plus the analysis and telemetry flags):
                              the checkpoint --resume replays
   --resume                   replay FILE's completed rows (tolerating the
                              torn last line a kill leaves) and analyze only
-                             the instances that are left
+                             the instances that are left; a FILE damaged
+                             anywhere else is refused and left as it is
 
 merge-shards flags:
   --json                     print the rtlb-batch-v1 aggregate as JSON
@@ -343,20 +344,36 @@ impl TelemetryArgs {
 fn telemetry_flag(args: &mut TelemetryArgs, flag: &str) -> Result<bool, String> {
     if flag == "--profile" {
         args.profile = true;
-    } else if let Some(path) = flag.strip_prefix("--metrics-out=") {
-        if path.is_empty() {
-            return Err("--metrics-out needs a file path".to_owned());
-        }
+    } else if let Some(path) = value_flag(flag, "--metrics-out", "a file path")? {
         args.metrics_out = Some(path.to_owned());
-    } else if let Some(path) = flag.strip_prefix("--prom-out=") {
-        if path.is_empty() {
-            return Err("--prom-out needs a file path".to_owned());
-        }
+    } else if let Some(path) = value_flag(flag, "--prom-out", "a file path")? {
         args.prom_out = Some(path.to_owned());
     } else {
         return Ok(false);
     }
     Ok(true)
+}
+
+/// Tries `flag` as `NAME=VALUE` for a flag whose value is a path or an
+/// address: `Ok(Some(value))` when it is that flag, an error when the
+/// value is empty. Every such flag on every subcommand goes through
+/// here, so they all refuse an empty value the same way.
+fn value_flag<'a>(flag: &'a str, name: &str, what: &str) -> Result<Option<&'a str>, String> {
+    match flag
+        .strip_prefix(name)
+        .and_then(|rest| rest.strip_prefix('='))
+    {
+        Some("") => Err(format!("{name} needs {what}")),
+        value => Ok(value),
+    }
+}
+
+/// Writes `doc` pretty-printed plus a newline to `path`, atomically —
+/// the one writer behind every `--out=`-style JSON export.
+fn write_json(path: &str, doc: &Json) -> Result<(), String> {
+    let mut text = doc.pretty();
+    text.push('\n');
+    write_atomic(std::path::Path::new(path), &text)
 }
 
 /// Tries `flag` against the analysis flags shared by `analyze`, `serve`,
@@ -413,9 +430,7 @@ fn export_snapshot(
     let started = Instant::now();
     let mut profile = PhaseProfile::from_snapshot(snapshot);
     if let Some(path) = &telemetry.metrics_out {
-        let mut doc = snapshot.to_json().pretty();
-        doc.push('\n');
-        write_atomic(std::path::Path::new(path), &doc)?;
+        write_json(path, &snapshot.to_json())?;
     }
     if let Some(path) = &telemetry.prom_out {
         write_atomic(std::path::Path::new(path), &prometheus_text(snapshot))?;
@@ -440,22 +455,7 @@ fn cmd_check_report(args: &[String]) -> Result<ExitCode, Failure> {
             )));
         }
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        // A shard stream is JSONL, not one document: sniff the first
-        // line's schema tag and validate the whole stream when it is
-        // one. A pretty-printed document's first line (`{`) does not
-        // parse on its own, so it falls through to the document path.
-        let is_stream = rtlb::obs::json::parse(text.lines().next().unwrap_or(""))
-            .ok()
-            .is_some_and(|header| {
-                header.get("schema").and_then(Json::as_str) == Some(rtlb::shard::SHARD_SCHEMA)
-            });
-        let summary = if is_stream {
-            check_shard_stream(&text).map_err(|e| format!("{path}: {e}"))?
-        } else {
-            let doc =
-                rtlb::obs::json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
-            check_document(&doc).map_err(|e| format!("{path}: {e}"))?
-        };
+        let summary = check_text(&text).map_err(|e| format!("{path}: {e}"))?;
         println!("{path}: {summary}");
     }
     Ok(ExitCode::SUCCESS)
@@ -488,15 +488,9 @@ fn analyze_options(flags: &[String]) -> Result<AnalyzeArgs, String> {
                     ))
                 }
             };
-        } else if let Some(path) = flag.strip_prefix("--trace-out=") {
-            if path.is_empty() {
-                return Err("--trace-out needs a file path".to_owned());
-            }
+        } else if let Some(path) = value_flag(flag, "--trace-out", "a file path")? {
             args.trace_out = Some(path.to_owned());
-        } else if let Some(dir) = flag.strip_prefix("--cache=") {
-            if dir.is_empty() {
-                return Err("--cache needs a directory path".to_owned());
-            }
+        } else if let Some(dir) = value_flag(flag, "--cache", "a directory path")? {
             args.cache = Some(dir.to_owned());
         } else {
             return Err(format!("unknown flag `{flag}` (see `rtlb --help`)"));
@@ -666,10 +660,7 @@ fn serve_options(flags: &[String]) -> Result<ServeArgs, String> {
             || telemetry_flag(&mut args.telemetry, flag)?
         {
             // consumed by the shared flags
-        } else if let Some(addr) = flag.strip_prefix("--addr=") {
-            if addr.is_empty() {
-                return Err("--addr needs a HOST:PORT".to_owned());
-            }
+        } else if let Some(addr) = value_flag(flag, "--addr", "a HOST:PORT")? {
             args.config.addr = addr.to_owned();
         } else if let Some(n) = flag.strip_prefix("--max-sessions=") {
             args.config.max_sessions = n
@@ -682,10 +673,7 @@ fn serve_options(flags: &[String]) -> Result<ServeArgs, String> {
         } else if let Some(ms) = flag.strip_prefix("--deadline-ms=") {
             args.config.default_deadline_ms =
                 Some(ms.parse().map_err(|_| format!("invalid deadline `{ms}`"))?);
-        } else if let Some(dir) = flag.strip_prefix("--cache=") {
-            if dir.is_empty() {
-                return Err("--cache needs a directory path".to_owned());
-            }
+        } else if let Some(dir) = value_flag(flag, "--cache", "a directory path")? {
             args.config.cache_dir = Some(dir.into());
         } else {
             return Err(format!("unknown flag `{flag}` (see `rtlb --help`)"));
@@ -734,10 +722,7 @@ impl Default for BenchServeArgs {
 fn bench_serve_options(flags: &[String]) -> Result<BenchServeArgs, String> {
     let mut args = BenchServeArgs::default();
     for flag in flags {
-        if let Some(addr) = flag.strip_prefix("--addr=") {
-            if addr.is_empty() {
-                return Err("--addr needs a HOST:PORT".to_owned());
-            }
+        if let Some(addr) = value_flag(flag, "--addr", "a HOST:PORT")? {
             args.addr = Some(addr.to_owned());
         } else if let Some(n) = flag.strip_prefix("--clients=") {
             args.load.clients = n
@@ -761,10 +746,7 @@ fn bench_serve_options(flags: &[String]) -> Result<BenchServeArgs, String> {
                     ))
                 }
             };
-        } else if let Some(path) = flag.strip_prefix("--out=") {
-            if path.is_empty() {
-                return Err("--out needs a file path".to_owned());
-            }
+        } else if let Some(path) = value_flag(flag, "--out", "a file path")? {
             args.out = Some(path.to_owned());
         } else {
             return Err(format!("unknown flag `{flag}` (see `rtlb --help`)"));
@@ -833,9 +815,7 @@ fn cmd_bench_serve(args: &[String]) -> Result<ExitCode, Failure> {
         ("runs", Json::Arr(runs)),
     ]);
     if let Some(out) = &opts.out {
-        let mut text = doc.pretty();
-        text.push('\n');
-        write_atomic(std::path::Path::new(out), &text)?;
+        write_json(out, &doc)?;
     } else {
         println!("{}", doc.pretty());
     }
@@ -1061,10 +1041,7 @@ fn batch_options(flags: &[String]) -> Result<BatchArgs, String> {
             }
         } else if flag == "--json" {
             args.json = true;
-        } else if let Some(path) = flag.strip_prefix("--out=") {
-            if path.is_empty() {
-                return Err("--out needs a file path".to_owned());
-            }
+        } else if let Some(path) = value_flag(flag, "--out", "a file path")? {
             args.out = Some(path.to_owned());
         } else if let Some(secs) = flag.strip_prefix("--heartbeat=") {
             let interval_secs = secs
@@ -1074,18 +1051,12 @@ fn batch_options(flags: &[String]) -> Result<BatchArgs, String> {
                 .heartbeat
                 .get_or_insert_with(HeartbeatOptions::default)
                 .interval_secs = interval_secs;
-        } else if let Some(path) = flag.strip_prefix("--heartbeat-out=") {
-            if path.is_empty() {
-                return Err("--heartbeat-out needs a file path".to_owned());
-            }
+        } else if let Some(path) = value_flag(flag, "--heartbeat-out", "a file path")? {
             args.options
                 .heartbeat
                 .get_or_insert_with(HeartbeatOptions::default)
                 .out = Some(path.into());
-        } else if let Some(dir) = flag.strip_prefix("--cache=") {
-            if dir.is_empty() {
-                return Err("--cache needs a directory path".to_owned());
-            }
+        } else if let Some(dir) = value_flag(flag, "--cache", "a directory path")? {
             args.options.cache = Some(dir.into());
         } else if let Some(n) = flag.strip_prefix("--shards=") {
             let shards: usize = n
@@ -1100,10 +1071,7 @@ fn batch_options(flags: &[String]) -> Result<BatchArgs, String> {
                 k.parse()
                     .map_err(|_| format!("invalid shard index `{k}`"))?,
             );
-        } else if let Some(path) = flag.strip_prefix("--shard-out=") {
-            if path.is_empty() {
-                return Err("--shard-out needs a file path".to_owned());
-            }
+        } else if let Some(path) = value_flag(flag, "--shard-out", "a file path")? {
             args.shard_out = Some(path.to_owned());
         } else if flag == "--resume" {
             args.resume = true;
@@ -1170,9 +1138,7 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, Failure> {
     };
     export_telemetry(&registry, &telemetry, effective_threads(jobs))?;
     if let Some(path) = &out {
-        let mut doc = report.to_json().pretty();
-        doc.push('\n');
-        write_atomic(std::path::Path::new(path), &doc)?;
+        write_json(path, &report.to_json())?;
     }
     if json {
         println!("{}", report.to_json().pretty());
@@ -1201,10 +1167,7 @@ fn merge_options(args: &[String]) -> Result<MergeArgs, String> {
     for arg in args {
         if arg == "--json" {
             parsed.json = true;
-        } else if let Some(path) = arg.strip_prefix("--out=") {
-            if path.is_empty() {
-                return Err("--out needs a file path".to_owned());
-            }
+        } else if let Some(path) = value_flag(arg, "--out", "a file path")? {
             parsed.out = Some(path.to_owned());
         } else if arg.starts_with("--") {
             return Err(format!("unknown flag `{arg}` (see `rtlb --help`)"));
@@ -1222,9 +1185,7 @@ fn cmd_merge_shards(args: &[String]) -> Result<ExitCode, Failure> {
     let parsed = merge_options(&args[1..]).map_err(Failure::Usage)?;
     let report = merge_shards(&parsed.files)?;
     if let Some(path) = &parsed.out {
-        let mut doc = report.to_json().pretty();
-        doc.push('\n');
-        write_atomic(std::path::Path::new(path), &doc)?;
+        write_json(path, &report.to_json())?;
     }
     if parsed.json {
         println!("{}", report.to_json().pretty());

@@ -1,38 +1,58 @@
 //! Structural validators for the versioned JSON documents the tools
 //! emit — the `rtlb check-report` subcommand.
 //!
-//! [`check_document`] dispatches on the document's `schema` tag:
+//! [`check_text`] tells a shard stream from a single document, and
+//! [`check_document`] dispatches on the document's `schema` tag. A
+//! format the program also reads back is validated by that format's
+//! one reader, so `check-report` accepts exactly what the program
+//! accepts:
 //!
-//! * `rtlb-report-v1` — the per-run metrics report of `rtlb analyze
+//! * `rtlb-batch-shard-v1` streams — the shard reader behind `--resume`
+//!   and `merge-shards` ([`check_shard_stream`]);
+//! * `rtlb-cache-v1` and `rtlb-cache-entry-v1` — the index check and
+//!   entry decoder behind `ResultCache::{open, lookup}`
+//!   ([`check_index`], [`entry_from_json`]);
+//! * `rtlb-metrics-v1` — [`MetricsSnapshot::from_json`].
+//!
+//! The rest are checked here, over rows read by the shared readers:
+//!
+//! * `rtlb-report-v1` — the per-run report of `rtlb analyze
 //!   --metrics=json` ([`check_report`]);
-//! * `rtlb-batch-v1` — the batch driver's report ([`check_batch`]),
-//!   including the cross-check that the `counts` rollup matches the
-//!   per-instance outcomes;
+//! * `rtlb-batch-v1` — the batch report ([`check_batch`]), whose
+//!   `total` and `counts` rollup must match its rows;
 //! * `rtlb-scenarios-v1` — the scenario sweep's report
-//!   ([`check_scenarios`]);
-//! * `rtlb-metrics-v1` — delegated to
-//!   [`MetricsSnapshot::from_json`](rtlb_obs::MetricsSnapshot::from_json);
-//! * `rtlb-cache-v1` — a result-cache `index.json` pin
-//!   ([`check_cache_index`]);
-//! * `rtlb-cache-entry-v1` — one stored cache entry
-//!   ([`check_cache_entry`]).
+//!   ([`check_scenarios`]).
 //!
-//! The `rtlb-batch-shard-v1` stream format is line-delimited rather
-//! than one document, so it gets its own entry point over the raw text
-//! ([`check_shard_stream`]); `rtlb check-report` sniffs the first line
-//! and dispatches there.
-//!
-//! Validators are pure functions over the parsed [`Json`] tree and
-//! return a one-line summary on success — CI smoke steps assert on the
-//! exit code and humans read the summary.
+//! Validators return a one-line summary on success — CI smoke steps
+//! assert on the exit code and humans read the summary.
 
 use std::collections::BTreeMap;
 
-use rtlb_format::ContentKey;
-use rtlb_obs::{json, Json, MetricsSnapshot};
+use rtlb_cache::{
+    bound_from_json, check_index, entry_from_json, CACHE_ENTRY_SCHEMA, CACHE_SCHEMA, CANON_VERSION,
+    KEY_ALGO,
+};
+use rtlb_graph::ResourceId;
+use rtlb_obs::json::{self, arr_field, nonneg_field, str_field};
+use rtlb_obs::{Json, MetricsSnapshot};
 
-use crate::batch::{OutcomeKind, OUTCOME_KINDS};
-use crate::shard::SHARD_SCHEMA;
+use crate::batch::{outcome_from_json, OUTCOME_KINDS};
+use crate::shard::{is_stream, read_stream};
+
+/// Validates the text of one file: an `rtlb-batch-shard-v1` stream when
+/// its first line is a stream header, otherwise one JSON document.
+///
+/// # Errors
+///
+/// Invalid JSON, or the first problem [`check_shard_stream`] or
+/// [`check_document`] finds.
+pub fn check_text(text: &str) -> Result<String, String> {
+    if is_stream(text) {
+        return check_shard_stream(text);
+    }
+    let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    check_document(&doc)
+}
 
 /// Validates any supported document, dispatching on its `schema` tag.
 ///
@@ -54,144 +74,47 @@ pub fn check_document(doc: &Json) -> Result<String, String> {
                 snapshot.histograms.len()
             ))
         }
-        Some("rtlb-cache-v1") => check_cache_index(doc),
-        Some("rtlb-cache-entry-v1") => check_cache_entry(doc),
+        Some(CACHE_SCHEMA) => {
+            check_index(doc)?;
+            Ok(format!(
+                "valid {CACHE_SCHEMA} (keys {KEY_ALGO}, {CANON_VERSION})"
+            ))
+        }
+        Some(CACHE_ENTRY_SCHEMA) => {
+            let (key, bounds) = entry_from_json(doc)?;
+            Ok(format!(
+                "valid {CACHE_ENTRY_SCHEMA} ({key}, {} bound(s))",
+                bounds.len()
+            ))
+        }
         Some(other) => Err(format!("unsupported schema `{other}`")),
         None => Err("missing `schema` tag".to_owned()),
     }
 }
 
-/// Validates a result cache's `rtlb-cache-v1` `index.json`: the pins
-/// this build relies on (key algorithm and canonical-form version) must
-/// be present and non-empty strings.
-///
-/// # Errors
-///
-/// See [`check_document`].
-pub fn check_cache_index(doc: &Json) -> Result<String, String> {
-    let key_algo = str_field(doc, "", "key_algo")?;
-    let canon = str_field(doc, "", "canon")?;
-    if key_algo.is_empty() {
-        return Err("key_algo: must be non-empty".to_owned());
-    }
-    if canon.is_empty() {
-        return Err("canon: must be non-empty".to_owned());
-    }
-    Ok(format!("valid rtlb-cache-v1 (keys {key_algo}, {canon})"))
-}
-
-/// Validates one stored `rtlb-cache-entry-v1` document: a well-formed
-/// content key, the recorded options fingerprint, and bounds rows with
-/// the same witness invariants as a batch report plus each row's
-/// catalog `index`.
-///
-/// # Errors
-///
-/// See [`check_document`].
-pub fn check_cache_entry(doc: &Json) -> Result<String, String> {
-    let key = str_field(doc, "", "key")?;
-    if ContentKey::parse(&key).is_none() {
-        return Err(format!("key: `{key}` is not a 128-bit hex content key"));
-    }
-    str_field(doc, "", "options")?;
-    let bounds = arr_field(doc, "bounds")?;
-    for (i, bound) in bounds.iter().enumerate() {
-        let path = format!("bounds[{i}]");
-        nonneg_field(bound, &path, "index")?;
-        check_bound_row(bound, &path, true)?;
-    }
-    Ok(format!(
-        "valid rtlb-cache-entry-v1 ({key}, {} bound(s))",
-        bounds.len()
-    ))
-}
-
-/// Validates an `rtlb-batch-shard-v1` stream over its raw text: the
-/// header pin (root, a coherent `shard < shards` split, the assigned
-/// `total`), then every row as a batch instance row plus its content
-/// `key` (null for parse failures, 128-bit hex otherwise). A stream
-/// with fewer rows than `total`, or whose *final* line is torn
-/// mid-write, is *valid but incomplete* — that is the checkpoint state
-/// a kill leaves behind — and the summary says so; more rows than
-/// `total` or an unparseable line with rows after it is an error.
+/// Validates an `rtlb-batch-shard-v1` stream over its raw text with the
+/// shard reader `--resume` and `merge-shards` use. A stream with fewer
+/// rows than its header's `total`, or whose *final* line is torn
+/// mid-write, is *valid but incomplete* — the checkpoint state a kill
+/// leaves behind — and the summary says so.
 ///
 /// # Errors
 ///
 /// A message naming the offending line (1-based) and field.
 pub fn check_shard_stream(text: &str) -> Result<String, String> {
-    let mut lines = text.lines();
-    let header_line = lines.next().ok_or("empty shard stream")?;
-    let header =
-        json::parse(header_line).map_err(|e| format!("line 1: invalid header JSON: {e}"))?;
-    if header.get("schema").and_then(Json::as_str) != Some(SHARD_SCHEMA) {
-        return Err(format!("line 1: not an {SHARD_SCHEMA} header"));
-    }
-    str_field(&header, "", "root")?;
-    let shards = nonneg_field(&header, "", "shards")?;
-    let shard = nonneg_field(&header, "", "shard")?;
-    let total = nonneg_field(&header, "", "total")?;
-    if shards < 1 || shard >= shards {
-        return Err(format!(
-            "line 1: shard {shard} of {shards} is not a valid split"
-        ));
-    }
-    let mut rows = 0i64;
-    let mut torn = false;
-    let mut lines = lines.enumerate().peekable();
-    while let Some((i, line)) = lines.next() {
-        let lineno = i + 2;
-        let row = match json::parse(line) {
-            Ok(row) => row,
-            // A kill mid-write tears at most the final row; that is the
-            // checkpoint state `--resume` repairs, not corruption. An
-            // unparseable line with rows after it *is* corruption.
-            Err(_) if lines.peek().is_none() => {
-                torn = true;
-                break;
-            }
-            Err(e) => return Err(format!("line {lineno}: invalid JSON: {e}")),
-        };
-        let path = format!("line {lineno}");
-        str_field(&row, &path, "path")?;
-        nonneg_field(&row, &path, "micros")?;
-        let outcome = str_field(&row, &path, "outcome")?;
-        let kind = OutcomeKind::from_label(&outcome)
-            .ok_or_else(|| format!("{path}.outcome: unknown outcome `{outcome}`"))?;
-        if kind == OutcomeKind::Ok {
-            let bounds = arr_field(&row, &format!("{path}.bounds"))?;
-            for (j, bound) in bounds.iter().enumerate() {
-                check_bound_row(bound, &format!("{path}.bounds[{j}]"), true)?;
-            }
-        } else if row.get("bounds").is_some() {
-            return Err(format!("{path}: a `{outcome}` row must not carry bounds"));
-        }
-        match row.get("key") {
-            Some(Json::Null) => {}
-            Some(Json::Str(key)) if ContentKey::parse(key).is_some() => {}
-            Some(_) => {
-                return Err(format!(
-                    "{path}.key: must be null or a 128-bit hex content key"
-                ))
-            }
-            None => return Err(format!("{path}: missing `key`")),
-        }
-        rows += 1;
-    }
-    if rows > total || (torn && rows == total) {
-        return Err(format!(
-            "stream has {} row(s) but the header assigned only {total}",
-            rows + i64::from(torn)
-        ));
-    }
-    let state = if torn {
+    let stream = read_stream(text)?;
+    let header = &stream.header;
+    let rows = stream.rows.len();
+    let state = if stream.torn.is_some() {
         "incomplete (torn tail) — resume to finish"
-    } else if rows == total {
+    } else if rows == header.total {
         "complete"
     } else {
         "incomplete — resume to finish"
     };
     Ok(format!(
-        "valid rtlb-batch-shard-v1 (shard {shard}/{shards}, {rows} of {total} instance(s), {state})"
+        "valid rtlb-batch-shard-v1 (shard {}/{}, {rows} of {} instance(s), {state})",
+        header.shard, header.shards, header.total
     ))
 }
 
@@ -202,12 +125,12 @@ pub fn check_shard_stream(text: &str) -> Result<String, String> {
 /// See [`check_document`].
 pub fn check_report(doc: &Json) -> Result<String, String> {
     let instance = obj_field(doc, "instance")?;
-    str_field(instance, "instance.name", "name")?;
+    str_field(instance, "instance", "name")?;
     for key in ["tasks", "edges", "resources"] {
-        nonneg_field(instance, &format!("instance.{key}"), key)?;
+        nonneg_field(instance, "instance", key)?;
     }
-    obj_of_any(doc, "options")?;
-    let stages = arr_field(doc, "stages")?;
+    obj_field(doc, "options")?;
+    let stages = arr_field(doc, "", "stages")?;
     for (i, stage) in stages.iter().enumerate() {
         let path = format!("stages[{i}]");
         str_field(stage, &path, "name")?;
@@ -215,14 +138,14 @@ pub fn check_report(doc: &Json) -> Result<String, String> {
         nonneg_field(stage, &path, "spans")?;
     }
     counters_obj(doc, "counters")?;
-    let threads = arr_field(doc, "threads")?;
+    let threads = arr_field(doc, "", "threads")?;
     for (i, thread) in threads.iter().enumerate() {
         let path = format!("threads[{i}]");
         nonneg_field(thread, &path, "thread")?;
         nonneg_field(thread, &path, "busy_micros")?;
         nonneg_field(thread, &path, "spans")?;
     }
-    let partitions = arr_field(doc, "partitions")?;
+    let partitions = arr_field(doc, "", "partitions")?;
     for (i, partition) in partitions.iter().enumerate() {
         let path = format!("partitions[{i}]");
         str_field(partition, &path, "resource")?;
@@ -230,9 +153,9 @@ pub fn check_report(doc: &Json) -> Result<String, String> {
         nonneg_field(partition, &path, "tasks")?;
         nonneg_field(partition, &path, "sweep_micros")?;
     }
-    let bounds = arr_field(doc, "bounds")?;
+    let bounds = arr_field(doc, "", "bounds")?;
     for (i, bound) in bounds.iter().enumerate() {
-        check_bound_row(bound, &format!("bounds[{i}]"), true)?;
+        bound_from_json(bound, &format!("bounds[{i}]"), ResourceId::from_index(i))?;
     }
     Ok(format!(
         "valid rtlb-report-v1 ({} stages, {} bounds)",
@@ -241,9 +164,10 @@ pub fn check_report(doc: &Json) -> Result<String, String> {
     ))
 }
 
-/// Validates a `rtlb-batch-v1` document, including the rollup
-/// cross-check: `total` equals the instance count and each `counts`
-/// entry equals the number of instances with that outcome.
+/// Validates a `rtlb-batch-v1` document: every row through the batch
+/// row reader, then the rollup cross-check — `total` equals the
+/// instance count and each `counts` entry equals the number of
+/// instances with that outcome.
 ///
 /// # Errors
 ///
@@ -252,33 +176,20 @@ pub fn check_batch(doc: &Json) -> Result<String, String> {
     str_field(doc, "", "root")?;
     nonneg_field(doc, "", "total_micros")?;
     let total = nonneg_field(doc, "", "total")?;
-    let instances = arr_field(doc, "instances")?;
-    if instances.len() as i64 != total {
+    let rows = arr_field(doc, "", "instances")?;
+    if rows.len() as u64 != total {
         return Err(format!(
             "total: claims {total} instance(s) but `instances` has {}",
-            instances.len()
+            rows.len()
         ));
     }
 
-    let mut tallied: BTreeMap<&str, i64> = OUTCOME_KINDS.iter().map(|k| (k.label(), 0)).collect();
-    for (i, row) in instances.iter().enumerate() {
-        let path = format!("instances[{i}]");
-        str_field(row, &path, "path")?;
-        nonneg_field(row, &path, "micros")?;
-        let outcome = str_field(row, &path, "outcome")?;
-        let kind = OutcomeKind::from_label(&outcome)
-            .ok_or_else(|| format!("{path}.outcome: unknown outcome `{outcome}`"))?;
-        *tallied.get_mut(kind.label()).expect("label tallied") += 1;
-        if kind == OutcomeKind::Ok {
-            let bounds = arr_field(row, &format!("{path}.bounds"))?;
-            for (j, bound) in bounds.iter().enumerate() {
-                check_bound_row(bound, &format!("{path}.bounds[{j}]"), true)?;
-            }
-        } else if row.get("bounds").is_some() {
-            return Err(format!(
-                "{path}: a `{outcome}` instance must not carry bounds"
-            ));
-        }
+    let mut tallied: BTreeMap<&str, u64> = OUTCOME_KINDS.iter().map(|k| (k.label(), 0)).collect();
+    for (i, row) in rows.iter().enumerate() {
+        let outcome = outcome_from_json(row, &format!("instances[{i}]"))?;
+        *tallied
+            .get_mut(outcome.kind.label())
+            .expect("label tallied") += 1;
     }
 
     let counts = obj_field(doc, "counts")?;
@@ -294,12 +205,13 @@ pub fn check_batch(doc: &Json) -> Result<String, String> {
     }
     Ok(format!(
         "valid rtlb-batch-v1 ({} instance(s), {} ok)",
-        instances.len(),
+        rows.len(),
         tallied["ok"]
     ))
 }
 
-/// Validates a `rtlb-scenarios-v1` document.
+/// Validates a `rtlb-scenarios-v1` document. Its bound rows are
+/// `{resource, lb, intervals_examined}`, without a witness.
 ///
 /// # Errors
 ///
@@ -307,8 +219,8 @@ pub fn check_batch(doc: &Json) -> Result<String, String> {
 pub fn check_scenarios(doc: &Json) -> Result<String, String> {
     str_field(doc, "", "file")?;
     str_field(doc, "", "base")?;
-    bool_field(doc, "", "checked")?;
-    let scenarios = arr_field(doc, "scenarios")?;
+    bool_field(doc, "checked")?;
+    let scenarios = arr_field(doc, "", "scenarios")?;
     let mut applied = 0usize;
     for (i, row) in scenarios.iter().enumerate() {
         let path = format!("scenarios[{i}]");
@@ -331,59 +243,17 @@ pub fn check_scenarios(doc: &Json) -> Result<String, String> {
         ] {
             nonneg_field(row, &path, key)?;
         }
-        let bounds = arr_field(row, &format!("{path}.bounds"))?;
-        for (j, bound) in bounds.iter().enumerate() {
-            check_bound_row(bound, &format!("{path}.bounds[{j}]"), false)?;
+        for (j, bound) in arr_field(row, &path, "bounds")?.iter().enumerate() {
+            let path = format!("{path}.bounds[{j}]");
+            str_field(bound, &path, "resource")?;
+            nonneg_field(bound, &path, "lb")?;
+            nonneg_field(bound, &path, "intervals_examined")?;
         }
     }
     Ok(format!(
         "valid rtlb-scenarios-v1 ({} scenario(s), {applied} applied)",
         scenarios.len()
     ))
-}
-
-/// One bounds row: `{resource, lb, intervals_examined}` plus, when
-/// `with_witness`, a `witness` that is `null` exactly when `lb` is 0
-/// (an undemanded resource) and otherwise a well-formed interval.
-fn check_bound_row(bound: &Json, path: &str, with_witness: bool) -> Result<(), String> {
-    str_field(bound, path, "resource")?;
-    let lb = nonneg_field(bound, path, "lb")?;
-    nonneg_field(bound, path, "intervals_examined")?;
-    if !with_witness {
-        return Ok(());
-    }
-    match bound.get("witness") {
-        None => {
-            return Err(format!(
-                "{path}: missing `witness` (use null when undemanded)"
-            ))
-        }
-        Some(Json::Null) => {
-            if lb != 0 {
-                return Err(format!("{path}: lb {lb} > 0 requires a witness interval"));
-            }
-        }
-        Some(witness) => {
-            if lb == 0 {
-                return Err(format!("{path}: lb 0 cannot have a witness interval"));
-            }
-            let t1 = int_field(witness, &format!("{path}.witness"), "t1")?;
-            let t2 = int_field(witness, &format!("{path}.witness"), "t2")?;
-            nonneg_field(witness, &format!("{path}.witness"), "demand")?;
-            if t1 >= t2 {
-                return Err(format!("{path}.witness: degenerate interval [{t1}, {t2}]"));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn at(path: &str, key: &str) -> String {
-    if path.is_empty() {
-        key.to_owned()
-    } else {
-        format!("{path}.{key}")
-    }
 }
 
 fn obj_field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
@@ -394,77 +264,29 @@ fn obj_field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
     }
 }
 
-fn obj_of_any(doc: &Json, key: &str) -> Result<(), String> {
-    obj_field(doc, key).map(|_| ())
-}
-
 fn counters_obj(doc: &Json, key: &str) -> Result<(), String> {
-    match doc.get(key) {
-        Some(Json::Obj(pairs)) => {
-            for (name, value) in pairs {
-                match value.as_int() {
-                    Some(v) if v >= 0 => {}
-                    _ => return Err(format!("{key}.{name}: must be a non-negative integer")),
-                }
-            }
-            Ok(())
-        }
-        Some(_) => Err(format!("{key}: must be an object")),
-        None => Err(format!("missing `{key}`")),
-    }
-}
-
-fn arr_field<'a>(doc: &'a Json, path: &str) -> Result<&'a [Json], String> {
-    let (parent, key) = match path.rsplit_once('.') {
-        Some((parent, key)) => (parent, key),
-        None => ("", path),
+    let Json::Obj(pairs) = obj_field(doc, key)? else {
+        unreachable!("obj_field returns an object")
     };
-    let _ = parent;
-    // `path` is the full dotted path; only its last segment is the key
-    // to look up (the caller passes the already-narrowed document).
-    match doc.get(key) {
-        Some(json) => json
-            .as_arr()
-            .ok_or_else(|| format!("{path}: must be an array")),
-        None => Err(format!("missing `{path}`")),
+    for (name, value) in pairs {
+        if value.as_int().is_none_or(|v| v < 0) {
+            return Err(format!("{key}.{name}: must be a non-negative integer"));
+        }
     }
+    Ok(())
 }
 
-fn str_field(doc: &Json, path: &str, key: &str) -> Result<String, String> {
-    match doc.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("{}: must be a string", at(path, key))),
-        None => Err(format!("missing `{}`", at(path, key))),
-    }
-}
-
-fn bool_field(doc: &Json, path: &str, key: &str) -> Result<bool, String> {
+fn bool_field(doc: &Json, key: &str) -> Result<bool, String> {
     match doc.get(key) {
         Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(format!("{}: must be a boolean", at(path, key))),
-        None => Err(format!("missing `{}`", at(path, key))),
+        Some(_) => Err(format!("{key}: must be a boolean")),
+        None => Err(format!("missing `{key}`")),
     }
-}
-
-fn int_field(doc: &Json, path: &str, key: &str) -> Result<i64, String> {
-    match doc.get(key).and_then(Json::as_int) {
-        Some(v) => Ok(v),
-        None => Err(format!("{}: must be an integer", at(path, key))),
-    }
-}
-
-fn nonneg_field(doc: &Json, path: &str, key: &str) -> Result<i64, String> {
-    let v = int_field(doc, path, key)?;
-    if v < 0 {
-        return Err(format!("{}: must be non-negative, got {v}", at(path, key)));
-    }
-    Ok(v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtlb_obs::json;
 
     fn batch_doc() -> Json {
         json::parse(
@@ -542,19 +364,34 @@ mod tests {
 
     #[test]
     fn witness_invariants_are_enforced() {
-        let row =
-            json::parse(r#"{"resource": "r1", "lb": 2, "intervals_examined": 4, "witness": null}"#)
-                .unwrap();
-        let err = check_bound_row(&row, "bounds[0]", true).expect_err("lb>0 needs witness");
+        let with_bound = |row: &str| {
+            let valid = batch_doc().render();
+            let text = valid.replace(
+                r#"{"resource":"r1","lb":2,"intervals_examined":9,"witness":{"t1":0,"t2":6,"demand":11}}"#,
+                row,
+            );
+            assert_ne!(text, valid, "the bound row was replaced");
+            check_document(&json::parse(&text).unwrap())
+        };
+        let err =
+            with_bound(r#"{"resource": "r1", "lb": 2, "intervals_examined": 4, "witness": null}"#)
+                .expect_err("lb>0 needs witness");
         assert!(err.contains("requires a witness"), "{err}");
 
-        let row = json::parse(
+        let err = with_bound(
             r#"{"resource": "r1", "lb": 1, "intervals_examined": 4,
                 "witness": {"t1": 5, "t2": 5, "demand": 1}}"#,
         )
-        .unwrap();
-        let err = check_bound_row(&row, "bounds[0]", true).expect_err("degenerate interval");
+        .expect_err("degenerate interval");
         assert!(err.contains("degenerate"), "{err}");
+
+        // Only a zero-computation task demands the resource: the sweep
+        // examined an interval of demand 0, so lb 0 carries a witness.
+        with_bound(
+            r#"{"resource": "r1", "lb": 0, "intervals_examined": 1,
+                "witness": {"t1": 0, "t2": 10, "demand": 0}}"#,
+        )
+        .expect("lb 0 with a witness is a zero-work demander");
     }
 
     #[test]

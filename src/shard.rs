@@ -5,17 +5,19 @@
 //! discovery order belongs to shard `i mod N`), **streaming** one
 //! result line per instance into `FILE` as it finishes. The file is the
 //! checkpoint: kill the process at any point and `--resume` replays the
-//! completed lines — tolerating a torn final line from the kill — and
-//! analyzes only what is left. Completed `ok` results double as an
-//! in-memory cache on resume, so aliases of an already-finished
-//! representative are served without recomputation even without
-//! `--cache`.
+//! completed lines — tolerating a torn final line from the kill, and
+//! refusing a stream damaged anywhere else — and analyzes only what is
+//! left. Completed `ok` results double as an in-memory cache on resume,
+//! so aliases of an already-finished representative are served without
+//! recomputation even without `--cache`.
 //!
 //! The stream format (`rtlb-batch-shard-v1`) is line-delimited JSON: a
 //! header line pinning the corpus (`root`, `shards`, `shard`, `total`),
 //! then one [`outcome_json`](crate::batch) row per instance with its
-//! content `key` attached. `rtlb merge-shards FILE...` folds complete
-//! shard files back into one `rtlb-batch-v1` aggregate. The merge is
+//! content `key` attached. One reader (`read_stream`) serves `--resume`,
+//! `merge-shards` and `rtlb check-report`, so the three agree on what a
+//! valid stream is. `rtlb merge-shards FILE...` folds complete shard
+//! files back into one `rtlb-batch-v1` aggregate. The merge is
 //! **deterministic by construction**: rows sort by instance path and
 //! every wall-clock field is zeroed ([`BatchReport::normalize_timing`]),
 //! so straight-through, killed-and-resumed, and differently-interleaved
@@ -76,9 +78,10 @@ pub struct ShardSummary {
 /// # Errors
 ///
 /// Driver-level problems only: unreadable corpus, an unwritable stream
-/// file, or a resume file that disagrees with the current invocation
-/// (different corpus size, shard split, or root). Per-instance failures
-/// are outcomes in the stream, not errors.
+/// file, or a resume file that the stream reader refuses or that
+/// disagrees with the current invocation (different corpus size, shard
+/// split, or root) — the file is then left as it was. Per-instance
+/// failures are outcomes in the stream, not errors.
 pub fn run_shard(target: &Path, options: &ShardOptions) -> Result<ShardSummary, String> {
     run_shard_probed(target, options, &NULL_PROBE)
 }
@@ -114,28 +117,38 @@ pub fn run_shard_probed(
         .map(|(_, p)| p)
         .collect();
 
-    let header = Json::obj([
-        ("schema", Json::str(SHARD_SCHEMA)),
-        ("root", Json::str(target.display().to_string())),
-        ("shards", Json::Int(options.shards as i64)),
-        ("shard", Json::Int(options.shard as i64)),
-        ("total", Json::Int(assigned.len() as i64)),
-    ]);
+    let header = ShardHeader {
+        root: target.display().to_string(),
+        shards: options.shards,
+        shard: options.shard,
+        total: assigned.len(),
+    };
 
     let started = Instant::now();
 
-    // Replay the stream file on resume: keep the longest valid prefix
-    // (a kill can tear at most the final line), drop rows that are not
-    // in this shard's assignment, and rewrite the checkpoint so the
-    // append stream continues from a clean state.
+    // Replay the stream file on resume: keep its complete rows (a kill
+    // can tear only the final line), drop rows that are not in this
+    // shard's assignment, and rewrite the checkpoint so the append
+    // stream continues from a clean state. A stream the reader refuses
+    // is left as it is: rewriting it would drop the rows after the
+    // damage.
     let mut replayed: BTreeMap<PathBuf, (InstanceOutcome, Option<ContentKey>)> = BTreeMap::new();
     if options.resume {
         match std::fs::read_to_string(&options.out) {
             Ok(text) => {
-                let rows = parse_stream(&text, true)?;
-                check_header(&rows.header, &header, &options.out)?;
+                let stream = read_stream(&text)
+                    .map_err(|e| format!("{}: {e} (cannot resume)", options.out.display()))?;
+                if stream.header != header {
+                    return Err(format!(
+                        "{}: resume header {} does not match this invocation's {} — the \
+                         corpus or shard split changed",
+                        options.out.display(),
+                        stream.header.to_json().render(),
+                        header.to_json().render(),
+                    ));
+                }
                 let assigned_set: BTreeSet<&PathBuf> = assigned.iter().collect();
-                for (outcome, key) in rows.rows {
+                for (outcome, key) in stream.rows {
                     if assigned_set.contains(&outcome.path) {
                         replayed
                             .entry(outcome.path.clone())
@@ -149,7 +162,7 @@ pub fn run_shard_probed(
             }
         }
     }
-    let mut checkpoint = header.render();
+    let mut checkpoint = header.to_json().render();
     checkpoint.push('\n');
     for (outcome, key) in replayed.values() {
         checkpoint.push_str(&stream_row(outcome, *key).render());
@@ -227,66 +240,63 @@ pub fn run_shard_probed(
 ///
 /// # Errors
 ///
-/// Unreadable or torn files (resume the shard first), a header mismatch
-/// across files (different corpus or split), missing or duplicate
-/// shards, an incomplete shard (fewer rows than its header's `total`),
-/// or the same instance path appearing twice.
+/// Unreadable files, streams the stream reader refuses, torn files
+/// (resume the shard first), a header mismatch across files (different
+/// corpus or split), missing or duplicate shards, an incomplete shard
+/// (fewer rows than its header's `total`), or the same instance path
+/// appearing twice.
 pub fn merge_shards(files: &[PathBuf]) -> Result<BatchReport, String> {
     if files.is_empty() {
         return Err("merge-shards needs at least one shard file".into());
     }
-    let mut root: Option<String> = None;
-    let mut shards: Option<i64> = None;
-    let mut seen_shards: BTreeSet<i64> = BTreeSet::new();
+    let mut first: Option<ShardHeader> = None;
+    let mut seen_shards: BTreeSet<usize> = BTreeSet::new();
     let mut instances: Vec<InstanceOutcome> = Vec::new();
     for file in files {
         let text = std::fs::read_to_string(file)
             .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-        let stream = parse_stream(&text, false)
-            .map_err(|e| format!("{}: {e} (resume the shard to repair)", file.display()))?;
-        let header = &stream.header;
-        let this_root = header
-            .get("root")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{}: header has no root", file.display()))?;
-        let this_shards = header.get("shards").and_then(Json::as_int).unwrap_or(0);
-        let this_shard = header.get("shard").and_then(Json::as_int).unwrap_or(-1);
-        let total = header.get("total").and_then(Json::as_int).unwrap_or(-1);
-        match (&root, &shards) {
-            (None, None) => {
-                root = Some(this_root.to_owned());
-                shards = Some(this_shards);
-            }
-            (Some(r), Some(n)) => {
-                if r != this_root || *n != this_shards {
-                    return Err(format!(
-                        "{}: shard of a different run (root {this_root:?} / {this_shards} shards, \
-                         expected {r:?} / {n})",
-                        file.display()
-                    ));
-                }
-            }
-            _ => unreachable!("root and shards are set together"),
-        }
-        if !seen_shards.insert(this_shard) {
-            return Err(format!("{}: duplicate shard {this_shard}", file.display()));
-        }
-        if stream.rows.len() as i64 != total {
+        let stream = read_stream(&text).map_err(|e| format!("{}: {e}", file.display()))?;
+        if let Some(line) = stream.torn {
             return Err(format!(
-                "{}: incomplete shard — {} of {total} instances done (resume it first)",
+                "{}: line {line}: invalid stream row torn by a kill (resume the shard to repair)",
+                file.display()
+            ));
+        }
+        let header = stream.header;
+        let run = first.get_or_insert_with(|| header.clone());
+        if run.root != header.root || run.shards != header.shards {
+            return Err(format!(
+                "{}: shard of a different run (root {:?} / {} shards, expected {:?} / {})",
                 file.display(),
-                stream.rows.len()
+                header.root,
+                header.shards,
+                run.root,
+                run.shards
+            ));
+        }
+        if !seen_shards.insert(header.shard) {
+            return Err(format!(
+                "{}: duplicate shard {}",
+                file.display(),
+                header.shard
+            ));
+        }
+        if stream.rows.len() != header.total {
+            return Err(format!(
+                "{}: incomplete shard — {} of {} instances done (resume it first)",
+                file.display(),
+                stream.rows.len(),
+                header.total
             ));
         }
         instances.extend(stream.rows.into_iter().map(|(outcome, _)| outcome));
     }
-    let n = shards.expect("at least one file");
-    let expected: BTreeSet<i64> = (0..n).collect();
-    if seen_shards != expected {
-        let missing: Vec<String> = expected
-            .difference(&seen_shards)
-            .map(|s| s.to_string())
-            .collect();
+    let run = first.expect("at least one file");
+    let missing: Vec<String> = (0..run.shards)
+        .filter(|s| !seen_shards.contains(s))
+        .map(|s| s.to_string())
+        .collect();
+    if !missing.is_empty() {
         return Err(format!(
             "missing shard file(s) for shard {}",
             missing.join(", ")
@@ -303,7 +313,7 @@ pub fn merge_shards(files: &[PathBuf]) -> Result<BatchReport, String> {
         }
     }
     let mut report = BatchReport {
-        root: root.expect("at least one file"),
+        root: run.root,
         instances,
         total_micros: 0,
     };
@@ -311,45 +321,139 @@ pub fn merge_shards(files: &[PathBuf]) -> Result<BatchReport, String> {
     Ok(report)
 }
 
-/// One parsed shard stream: the header plus the outcome rows.
-#[derive(Debug)]
-struct Stream {
-    header: Json,
-    rows: Vec<(InstanceOutcome, Option<ContentKey>)>,
+/// The header line of a shard stream: which corpus, which slice of
+/// it, and how many instances that slice holds.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct ShardHeader {
+    /// The corpus directory or manifest the shard was run on.
+    pub(crate) root: String,
+    /// Number of shards the corpus is split into (≥ 1).
+    pub(crate) shards: usize,
+    /// This stream's shard (`< shards`).
+    pub(crate) shard: usize,
+    /// Instances the split assigns to this shard.
+    pub(crate) total: usize,
 }
 
-/// Parses a shard stream. With `tolerate_tail`, an invalid or torn
-/// final segment is dropped (the resume path); without it, any invalid
-/// line is an error (the merge path, which requires complete shards).
-fn parse_stream(text: &str, tolerate_tail: bool) -> Result<Stream, String> {
-    let mut lines = text.lines();
-    let header_line = lines.next().ok_or("empty shard file")?;
-    let header = json::parse(header_line).map_err(|e| format!("bad shard header: {e}"))?;
-    if header.get("schema").and_then(Json::as_str) != Some(SHARD_SCHEMA) {
-        return Err(format!("not an {SHARD_SCHEMA} stream"));
+impl ShardHeader {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("schema", Json::str(SHARD_SCHEMA)),
+            ("root", Json::str(self.root.as_str())),
+            ("shards", Json::Int(self.shards as i64)),
+            ("shard", Json::Int(self.shard as i64)),
+            ("total", Json::Int(self.total as i64)),
+        ])
     }
-    let mut rows = Vec::new();
-    for (i, line) in lines.enumerate() {
-        let parsed = json::parse(line).ok().and_then(|doc| {
-            let key = match doc.get("key") {
-                Some(Json::Null) | None => None,
-                Some(k) => Some(ContentKey::parse(k.as_str()?)?),
-            };
-            Some((outcome_from_json(&doc)?, key))
-        });
-        match parsed {
-            Some(row) => rows.push(row),
-            None if tolerate_tail => break,
-            None => return Err(format!("invalid stream row on line {}", i + 2)),
+
+    /// Reads the header line; the split must be valid (`shard <
+    /// shards`, hence `shards ≥ 1`).
+    fn from_line(line: &str) -> Result<ShardHeader, String> {
+        let doc = header_doc(line)?;
+        let count = |key: &str| {
+            let n = json::nonneg_field(&doc, "", key)?;
+            usize::try_from(n).map_err(|_| format!("{key}: {n} is out of range"))
+        };
+        let header = ShardHeader {
+            root: json::str_field(&doc, "", "root")?.to_owned(),
+            shards: count("shards")?,
+            shard: count("shard")?,
+            total: count("total")?,
+        };
+        if header.shard >= header.shards {
+            return Err(format!(
+                "shard {} of {} is not a valid split",
+                header.shard, header.shards
+            ));
         }
+        Ok(header)
     }
-    Ok(Stream { header, rows })
+}
+
+/// The first line parsed as JSON, if it carries the stream's schema tag.
+fn header_doc(line: &str) -> Result<Json, String> {
+    let doc = json::parse(line).map_err(|e| format!("invalid header JSON: {e}"))?;
+    if doc.get("schema").and_then(Json::as_str) != Some(SHARD_SCHEMA) {
+        return Err(format!("not an {SHARD_SCHEMA} header"));
+    }
+    Ok(doc)
+}
+
+/// Whether `text` opens with a shard-stream header line — how `rtlb
+/// check-report` tells a stream from a single JSON document (whose
+/// pretty-printed first line `{` does not parse on its own).
+pub(crate) fn is_stream(text: &str) -> bool {
+    header_doc(text.lines().next().unwrap_or("")).is_ok()
+}
+
+/// One decoded shard stream.
+#[derive(Debug)]
+pub(crate) struct ShardStream {
+    pub(crate) header: ShardHeader,
+    /// The complete rows in stream order, each with its instance's
+    /// content key (`None` for parse failures).
+    pub(crate) rows: Vec<(InstanceOutcome, Option<ContentKey>)>,
+    /// The 1-based number of a torn final line, the one mark a kill
+    /// mid-write leaves.
+    pub(crate) torn: Option<usize>,
+}
+
+/// Reads a shard stream — the one reader behind `--resume`,
+/// `merge-shards` and `rtlb check-report`. The header must describe a
+/// valid split; every row is an [`outcome_json`] row plus its content
+/// `key` (null or 128-bit hex); and a line counts as torn only when it
+/// is the final line and is not valid JSON, which is all a kill
+/// mid-write can produce. The rows (torn line included) may not
+/// outnumber the header's `total`.
+///
+/// # Errors
+///
+/// A message naming the offending line (1-based) and field.
+pub(crate) fn read_stream(text: &str) -> Result<ShardStream, String> {
+    let mut lines = text.lines();
+    let header = ShardHeader::from_line(lines.next().ok_or("empty shard stream")?)
+        .map_err(|e| format!("line 1: {e}"))?;
+    let mut rows = Vec::new();
+    let mut torn = None;
+    let mut lines = (2..).zip(lines).peekable();
+    while let Some((lineno, line)) = lines.next() {
+        let path = format!("line {lineno}");
+        let doc = match json::parse(line) {
+            Ok(doc) => doc,
+            Err(_) if lines.peek().is_none() => {
+                torn = Some(lineno);
+                break;
+            }
+            Err(e) => return Err(format!("{path}: invalid JSON: {e}")),
+        };
+        let outcome = outcome_from_json(&doc, &path)?;
+        let key = match doc.get("key") {
+            None => return Err(format!("{path}: missing `key`")),
+            Some(Json::Null) => None,
+            Some(key) => match key.as_str().and_then(ContentKey::parse) {
+                Some(key) => Some(key),
+                None => {
+                    return Err(format!(
+                        "{path}.key: must be null or a 128-bit hex content key"
+                    ))
+                }
+            },
+        };
+        rows.push((outcome, key));
+    }
+    let written = rows.len() + usize::from(torn.is_some());
+    if written > header.total {
+        return Err(format!(
+            "stream has {written} row(s) but the header assigned only {}",
+            header.total
+        ));
+    }
+    Ok(ShardStream { header, rows, torn })
 }
 
 /// One stream line: the batch row plus the instance's content key.
 fn stream_row(outcome: &InstanceOutcome, key: Option<ContentKey>) -> Json {
-    let row = outcome_json(outcome);
-    let Json::Obj(mut fields) = row else {
+    let Json::Obj(mut fields) = outcome_json(outcome) else {
         unreachable!("outcome_json returns an object")
     };
     fields.push((
@@ -357,23 +461,6 @@ fn stream_row(outcome: &InstanceOutcome, key: Option<ContentKey>) -> Json {
         key.map_or(Json::Null, |k| Json::str(k.to_hex())),
     ));
     Json::Obj(fields)
-}
-
-/// A resume file must belong to this exact invocation: same corpus
-/// root, same split, same assignment size.
-fn check_header(found: &Json, expected: &Json, path: &Path) -> Result<(), String> {
-    for field in ["root", "shards", "shard", "total"] {
-        if found.get(field) != expected.get(field) {
-            return Err(format!(
-                "{}: resume header mismatch on {field} (found {}, this invocation is {}) — \
-                 the corpus or shard split changed",
-                path.display(),
-                found.get(field).map_or("absent".into(), Json::render),
-                expected.get(field).map_or("absent".into(), Json::render),
-            ));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -414,7 +501,8 @@ mod tests {
             outcome("b.rtlb", OutcomeKind::ParseError),
         ];
         let text = stream_text(0, 1, 2, &rows);
-        let stream = parse_stream(&text, false).unwrap();
+        let stream = read_stream(&text).unwrap();
+        assert_eq!(stream.torn, None);
         assert_eq!(stream.rows.len(), 2);
         assert_eq!(stream.rows[0].0, rows[0]);
         assert_eq!(stream.rows[0].1, Some(ContentKey::of(b"k")));
@@ -426,10 +514,14 @@ mod tests {
         let rows = vec![outcome("a.rtlb", OutcomeKind::Ok)];
         let mut text = stream_text(0, 1, 2, &rows);
         text.push_str("{\"path\":\"b.rtlb\",\"outco"); // the kill tore here
-        let stream = parse_stream(&text, true).unwrap();
+        let stream = read_stream(&text).unwrap();
         assert_eq!(stream.rows.len(), 1, "torn line dropped");
-        let err = parse_stream(&text, false).unwrap_err();
+        assert_eq!(stream.torn, Some(3));
+        let path = std::env::temp_dir().join(format!("rtlb-shard-torn-{}", std::process::id()));
+        std::fs::write(&path, &text).unwrap();
+        let err = merge_shards(std::slice::from_ref(&path)).unwrap_err();
         assert!(err.contains("invalid stream row"), "{err}");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -462,6 +554,33 @@ mod tests {
         // The same shard twice.
         let err = merge_shards(&[s0.clone(), s0.clone()]).unwrap_err();
         assert!(err.contains("duplicate shard"), "{err}");
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn merge_refuses_what_check_report_refuses() {
+        let dir = std::env::temp_dir().join(format!("rtlb-shard-refuse-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+
+        // A row without `key`: the same line-numbered message as
+        // `check-report`, prefixed with the file.
+        let mut text = stream_text(0, 1, 1, &[]);
+        text.push_str(&outcome_json(&outcome("a.rtlb", OutcomeKind::Ok)).render());
+        text.push('\n');
+        let keyless = dir.join("keyless.jsonl");
+        std::fs::write(&keyless, &text).unwrap();
+        let err = merge_shards(std::slice::from_ref(&keyless)).unwrap_err();
+        let checked = crate::check::check_shard_stream(&text).unwrap_err();
+        assert!(checked.contains("line 2: missing `key`"), "{checked}");
+        assert_eq!(err, format!("{}: {checked}", keyless.display()));
+
+        // A header that splits the corpus into no shards at all.
+        let no_split = dir.join("no-split.jsonl");
+        std::fs::write(&no_split, stream_text(0, 0, 0, &[])).unwrap();
+        let err = merge_shards(&[no_split]).unwrap_err();
+        assert!(err.contains("not a valid split"), "{err}");
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

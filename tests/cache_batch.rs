@@ -9,13 +9,26 @@
 //! * a shard stream killed at *any* byte past its header resumes to the
 //!   same completed state, and `merge-shards` of the resumed streams is
 //!   byte-identical to an uninterrupted run's normalized report;
+//! * a stream damaged anywhere but its final line is refused, not
+//!   truncated, by `--resume`;
+//! * a cache entry the shared decoder refuses is a miss, recomputed and
+//!   overwritten;
+//! * every bound the pipeline returns survives the shared bound-row
+//!   codec, and `check-report` accepts every document that carries it;
 //! * CRLF and duplicate manifest entries resolve like clean LF ones.
 
 use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use rtlb::batch::{run_batch, run_batch_probed, BatchOptions, BatchReport, OutcomeKind};
-use rtlb::obs::MetricsRegistry;
+use rtlb::cache::{bound_from_json, bound_json, entry_from_json, entry_json, NamedBounds};
+use rtlb::core::{analyze_with, AnalysisOptions, PropagationLevel, SystemModel};
+use rtlb::fmt::ContentKey;
+use rtlb::graph::{Catalog, Dur, TaskGraph, TaskGraphBuilder, TaskSpec, Time};
+use rtlb::obs::{json, Json, MetricsRegistry};
 use rtlb::shard::{merge_shards, run_shard, ShardOptions};
 use rtlb::workloads::framed_tasks;
 
@@ -33,6 +46,28 @@ fn temp(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+fn rtlb(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_rtlb"))
+        .args(args)
+        .output()
+        .expect("rtlb runs")
+}
+
+/// Every file under `dir`, recursively, in sorted order.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(files_under(&path));
+        } else {
+            files.push(path);
+        }
+    }
+    files.sort();
+    files
 }
 
 /// Everything about a report except wall-clock timing.
@@ -297,5 +332,214 @@ proptest! {
         prop_assert_eq!(merged.to_json().render(), expected);
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The sweep examines intervals of demand 0 for a resource that only a
+/// zero-computation task demands, so its bound is `lb 0` *with* a
+/// witness. The batch report, its shard stream and its cache entry all
+/// carry that row, and `check-report` accepts each of them.
+#[test]
+fn zero_work_demander_passes_check_report_everywhere() {
+    let dir = temp("zero-work");
+    let corpus = dir.join("corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    std::fs::write(
+        corpus.join("zero.rtlb"),
+        "processor P\nresource z\ntask idle c=0 proc=P uses=z deadline=10\n\
+         task work c=2 proc=P deadline=10\n",
+    )
+    .unwrap();
+    let (report, stream, cache) = (
+        dir.join("report.json"),
+        dir.join("s0.jsonl"),
+        dir.join("cache"),
+    );
+    let run = rtlb(&[
+        "batch",
+        corpus.to_str().unwrap(),
+        &format!("--out={}", report.display()),
+        &format!("--shard-out={}", stream.display()),
+        &format!("--cache={}", cache.display()),
+    ]);
+    assert!(run.status.success(), "{run:?}");
+
+    let doc = json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let z = &doc.get("instances").and_then(Json::as_arr).unwrap()[0]
+        .get("bounds")
+        .and_then(Json::as_arr)
+        .unwrap()[1];
+    assert_eq!(z.get("resource").and_then(Json::as_str), Some("z"));
+    assert_eq!(z.get("lb").and_then(Json::as_int), Some(0));
+    assert_eq!(
+        z.get("witness").and_then(|w| w.get("demand")),
+        Some(&Json::Int(0))
+    );
+
+    let mut files = vec![report, stream];
+    files.extend(files_under(&cache));
+    assert_eq!(files.len(), 4, "report, stream, cache index and one entry");
+    for file in &files {
+        let checked = rtlb(&["check-report", file.to_str().unwrap()]);
+        assert!(
+            checked.status.success(),
+            "{}: {}",
+            file.display(),
+            String::from_utf8_lossy(&checked.stderr)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An entry rewritten to a bound its row cannot justify (`lb 8` with no
+/// witness) is a miss: `analyze --cache` recomputes, prints the true
+/// bounds, and stores the entry back byte for byte.
+#[test]
+fn tampered_cache_entry_is_recomputed_and_overwritten() {
+    let dir = temp("tamper");
+    let instance = "examples/batch/good_fanout.rtlb";
+    let cache_flag = format!("--cache={}", dir.join("cache").display());
+    let fresh = rtlb(&["analyze", instance, &cache_flag]);
+    assert!(fresh.status.success(), "{fresh:?}");
+    let entries: Vec<PathBuf> = files_under(&dir.join("cache"))
+        .into_iter()
+        .filter(|p| !p.ends_with("index.json"))
+        .collect();
+    assert_eq!(entries.len(), 1);
+    let stored = std::fs::read_to_string(&entries[0]).unwrap();
+
+    let mut doc = json::parse(&stored).unwrap();
+    let Json::Obj(fields) = &mut doc else {
+        panic!("entry is an object")
+    };
+    let Some((_, Json::Arr(rows))) = fields.iter_mut().find(|(k, _)| k == "bounds") else {
+        panic!("entry has bounds")
+    };
+    let Json::Obj(row) = &mut rows[0] else {
+        panic!("bound row is an object")
+    };
+    for (key, value) in row.iter_mut() {
+        match key.as_str() {
+            "lb" => *value = Json::Int(8),
+            "witness" => *value = Json::Null,
+            _ => {}
+        }
+    }
+    std::fs::write(&entries[0], doc.render()).unwrap();
+
+    let again = rtlb(&["analyze", instance, &cache_flag]);
+    assert!(again.status.success(), "{again:?}");
+    let status = String::from_utf8_lossy(&again.stderr);
+    assert!(status.contains("cache miss"), "{status}");
+    assert_eq!(
+        again.stdout, fresh.stdout,
+        "the true bounds, not the tampered one"
+    );
+    assert_eq!(std::fs::read_to_string(&entries[0]).unwrap(), stored);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A kill can tear only the final line. An undecodable line with rows
+/// after it is damage `--resume` must not paper over: it names the line
+/// and leaves the stream as it was, rows after the damage included.
+#[test]
+fn resume_refuses_a_corrupt_middle_line_and_leaves_the_stream() {
+    let dir = temp("corrupt-middle");
+    let corpus = dir.join("corpus");
+    tiny_corpus(&corpus);
+    let options = ShardOptions {
+        batch: BatchOptions::default(),
+        shards: 1,
+        shard: 0,
+        out: dir.join("s0.jsonl"),
+        resume: true,
+    };
+    run_shard(
+        &corpus,
+        &ShardOptions {
+            resume: false,
+            ..options.clone()
+        },
+    )
+    .unwrap();
+    let stream = std::fs::read_to_string(&options.out).unwrap();
+    let mut lines: Vec<&str> = stream.lines().collect();
+    assert_eq!(lines.len(), 5, "header plus four rows");
+    lines[1] = r#"{"path":"#;
+    let damaged = format!("{}\n", lines.join("\n"));
+    std::fs::write(&options.out, &damaged).unwrap();
+
+    let err = run_shard(&corpus, &options).unwrap_err();
+    assert!(err.contains("line 2"), "{err}");
+    assert_eq!(std::fs::read_to_string(&options.out).unwrap(), damaged);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A small random instance for the codec round trip: tasks with
+/// computation 0 to 3 and sparse precedence. Every zero-computation
+/// task demands `z`, so `z`'s bound is often `lb 0` with a witness, and
+/// without a witness when each such task has a zero-width window.
+fn codec_instance(seed: u64) -> TaskGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut catalog = Catalog::new();
+    let p = catalog.processor("P");
+    let r = catalog.resource("r");
+    let z = catalog.resource("z");
+    let mut builder = TaskGraphBuilder::new(catalog);
+    let n = rng.random_range(1..=6);
+    let mut ids = Vec::new();
+    for i in 0..n {
+        let c = rng.random_range(0..=3);
+        let release = rng.random_range(0..6);
+        let slack = rng.random_range(0..=6);
+        let mut spec = TaskSpec::new(format!("t{i}"), Dur::new(c), p)
+            .release(Time::new(release))
+            .deadline(Time::new(release + c + slack));
+        if c == 0 {
+            spec = spec.resource(z);
+        }
+        if rng.random_range(0..100) < 50 {
+            spec = spec.resource(r);
+        }
+        ids.push(builder.add_task(spec).unwrap());
+    }
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if rng.random_range(0..100) < 20 {
+                builder.add_edge(ids[i], ids[j], Dur::new(0)).unwrap();
+            }
+        }
+    }
+    builder.build().unwrap()
+}
+
+proptest! {
+    /// Every bound `analyze_with` returns, at both propagation levels,
+    /// decodes back to itself through the shared bound-row codec —
+    /// alone and inside a cache entry.
+    #[test]
+    fn every_analyzed_bound_round_trips_through_the_shared_codec(seed in 0u64..100_000) {
+        let graph = codec_instance(seed);
+        for level in [PropagationLevel::Timeline, PropagationLevel::Filtered] {
+            let options = AnalysisOptions { propagation: level, ..AnalysisOptions::default() };
+            let Ok(analysis) = analyze_with(&graph, &SystemModel::shared(), options) else {
+                continue;
+            };
+            let named: NamedBounds = analysis
+                .bounds()
+                .iter()
+                .map(|b| (graph.catalog().name(b.resource).to_owned(), *b))
+                .collect();
+            for (name, bound) in &named {
+                let row = json::parse(&bound_json(name, bound).render()).unwrap();
+                prop_assert_eq!(
+                    bound_from_json(&row, "bound", bound.resource),
+                    Ok((name.clone(), *bound))
+                );
+            }
+            let key = ContentKey::of(&seed.to_le_bytes());
+            let entry = json::parse(&entry_json(key, "fp", &named).render()).unwrap();
+            prop_assert_eq!(entry_from_json(&entry), Ok((key, named)));
+        }
     }
 }
