@@ -4,7 +4,7 @@
 //! points, so most batch work is recomputation of instances the
 //! pipeline has already solved. [`ResultCache`] turns those into disk
 //! hits: bounds are stored under the instance's 128-bit
-//! [`ContentKey`](rtlb_format::ContentKey) — a stable hash of the
+//! [`ContentKey`] — a stable hash of the
 //! *canonical* instance text plus the semantic fingerprint of the
 //! [`AnalysisOptions`](rtlb_core::AnalysisOptions) — so any
 //! presentation variant of an already-analyzed system, under the same
@@ -40,9 +40,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rtlb_core::{IntervalWitness, ResourceBound};
-use rtlb_format::ContentKey;
+use rtlb_format::{content_key, ContentKey, ParsedSystem};
 use rtlb_graph::{Catalog, Dur, ResourceId, Time};
-use rtlb_obs::{json, Json};
+use rtlb_obs::{json, Json, Probe};
 
 /// Schema tag of the cache directory's `index.json`.
 pub const CACHE_SCHEMA: &str = "rtlb-cache-v1";
@@ -68,6 +68,18 @@ const INDEX_PINS: [(&str, &str); 3] = [
 /// Bounds by resource name, exactly as a batch row or `rtlb analyze`
 /// carries them.
 pub type NamedBounds = Vec<(String, ResourceBound)>;
+
+/// Where the bounds of [`ResultCache::lookup_or_analyze`] came from.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CacheOutcome {
+    /// Served from the store.
+    Hit,
+    /// A miss: analyzed, then stored.
+    Stored,
+    /// A miss: analyzed, but the store failed with this error, so the
+    /// next lookup misses again.
+    StoreFailed(String),
+}
 
 /// Monotone suffix making concurrent temp files unique within one
 /// process; the pid handles distinct processes.
@@ -178,6 +190,55 @@ impl ResultCache {
             &entry_json(key, options_fingerprint, bounds).render(),
         )
     }
+
+    /// Serves one parsed instance from the store, or runs `analyze` and
+    /// stores what it returns: the lookup-or-analyze path of every
+    /// single-instance caller. Keys by [`content_key`] under
+    /// `options_fingerprint`, re-binds a hit with [`resolve_bounds`], and
+    /// counts `cache.hit`, `cache.miss` and `cache.write` on `probe`.
+    /// Hit or miss, the bounds are the same, so callers print them
+    /// without caring which; the outcome says which it was.
+    ///
+    /// # Errors
+    ///
+    /// Only what `analyze` returns. A failed store is not an error: the
+    /// fresh bounds come back with [`CacheOutcome::StoreFailed`].
+    pub fn lookup_or_analyze<E>(
+        &self,
+        parsed: &ParsedSystem,
+        options_fingerprint: &str,
+        probe: &dyn Probe,
+        analyze: impl FnOnce() -> Result<Vec<ResourceBound>, E>,
+    ) -> Result<(ContentKey, Vec<ResourceBound>, CacheOutcome), E> {
+        let catalog = parsed.graph.catalog();
+        let key = content_key(parsed, options_fingerprint);
+        if let Some(bounds) = self
+            .lookup(key)
+            .and_then(|named| resolve_bounds(catalog, &named))
+        {
+            probe.add("cache.hit", 1);
+            return Ok((key, bounds, CacheOutcome::Hit));
+        }
+        probe.add("cache.miss", 1);
+        let bounds = analyze()?;
+        let outcome = match self.store(key, options_fingerprint, &name_bounds(catalog, &bounds)) {
+            Ok(()) => {
+                probe.add("cache.write", 1);
+                CacheOutcome::Stored
+            }
+            Err(e) => CacheOutcome::StoreFailed(e),
+        };
+        Ok((key, bounds, outcome))
+    }
+}
+
+/// Names each bound's resource through `catalog`, the form the store
+/// and batch rows carry; [`resolve_bounds`] is the inverse.
+pub fn name_bounds(catalog: &Catalog, bounds: &[ResourceBound]) -> NamedBounds {
+    bounds
+        .iter()
+        .map(|b| (catalog.name(b.resource).to_owned(), *b))
+        .collect()
 }
 
 /// Re-binds name-keyed cached bounds to a graph's catalog ids so they

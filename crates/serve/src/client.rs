@@ -1,11 +1,11 @@
 //! A small blocking `rtlb-rpc-v1` client: one TCP connection, one
 //! request line out, one response line back.
 //!
-//! Used by the load harness ([`crate::load`]), the CLI's `bench-serve`
-//! subcommand, and the end-to-end tests. Protocol-level failures (a
-//! response that is not valid JSON, a closed connection) are `Err`;
-//! typed server errors (`busy`, `timeout`, ...) are `Ok` responses with
-//! `"ok": false` — use [`error_code`] to classify them.
+//! Used by the end-to-end tests to drive the daemon over the wire.
+//! Protocol-level failures (a response that is not valid JSON, a closed
+//! connection) are `Err`; typed server errors (`busy`, `timeout`, ...)
+//! are `Ok` responses with `"ok": false` — use [`error_code`] to
+//! classify them.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -1,5 +1,5 @@
 //! Long-running analysis service for `rtlb`: the daemon behind
-//! `rtlb serve` and the load harness behind `rtlb bench-serve`.
+//! `rtlb serve` and a blocking [`Client`] for it.
 //!
 //! The service speaks **`rtlb-rpc-v1`**: line-delimited JSON over TCP,
 //! one request per line, one response line per request (see [`proto`]).
@@ -37,13 +37,11 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod load;
 pub mod pool;
 pub mod proto;
 pub mod server;
 
 pub use client::Client;
-pub use load::{run_load, LoadConfig, LoadReport, Workload};
 pub use pool::{Checkout, PoolStats, SessionPool};
 pub use proto::{parse_request, ErrorCode, Op, Request, RpcError, RPC_SCHEMA};
 pub use server::{serve, serve_with_parser, ServeConfig, Server};

@@ -37,12 +37,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rtlb_cache::{resolve_bounds, ResultCache};
+use rtlb_cache::ResultCache;
 use rtlb_core::{
     analyze_ctl, classify, panic_message, AnalysisError, AnalysisOptions, AnalysisSession,
-    CancelToken, OutcomeKind, ResourceBound, SystemModel,
+    CancelToken, OutcomeKind, SystemModel,
 };
-use rtlb_format::{content_key, instance, ParseError, ParsedSystem};
+use rtlb_format::{instance, ParseError, ParsedSystem};
 use rtlb_obs::{Json, MetricsRegistry, MetricsSnapshot, NULL_PROBE};
 
 use crate::pool::{Checkout, SessionPool};
@@ -394,44 +394,32 @@ fn op_analyze(
     let token = deadline_token(deadline_ms, &shared.config);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let parsed = (shared.parser)(instance_text).map_err(parse_rpc_error)?;
-        // With a cache attached, the request is keyed by its canonical
-        // content: a hit skips the pipeline entirely and re-binds the
-        // stored name-keyed bounds to this parse's catalog, which makes
-        // the response body byte-identical to a fresh analysis.
-        let key = shared
-            .cache
-            .as_ref()
-            .map(|_| content_key(&parsed, &shared.fingerprint));
-        if let (Some(cache), Some(key)) = (&shared.cache, key) {
-            let served = cache
-                .lookup(key)
-                .and_then(|named| resolve_bounds(parsed.graph.catalog(), &named));
-            match served {
-                Some(bounds) => {
-                    shared.registry.counter_add("cache.hit", 1);
-                    return Ok((parsed.graph, bounds));
-                }
-                None => shared.registry.counter_add("cache.miss", 1),
+        let analyze = || {
+            analyze_ctl(
+                &parsed.graph,
+                &SystemModel::shared(),
+                shared.config.options,
+                &NULL_PROBE,
+                &token,
+            )
+            .map(|analysis| analysis.bounds().to_vec())
+            .map_err(analysis_rpc_error)
+        };
+        // With a cache attached, a hit skips the pipeline and its
+        // response body is byte-identical to a fresh analysis. A failed
+        // store still answers with the fresh bounds.
+        let bounds = match &shared.cache {
+            Some(cache) => {
+                let (_, bounds, _) = cache.lookup_or_analyze(
+                    &parsed,
+                    &shared.fingerprint,
+                    &shared.registry,
+                    analyze,
+                )?;
+                bounds
             }
-        }
-        let analysis = analyze_ctl(
-            &parsed.graph,
-            &SystemModel::shared(),
-            shared.config.options,
-            &NULL_PROBE,
-            &token,
-        )
-        .map_err(analysis_rpc_error)?;
-        let bounds: Vec<ResourceBound> = analysis.bounds().to_vec();
-        if let (Some(cache), Some(key)) = (&shared.cache, key) {
-            let named: rtlb_cache::NamedBounds = bounds
-                .iter()
-                .map(|b| (parsed.graph.catalog().name(b.resource).to_owned(), *b))
-                .collect();
-            if cache.store(key, &shared.fingerprint, &named).is_ok() {
-                shared.registry.counter_add("cache.write", 1);
-            }
-        }
+            None => analyze()?,
+        };
         Ok((parsed.graph, bounds))
     }));
     let (graph, bounds) = request_outcome(id, outcome)?;

@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use rtlb_cache::{bound_from_json, bound_json, NamedBounds, ResultCache};
+use rtlb_cache::{bound_from_json, bound_json, name_bounds, NamedBounds, ResultCache};
 use rtlb_core::{
     analyze_ctl, effective_threads, run_jobs, AnalysisOptions, CancelToken, ResourceBound,
     SystemModel,
@@ -937,14 +937,11 @@ fn analyze_instance(
         None => CancelToken::none(),
     };
     match analyze_ctl(&parsed.graph, &SystemModel::shared(), options, probe, &ctl) {
-        Ok(analysis) => {
-            let bounds = analysis
-                .bounds()
-                .iter()
-                .map(|b| (parsed.graph.catalog().name(b.resource).to_owned(), *b))
-                .collect();
-            (OutcomeKind::Ok, None, bounds)
-        }
+        Ok(analysis) => (
+            OutcomeKind::Ok,
+            None,
+            name_bounds(parsed.graph.catalog(), analysis.bounds()),
+        ),
         Err(e) => (classify(&e), Some(e.to_string()), Vec::new()),
     }
 }

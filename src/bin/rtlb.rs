@@ -19,14 +19,13 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use rtlb::batch::{run_batch_probed, write_atomic, BatchOptions, HeartbeatOptions, OutcomeKind};
-use rtlb::cache::{resolve_bounds, NamedBounds, ResultCache};
+use rtlb::cache::{CacheOutcome, ResultCache};
 use rtlb::check::check_text;
 use rtlb::core::{
     analyze_with, analyze_with_probe, build_run_report, effective_threads, render_analysis,
     render_bounds, render_dedicated_cost, render_shared_cost, AnalysisOptions, AnalysisSession,
     CandidatePolicy, PropagationLevel, SystemModel,
 };
-use rtlb::fmt::content_key;
 use rtlb::format::{parse, render};
 use rtlb::graph::to_dot;
 use rtlb::obs::{
@@ -35,7 +34,7 @@ use rtlb::obs::{
 };
 use rtlb::scenario::{parse_scenarios, resolve};
 use rtlb::sched::{list_schedule, validate_schedule, Capacities};
-use rtlb::serve::{LoadConfig, ServeConfig, Workload, RPC_SCHEMA};
+use rtlb::serve::{ServeConfig, RPC_SCHEMA};
 use rtlb::shard::{merge_shards, run_shard_probed, ShardOptions};
 use rtlb::workloads::paper_example;
 
@@ -71,17 +70,12 @@ usage:
                                 speaking rtlb-rpc-v1 (one JSON request per
                                 line: open / delta / analyze / close /
                                 stats / shutdown) until a shutdown request
-  rtlb bench-serve <file>       load-test a daemon (an in-process one
-                                unless --addr= points elsewhere): N
-                                concurrent clients, sustained req/s, and
-                                p50/p99 latency per workload
   rtlb help | -h | --help       show this message
 
 exit codes (every subcommand):
   0  success
   1  the run failed: unreadable input, parse or analysis error, untolerated
-     batch outcome, scenario oracle divergence, invalid document, bench
-     setup failure
+     batch outcome, scenario oracle divergence, invalid document
   2  usage error: unknown command or flag, missing or invalid argument
 
 analysis flags (accepted by analyze, sweep-scenarios, batch, and serve):
@@ -201,20 +195,6 @@ written when the daemon stops):
                              hit's response is byte-identical to the fresh
                              analysis it replaces
 
-bench-serve flags:
-  --addr=HOST:PORT           drive an already-running daemon instead of
-                             spawning an in-process one
-  --clients=N                concurrent client connections (default: 4)
-  --requests=N               requests per client (default: 25)
-  --workload=W               one-shot, delta-stream, or both (default:
-                             both; delta-stream opens a session per client
-                             and streams edits, one-shot re-analyzes the
-                             full instance per request)
-  --deadline-ms=N            deadline_ms attached to every request
-  --out=FILE                 write the rtlb-bench-v1 JSON report atomically
-                             to FILE (e.g. BENCH_serve.json) instead of
-                             printing it on stdout
-
 examples:
   rtlb example > f.rtlb
   rtlb analyze f.rtlb
@@ -232,7 +212,6 @@ examples:
   rtlb check-report report.json batch.json metrics.json
   rtlb serve --addr=127.0.0.1:7421 --max-sessions=8 --max-inflight=4 &
   printf '{\"proto\":\"rtlb-rpc-v1\",\"op\":\"stats\"}\\n' | nc 127.0.0.1 7421
-  rtlb bench-serve f.rtlb --clients=4 --out=BENCH_serve.json
 ";
 
 /// The two non-zero exits of the documented table: usage errors (exit
@@ -267,7 +246,6 @@ fn main() -> ExitCode {
         Some("merge-shards") => cmd_merge_shards(&args),
         Some("check-report") => cmd_check_report(&args),
         Some("serve") => cmd_serve(&args),
-        Some("bench-serve") => cmd_bench_serve(&args),
         Some("help" | "-h" | "--help") => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -510,7 +488,8 @@ fn analyze_options(flags: &[String]) -> Result<AnalyzeArgs, String> {
 /// Hit or miss, stdout is exactly the [`render_bounds`] table — a hit
 /// re-binds the stored name-keyed bounds to this parse's catalog, a
 /// miss runs the pipeline and stores the result back, and the two are
-/// byte-identical by construction. Cache status goes to stderr.
+/// byte-identical by construction. Cache status goes to stderr; a
+/// store that fails is reported there and does not fail the run.
 fn cmd_analyze_cached(
     parsed: &rtlb::format::ParsedSystem,
     dir: &str,
@@ -524,34 +503,19 @@ fn cmd_analyze_cached(
         &NULL_PROBE
     };
     let cache = ResultCache::open(std::path::Path::new(dir))?;
-    let fingerprint = options.semantic_fingerprint();
-    let key = content_key(parsed, &fingerprint);
-    let served = cache
-        .lookup(key)
-        .and_then(|named| resolve_bounds(parsed.graph.catalog(), &named));
-    let bounds = match served {
-        Some(bounds) => {
-            probe.add("cache.hit", 1);
-            eprintln!("rtlb analyze: cache hit {key}");
-            bounds
+    let (key, bounds, outcome) =
+        cache.lookup_or_analyze(parsed, &options.semantic_fingerprint(), probe, || {
+            analyze_with_probe(&parsed.graph, &SystemModel::shared(), options, probe)
+                .map(|analysis| analysis.bounds().to_vec())
+                .map_err(|e| e.to_string())
+        })?;
+    match outcome {
+        CacheOutcome::Hit => eprintln!("rtlb analyze: cache hit {key}"),
+        CacheOutcome::Stored => eprintln!("rtlb analyze: cache miss {key}, stored"),
+        CacheOutcome::StoreFailed(e) => {
+            eprintln!("rtlb analyze: cache miss {key}, not stored: {e}")
         }
-        None => {
-            probe.add("cache.miss", 1);
-            let analysis =
-                analyze_with_probe(&parsed.graph, &SystemModel::shared(), options, probe)
-                    .map_err(|e| e.to_string())?;
-            let named: NamedBounds = analysis
-                .bounds()
-                .iter()
-                .map(|b| (parsed.graph.catalog().name(b.resource).to_owned(), *b))
-                .collect();
-            if cache.store(key, &fingerprint, &named).is_ok() {
-                probe.add("cache.write", 1);
-            }
-            eprintln!("rtlb analyze: cache miss {key}, stored");
-            analysis.bounds().to_vec()
-        }
-    };
+    }
     print!("{}", render_bounds(&parsed.graph, &bounds));
     export_telemetry(&registry, telemetry, effective_threads(options.parallelism))?;
     Ok(())
@@ -695,130 +659,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, Failure> {
     snapshot.normalize();
     export_snapshot(&snapshot, &telemetry)?;
     println!("rtlb serve: stopped");
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Everything `rtlb bench-serve` accepts after the instance file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct BenchServeArgs {
-    addr: Option<String>,
-    load: LoadConfig,
-    workloads: Vec<Workload>,
-    out: Option<String>,
-}
-
-impl Default for BenchServeArgs {
-    fn default() -> BenchServeArgs {
-        BenchServeArgs {
-            addr: None,
-            load: LoadConfig::default(),
-            workloads: vec![Workload::OneShot, Workload::DeltaStream],
-            out: None,
-        }
-    }
-}
-
-/// Parses `bench-serve` flags (everything after the file argument).
-fn bench_serve_options(flags: &[String]) -> Result<BenchServeArgs, String> {
-    let mut args = BenchServeArgs::default();
-    for flag in flags {
-        if let Some(addr) = value_flag(flag, "--addr", "a HOST:PORT")? {
-            args.addr = Some(addr.to_owned());
-        } else if let Some(n) = flag.strip_prefix("--clients=") {
-            args.load.clients = n
-                .parse()
-                .map_err(|_| format!("invalid client count `{n}`"))?;
-        } else if let Some(n) = flag.strip_prefix("--requests=") {
-            args.load.requests_per_client = n
-                .parse()
-                .map_err(|_| format!("invalid request count `{n}`"))?;
-        } else if let Some(ms) = flag.strip_prefix("--deadline-ms=") {
-            args.load.deadline_ms =
-                Some(ms.parse().map_err(|_| format!("invalid deadline `{ms}`"))?);
-        } else if let Some(w) = flag.strip_prefix("--workload=") {
-            args.workloads = match w {
-                "one-shot" => vec![Workload::OneShot],
-                "delta-stream" => vec![Workload::DeltaStream],
-                "both" => vec![Workload::OneShot, Workload::DeltaStream],
-                other => {
-                    return Err(format!(
-                        "unknown workload `{other}` (expected one-shot, delta-stream, or both)"
-                    ))
-                }
-            };
-        } else if let Some(path) = value_flag(flag, "--out", "a file path")? {
-            args.out = Some(path.to_owned());
-        } else {
-            return Err(format!("unknown flag `{flag}` (see `rtlb --help`)"));
-        }
-    }
-    Ok(args)
-}
-
-fn cmd_bench_serve(args: &[String]) -> Result<ExitCode, Failure> {
-    if args.len() < 2 || args[1].starts_with("--") {
-        return Err(Failure::Usage(
-            "`bench-serve` needs an instance file argument".to_owned(),
-        ));
-    }
-    let path = &args[1];
-    let opts = bench_serve_options(&args[2..]).map_err(Failure::Usage)?;
-    let instance = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-
-    // Without --addr, spawn an in-process daemon sized to the offered
-    // load so admission control does not skew the measurement.
-    let local = match &opts.addr {
-        Some(_) => None,
-        None => {
-            let config = ServeConfig {
-                max_sessions: opts.load.clients.max(4),
-                max_inflight: opts.load.clients.max(4),
-                ..ServeConfig::default()
-            };
-            Some(rtlb::serve::serve(config)?)
-        }
-    };
-    let addr = match (&opts.addr, &local) {
-        (Some(addr), _) => addr.clone(),
-        (None, Some(server)) => server.addr().to_string(),
-        (None, None) => unreachable!("either --addr or a local daemon"),
-    };
-
-    let mut runs = Vec::new();
-    for workload in &opts.workloads {
-        let report = rtlb::serve::run_load(&addr, &instance, *workload, &opts.load)?;
-        eprintln!(
-            "bench-serve: {} — {} ok / {} requests, {}.{:03} req/s, p50 {}us, p99 {}us",
-            report.workload.label(),
-            report.ok,
-            report.requests,
-            report.throughput_milli / 1000,
-            report.throughput_milli % 1000,
-            report.p50_micros,
-            report.p99_micros,
-        );
-        runs.push(report.to_json());
-    }
-    if let Some(server) = local {
-        server.shutdown();
-    }
-
-    let doc = Json::obj([
-        ("schema", Json::str("rtlb-bench-v1")),
-        ("bench", Json::str("serve")),
-        ("instance", Json::str(path.as_str())),
-        ("clients", Json::Int(opts.load.clients as i64)),
-        (
-            "requests_per_client",
-            Json::Int(opts.load.requests_per_client as i64),
-        ),
-        ("runs", Json::Arr(runs)),
-    ]);
-    if let Some(out) = &opts.out {
-        write_json(out, &doc)?;
-    } else {
-        println!("{}", doc.pretty());
-    }
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1734,61 +1574,26 @@ mod tests {
     }
 
     #[test]
-    fn bench_serve_flags_parse_together() {
-        let args = bench_serve_options(&flags(&[
-            "--addr=127.0.0.1:7421",
-            "--clients=8",
-            "--requests=50",
-            "--workload=delta-stream",
-            "--deadline-ms=100",
-            "--out=BENCH_serve.json",
-        ]))
-        .unwrap();
-        assert_eq!(args.addr.as_deref(), Some("127.0.0.1:7421"));
-        assert_eq!(args.load.clients, 8);
-        assert_eq!(args.load.requests_per_client, 50);
-        assert_eq!(args.load.deadline_ms, Some(100));
-        assert_eq!(args.workloads, vec![Workload::DeltaStream]);
-        assert_eq!(args.out.as_deref(), Some("BENCH_serve.json"));
-    }
-
-    #[test]
-    fn bench_serve_defaults_to_both_workloads_in_process() {
-        let args = bench_serve_options(&[]).unwrap();
-        assert_eq!(args.addr, None);
-        assert_eq!(args.load, LoadConfig::default());
-        assert_eq!(
-            args.workloads,
-            vec![Workload::OneShot, Workload::DeltaStream]
-        );
-        for bad in [
-            "--workload=batch",
-            "--clients=all",
-            "--requests=",
-            "--out=",
-            "--addr=",
-        ] {
-            assert!(bench_serve_options(&flags(&[bad])).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
     fn usage_mentions_the_serve_surface() {
         for needle in [
             "rtlb serve",
-            "rtlb bench-serve",
             "rtlb check-report",
             "rtlb-rpc-v1",
             "--addr=",
             "--max-sessions=",
             "--max-inflight=",
             "--deadline-ms=",
+        ] {
+            assert!(USAGE.contains(needle), "usage is missing {needle}");
+        }
+        for gone in [
+            "rtlb bench-serve",
             "--clients=",
             "--requests=",
             "--workload=",
             "rtlb-bench-v1",
         ] {
-            assert!(USAGE.contains(needle), "usage is missing {needle}");
+            assert!(!USAGE.contains(gone), "usage still mentions {gone}");
         }
     }
 

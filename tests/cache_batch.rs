@@ -439,6 +439,35 @@ fn tampered_cache_entry_is_recomputed_and_overwritten() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A store that fails is reported, not claimed: with the entry's shard
+/// directory replaced by a plain file, `analyze --cache` still prints
+/// the bounds table and exits 0, and stderr says the entry was not
+/// stored.
+#[test]
+fn failed_cache_store_is_reported_not_claimed() {
+    let dir = temp("unstorable");
+    let instance = "examples/instances/paper_fig7.rtlb";
+    let cache_flag = format!("--cache={}", dir.join("cache").display());
+    let fresh = rtlb(&["analyze", instance, &cache_flag]);
+    assert!(fresh.status.success(), "{fresh:?}");
+    let entries: Vec<PathBuf> = files_under(&dir.join("cache"))
+        .into_iter()
+        .filter(|p| !p.ends_with("index.json"))
+        .collect();
+    assert_eq!(entries.len(), 1);
+    let shard = entries[0].parent().expect("entries sit in a shard dir");
+    std::fs::remove_dir_all(shard).unwrap();
+    std::fs::write(shard, "not a directory").unwrap();
+
+    let again = rtlb(&["analyze", instance, &cache_flag]);
+    assert_eq!(again.status.code(), Some(0), "{again:?}");
+    assert_eq!(again.stdout, fresh.stdout, "the same bounds table");
+    let status = String::from_utf8_lossy(&again.stderr);
+    assert!(status.contains("not stored"), "{status}");
+    assert!(!entries[0].exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A kill can tear only the final line. An undecodable line with rows
 /// after it is damage `--resume` must not paper over: it names the line
 /// and leaves the stream as it was, rows after the damage included.

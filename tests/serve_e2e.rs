@@ -4,9 +4,10 @@
 //! analyze` **bit for bit** (including the rendered bounds table), one
 //! request's failure — deadline, overflow, panic — is a typed error that
 //! never takes down the daemon or its other sessions, and saturation is
-//! answered with a typed `busy` error instead of a queue.
+//! answered with a typed `busy` error instead of a queue, and clients
+//! served at the same time get the same bounds as a lone client.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
 use rtlb::obs::Json;
@@ -58,6 +59,85 @@ fn server_bounds_match_cli_analyze_bit_for_bit() {
         assert_eq!(opened.get("bounds"), response.get("bounds"), "{path}");
         assert_eq!(opened.get("text"), response.get("text"), "{path}");
     }
+}
+
+/// Four clients at once, each holding at most one request in flight, so
+/// the default admission limit of four never refuses. Each sends 25
+/// one-shot `analyze` requests, then opens a session and streams 25
+/// `delta` edits that move the first task's computation down one tick
+/// and back. Every response is `ok` with the bounds a lone client gets
+/// in the same state.
+#[test]
+fn concurrent_clients_get_the_bounds_a_lone_client_gets() {
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 25;
+    let server = serve(ServeConfig::default()).expect("daemon binds");
+    let addr = server.addr();
+    let instance = read(INSTANCES[1]);
+    let parsed = rtlb::format::parse(&instance).expect("instance parses");
+    let (_, first) = parsed.graph.tasks().next().expect("instance has a task");
+    let c = first.computation().ticks();
+    let edits = [
+        format!("set {} c={}", first.name(), c - 1),
+        format!("set {} c={c}", first.name()),
+    ];
+    let ok_bounds = |response: Json| {
+        assert!(rtlb::serve::client::is_ok(&response), "{response:?}");
+        response.get("bounds").cloned().expect("bounds")
+    };
+    let session_of = |response: &Json| {
+        response
+            .get("session")
+            .and_then(Json::as_str)
+            .expect("session id")
+            .to_owned()
+    };
+
+    // The lone client: one-shot bounds, then the bounds after each edit.
+    let mut lone = Client::connect(addr).expect("client connects");
+    let oneshot = ok_bounds(lone.analyze(&instance, None).expect("analyze answers"));
+    let session = session_of(&lone.open(&instance, None).expect("open answers"));
+    let after_edit: Vec<Json> = edits
+        .iter()
+        .map(|edit| {
+            ok_bounds(
+                lone.delta(&session, std::slice::from_ref(edit), None)
+                    .expect("delta answers"),
+            )
+        })
+        .collect();
+    let closed = lone.close_session(&session).expect("close answers");
+    assert!(rtlb::serve::client::is_ok(&closed), "{closed:?}");
+
+    let start = Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect(addr).expect("client connects");
+                    start.wait();
+                    for _ in 0..REQUESTS {
+                        let bounds = ok_bounds(client.analyze(&instance, None).expect("answered"));
+                        assert_eq!(bounds, oneshot);
+                    }
+                    let opened = client.open(&instance, None).expect("answered");
+                    let session = session_of(&opened);
+                    assert_eq!(ok_bounds(opened), oneshot);
+                    for i in 0..REQUESTS {
+                        let edit = std::slice::from_ref(&edits[i % edits.len()]);
+                        let bounds =
+                            ok_bounds(client.delta(&session, edit, None).expect("answered"));
+                        assert_eq!(bounds, after_edit[i % edits.len()], "delta {i}");
+                    }
+                    let closed = client.close_session(&session).expect("answered");
+                    assert!(rtlb::serve::client::is_ok(&closed), "{closed:?}");
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("client thread");
+        }
+    });
 }
 
 #[test]
