@@ -26,7 +26,7 @@
 //! node N1 proc=P1 uses=r1 cost=45
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -74,24 +74,76 @@ fn graph_err(line: usize, e: GraphError) -> ParseError {
     err(line, e.to_string())
 }
 
-/// Splits `key=value` fields and bare flags out of a token list.
-pub(crate) fn fields<'a>(
-    tokens: &'a [&'a str],
-    line: usize,
-) -> Result<(BTreeMap<&'a str, &'a str>, Vec<&'a str>), ParseError> {
-    let mut map = BTreeMap::new();
-    let mut flags = Vec::new();
-    for t in tokens {
-        match t.split_once('=') {
-            Some((k, v)) => {
-                if map.insert(k, v).is_some() {
-                    return Err(err(line, format!("duplicate field `{k}`")));
+/// The `key=value` fields and bare flags of one line, in line order.
+/// One value is reused for every line of a parse, so splitting a line
+/// allocates nothing once the buffers have grown.
+#[derive(Default)]
+pub(crate) struct Fields<'a> {
+    pairs: Vec<(&'a str, &'a str)>,
+    flags: Vec<&'a str>,
+    /// The line's keys once it has more than [`SCAN_FIELDS`] fields.
+    seen: HashSet<&'a str>,
+}
+
+/// Up to this many fields, a duplicate key is found by scanning the
+/// line's earlier keys; past it, by a set of them, so that a line with
+/// very many fields is still split in time linear in its length. No
+/// valid line has more than five fields, and the scan costs those
+/// lines no hashing.
+const SCAN_FIELDS: usize = 8;
+
+impl<'a> Fields<'a> {
+    /// Splits `key=value` fields and bare flags out of `tokens`,
+    /// replacing the previous line's.
+    pub(crate) fn split(&mut self, tokens: &[&'a str], line: usize) -> Result<(), ParseError> {
+        self.pairs.clear();
+        self.flags.clear();
+        self.seen.clear();
+        for &t in tokens {
+            match t.split_once('=') {
+                Some((k, v)) => {
+                    let duplicate = if self.pairs.len() < SCAN_FIELDS {
+                        self.get(k).is_some()
+                    } else {
+                        if self.seen.is_empty() {
+                            self.seen.extend(self.pairs.iter().map(|&(k, _)| k));
+                        }
+                        !self.seen.insert(k)
+                    };
+                    if duplicate {
+                        return Err(err(line, format!("duplicate field `{k}`")));
+                    }
+                    self.pairs.push((k, v));
                 }
+                None => self.flags.push(t),
             }
-            None => flags.push(*t),
         }
+        Ok(())
     }
-    Ok((map, flags))
+
+    /// The value of field `key`.
+    pub(crate) fn get(&self, key: &str) -> Option<&'a str> {
+        self.pairs.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v)
+    }
+
+    /// The fields in line order.
+    pub(crate) fn pairs(&self) -> &[(&'a str, &'a str)] {
+        &self.pairs
+    }
+
+    /// The bare flags in line order.
+    pub(crate) fn flags(&self) -> &[&'a str] {
+        &self.flags
+    }
+
+    /// The first field key, in sorted order, that is not in `known`.
+    fn unknown_key(&self, known: &[&str]) -> Option<&'a str> {
+        self.pairs
+            .iter()
+            .map(|&(k, _)| k)
+            .filter(|k| !known.contains(k))
+            .min()
+    }
 }
 
 pub(crate) fn parse_i64(s: &str, line: usize, what: &str) -> Result<i64, ParseError> {
@@ -99,7 +151,16 @@ pub(crate) fn parse_i64(s: &str, line: usize, what: &str) -> Result<i64, ParseEr
         .map_err(|_| err(line, format!("invalid {what} `{s}`")))
 }
 
+/// A line with its comment cut off and its ends trimmed.
+fn content(raw: &str) -> &str {
+    raw.split('#').next().unwrap_or("").trim()
+}
+
 /// Parses an instance from the text format.
+///
+/// Besides what the graph keeps, the happy path allocates only one token
+/// buffer and one field list, reused for every line; edge endpoints stay
+/// borrowed from `input` until they are resolved.
 ///
 /// # Errors
 ///
@@ -109,30 +170,22 @@ pub(crate) fn parse_i64(s: &str, line: usize, what: &str) -> Result<i64, ParseEr
 pub fn parse(input: &str) -> Result<ParsedSystem, ParseError> {
     let mut catalog = Catalog::new();
 
-    // Pass 1: types only, so tasks can reference them in any order.
+    // Pass 1: types only, so tasks can reference them in any order. Only
+    // a declaration's tokens are read past the first.
     for (idx, raw) in input.lines().enumerate() {
         let line = idx + 1;
-        let text = raw.split('#').next().unwrap_or("").trim();
-        if text.is_empty() {
-            continue;
-        }
-        let tokens: Vec<&str> = text.split_whitespace().collect();
-        match tokens[0] {
-            "processor" | "resource" => {
-                let [_, name] = tokens[..] else {
-                    return Err(err(line, format!("usage: {} <name>", tokens[0])));
-                };
-                let kind = if tokens[0] == "processor" {
-                    rtlb_graph::ResourceKind::Processor
-                } else {
-                    rtlb_graph::ResourceKind::Resource
-                };
-                catalog
-                    .try_intern(name, kind)
-                    .map_err(|e| graph_err(line, e))?;
-            }
-            _ => {}
-        }
+        let mut words = content(raw).split_whitespace();
+        let (directive, kind) = match words.next() {
+            Some(d @ "processor") => (d, rtlb_graph::ResourceKind::Processor),
+            Some(d @ "resource") => (d, rtlb_graph::ResourceKind::Resource),
+            _ => continue,
+        };
+        let (Some(name), None) = (words.next(), words.next()) else {
+            return Err(err(line, format!("usage: {directive} <name>")));
+        };
+        catalog
+            .try_intern(name, kind)
+            .map_err(|e| graph_err(line, e))?;
     }
 
     let lookup = |catalog: &Catalog, name: &str, line: usize| {
@@ -142,20 +195,22 @@ pub fn parse(input: &str) -> Result<ParsedSystem, ParseError> {
     };
 
     let mut builder = TaskGraphBuilder::new(catalog);
-    let mut edges: Vec<(usize, String, String, Dur)> = Vec::new();
+    let mut edges: Vec<(usize, &str, &str, Dur)> = Vec::new();
     let mut shared = SharedModel::new();
     let mut has_costs = false;
     let mut node_types: Vec<NodeType> = Vec::new();
+    let mut tokens: Vec<&str> = Vec::new();
+    let mut fields = Fields::default();
 
     // Pass 2: everything else.
     for (idx, raw) in input.lines().enumerate() {
         let line = idx + 1;
-        let text = raw.split('#').next().unwrap_or("").trim();
-        if text.is_empty() {
+        tokens.clear();
+        tokens.extend(content(raw).split_whitespace());
+        let Some(&directive) = tokens.first() else {
             continue;
-        }
-        let tokens: Vec<&str> = text.split_whitespace().collect();
-        match tokens[0] {
+        };
+        match directive {
             "processor" | "resource" => {} // pass 1
             "default_deadline" => {
                 let [_, v] = tokens[..] else {
@@ -168,39 +223,37 @@ pub fn parse(input: &str) -> Result<ParsedSystem, ParseError> {
                     return Err(err(line, "usage: task <name> c=<ticks> proc=<type> ..."));
                 }
                 let name = tokens[1];
-                let (map, flags) = fields(&tokens[2..], line)?;
-                let c = map
+                fields.split(&tokens[2..], line)?;
+                let c = fields
                     .get("c")
                     .ok_or_else(|| err(line, "task needs c=<ticks>"))
                     .and_then(|v| parse_i64(v, line, "computation"))?;
                 let c =
                     Dur::try_new(c).ok_or_else(|| err(line, "computation must be non-negative"))?;
-                let proc_name = map
+                let proc_name = fields
                     .get("proc")
                     .ok_or_else(|| err(line, "task needs proc=<type>"))?;
                 let proc = lookup(builder.catalog(), proc_name, line)?;
                 let mut spec = TaskSpec::new(name, c, proc);
-                if let Some(v) = map.get("rel") {
+                if let Some(v) = fields.get("rel") {
                     spec = spec.release(Time::new(parse_i64(v, line, "release")?));
                 }
-                if let Some(v) = map.get("deadline") {
+                if let Some(v) = fields.get("deadline") {
                     spec = spec.deadline(Time::new(parse_i64(v, line, "deadline")?));
                 }
-                if let Some(v) = map.get("uses") {
+                if let Some(v) = fields.get("uses") {
                     for r in v.split(',').filter(|r| !r.is_empty()) {
                         spec = spec.resource(lookup(builder.catalog(), r, line)?);
                     }
                 }
-                for flag in &flags {
-                    match *flag {
+                for &flag in fields.flags() {
+                    match flag {
                         "preemptive" => spec = spec.preemptive(),
                         other => return Err(err(line, format!("unknown task flag `{other}`"))),
                     }
                 }
-                for key in map.keys() {
-                    if !["c", "proc", "rel", "deadline", "uses"].contains(key) {
-                        return Err(err(line, format!("unknown task field `{key}`")));
-                    }
+                if let Some(key) = fields.unknown_key(&["c", "proc", "rel", "deadline", "uses"]) {
+                    return Err(err(line, format!("unknown task field `{key}`")));
                 }
                 builder.add_task(spec).map_err(|e| graph_err(line, e))?;
             }
@@ -210,16 +263,16 @@ pub fn parse(input: &str) -> Result<ParsedSystem, ParseError> {
                 let (Some(2), true) = (arrow, tokens.len() >= 4) else {
                     return Err(err(line, "usage: edge <from> -> <to> [m=<ticks>]"));
                 };
-                let (map, flags) = fields(&tokens[4..], line)?;
-                if !flags.is_empty() {
-                    return Err(err(line, format!("unexpected token `{}`", flags[0])));
+                fields.split(&tokens[4..], line)?;
+                if let Some(flag) = fields.flags().first() {
+                    return Err(err(line, format!("unexpected token `{flag}`")));
                 }
-                let m = match map.get("m") {
+                let m = match fields.get("m") {
                     Some(v) => Dur::try_new(parse_i64(v, line, "message")?)
                         .ok_or_else(|| err(line, "message must be non-negative"))?,
                     None => Dur::ZERO,
                 };
-                edges.push((line, tokens[1].to_owned(), tokens[3].to_owned(), m));
+                edges.push((line, tokens[1], tokens[3], m));
             }
             "cost" => {
                 let [_, name, v] = tokens[..] else {
@@ -237,20 +290,20 @@ pub fn parse(input: &str) -> Result<ParsedSystem, ParseError> {
                     ));
                 }
                 let name = tokens[1];
-                let (map, flags) = fields(&tokens[2..], line)?;
-                if !flags.is_empty() {
-                    return Err(err(line, format!("unknown node flag `{}`", flags[0])));
+                fields.split(&tokens[2..], line)?;
+                if let Some(flag) = fields.flags().first() {
+                    return Err(err(line, format!("unknown node flag `{flag}`")));
                 }
-                let proc_name = map
+                let proc_name = fields
                     .get("proc")
                     .ok_or_else(|| err(line, "node needs proc=<type>"))?;
                 let proc = lookup(builder.catalog(), proc_name, line)?;
-                let cost = map
+                let cost = fields
                     .get("cost")
                     .ok_or_else(|| err(line, "node needs cost=<price>"))
                     .and_then(|v| parse_i64(v, line, "price"))?;
                 let mut resources = Vec::new();
-                if let Some(v) = map.get("uses") {
+                if let Some(v) = fields.get("uses") {
                     for r in v.split(',').filter(|r| !r.is_empty()) {
                         resources.push(lookup(builder.catalog(), r, line)?);
                     }
@@ -263,10 +316,10 @@ pub fn parse(input: &str) -> Result<ParsedSystem, ParseError> {
 
     for (line, from, to, m) in edges {
         let f = builder
-            .task_id(&from)
+            .task_id(from)
             .ok_or_else(|| err(line, format!("unknown task `{from}`")))?;
         let t = builder
-            .task_id(&to)
+            .task_id(to)
             .ok_or_else(|| err(line, format!("unknown task `{to}`")))?;
         builder.add_edge(f, t, m).map_err(|e| graph_err(line, e))?;
     }

@@ -33,7 +33,7 @@ use std::fmt;
 use rtlb_core::Delta;
 use rtlb_graph::{Dur, ExecutionMode, TaskGraph, Time};
 
-use crate::instance::{fields, parse_i64, ParseError};
+use crate::instance::{parse_i64, Fields, ParseError};
 
 /// One unresolved, name-based edit line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -176,13 +176,17 @@ fn parse_edit(tokens: &[&str], line: usize) -> Result<Vec<ScenarioEdit>, ParseEr
                 return Err(err(line, "usage: set <task> c=|rel=|deadline=|mode=..."));
             }
             let task = tokens[1];
-            let (map, flags) = fields(&tokens[2..], line)?;
-            if !flags.is_empty() {
-                return Err(err(line, format!("unexpected token `{}`", flags[0])));
+            let mut fields = Fields::default();
+            fields.split(&tokens[2..], line)?;
+            if let Some(flag) = fields.flags().first() {
+                return Err(err(line, format!("unexpected token `{flag}`")));
             }
+            // Fields apply, and fail, in key order, not line order.
+            let mut pairs = fields.pairs().to_vec();
+            pairs.sort_unstable_by_key(|&(key, _)| key);
             let mut edits = Vec::new();
-            for (key, value) in &map {
-                edits.push(match *key {
+            for (key, value) in pairs {
+                edits.push(match key {
                     "c" => {
                         let c = Dur::try_new(parse_i64(value, line, "computation")?)
                             .ok_or_else(|| err(line, "computation must be non-negative"))?;
@@ -197,7 +201,7 @@ fn parse_edit(tokens: &[&str], line: usize) -> Result<Vec<ScenarioEdit>, ParseEr
                         Time::new(parse_i64(value, line, "deadline")?),
                     ),
                     "mode" => {
-                        let mode = match *value {
+                        let mode = match value {
                             "preemptive" => ExecutionMode::Preemptive,
                             "nonpreemptive" => ExecutionMode::NonPreemptive,
                             other => {

@@ -1,6 +1,6 @@
 //! The validated application DAG and its builder.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use crate::catalog::{Catalog, ResourceId, ResourceKind};
@@ -76,7 +76,7 @@ pub struct Edge {
 pub struct TaskGraphBuilder {
     catalog: Catalog,
     specs: Vec<TaskSpec>,
-    names: BTreeMap<String, TaskId>,
+    names: HashMap<String, TaskId>,
     edges: Vec<(TaskId, TaskId, Dur)>,
     edge_set: BTreeSet<(TaskId, TaskId)>,
     default_deadline: Option<Time>,
@@ -88,7 +88,7 @@ impl TaskGraphBuilder {
         TaskGraphBuilder {
             catalog,
             specs: Vec::new(),
-            names: BTreeMap::new(),
+            names: HashMap::new(),
             edges: Vec::new(),
             edge_set: BTreeSet::new(),
             default_deadline: None,
@@ -133,29 +133,23 @@ impl TaskGraphBuilder {
     }
 
     fn check_spec_typing(&self, spec: &TaskSpec) -> Result<(), GraphError> {
-        // Probe the spec by materializing it with a throwaway deadline; the
-        // spec type keeps fields private so we re-validate on the task view.
-        let probe = spec
-            .clone()
-            .into_task(Some(Time::ZERO))
-            .expect("deadline provided");
         let bad = |detail: String| GraphError::BadTaskTyping {
             task: spec.name().to_owned(),
             detail,
         };
-        if !self.catalog.contains(probe.processor()) {
+        let processor = spec.processor_id();
+        if !self.catalog.contains(processor) {
             return Err(bad(format!(
-                "processor id {} is not in the catalog",
-                probe.processor()
+                "processor id {processor} is not in the catalog"
             )));
         }
-        if self.catalog.kind(probe.processor()) != ResourceKind::Processor {
+        if self.catalog.kind(processor) != ResourceKind::Processor {
             return Err(bad(format!(
                 "`{}` is not a processor type",
-                self.catalog.name(probe.processor())
+                self.catalog.name(processor)
             )));
         }
-        for &r in probe.resources() {
+        for &r in spec.resource_ids() {
             if !self.catalog.contains(r) {
                 return Err(bad(format!("resource id {r} is not in the catalog")));
             }
@@ -184,15 +178,16 @@ impl TaskGraphBuilder {
                 .map(|s| s.name())
                 .ok_or_else(|| GraphError::UnknownTask(format!("{id}")))
         };
-        let from_name = name_of(from)?.to_owned();
-        let to_name = name_of(to)?.to_owned();
+        // Names are copied only into an error.
+        let from_name = name_of(from)?;
+        let to_name = name_of(to)?;
         if from == to {
-            return Err(GraphError::SelfLoop(from_name));
+            return Err(GraphError::SelfLoop(from_name.to_owned()));
         }
         if !self.edge_set.insert((from, to)) {
             return Err(GraphError::DuplicateEdge {
-                from: from_name,
-                to: to_name,
+                from: from_name.to_owned(),
+                to: to_name.to_owned(),
             });
         }
         self.edges.push((from, to, message));
@@ -223,10 +218,9 @@ impl TaskGraphBuilder {
         }
         let mut tasks = Vec::with_capacity(self.specs.len());
         for spec in self.specs {
-            let name = spec.name().to_owned();
             let task = spec
                 .into_task(self.default_deadline)
-                .ok_or(GraphError::MissingDeadline(name))?;
+                .map_err(|spec| GraphError::MissingDeadline(spec.name().to_owned()))?;
             tasks.push(task);
         }
 
@@ -605,6 +599,8 @@ impl TaskGraph {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn diamond() -> TaskGraph {

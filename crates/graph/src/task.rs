@@ -118,9 +118,23 @@ impl TaskSpec {
         &self.name
     }
 
-    pub(crate) fn into_task(self, default_deadline: Option<Time>) -> Option<Task> {
-        let deadline = self.deadline.or(default_deadline)?;
-        Some(Task {
+    /// The processor type, for the builder's typing check.
+    pub(crate) fn processor_id(&self) -> ResourceId {
+        self.processor
+    }
+
+    /// The resources `R_i`, for the builder's typing check.
+    pub(crate) fn resource_ids(&self) -> &BTreeSet<ResourceId> {
+        &self.resources
+    }
+
+    /// The task this spec describes, or the spec back when it has no
+    /// deadline of its own and `default_deadline` is `None`.
+    pub(crate) fn into_task(self, default_deadline: Option<Time>) -> Result<Task, TaskSpec> {
+        let Some(deadline) = self.deadline.or(default_deadline) else {
+            return Err(self);
+        };
+        Ok(Task {
             name: self.name,
             computation: self.computation,
             processor: self.processor,
@@ -268,7 +282,7 @@ mod tests {
             .into_task(Some(Time::new(9)))
             .unwrap();
         assert_eq!(t.deadline(), Time::new(5));
-        assert!(TaskSpec::new("c", Dur::new(1), p).into_task(None).is_none());
+        assert!(TaskSpec::new("c", Dur::new(1), p).into_task(None).is_err());
     }
 
     #[test]

@@ -8,6 +8,15 @@
 //! ([`str_field`], [`int_field`], [`nonneg_field`], [`arr_field`]) name
 //! the offending field by its path, so a decoder's error doubles as a
 //! validator's message.
+//!
+//! Decoding is linear in the input. The input is a `&str`, so it is
+//! already valid UTF-8: a string's runs of unescaped bytes are found
+//! eight bytes at a time and copied as they are, with no per-character
+//! decoding or re-validation, and a string is allocated once (escapes
+//! only shorten it, so its raw length is its capacity). Arrays and
+//! objects nest at most [`MAX_DEPTH`] levels deep: the decoder recurses
+//! once per level, so a few kilobytes of `[` would otherwise overflow
+//! the decoding thread's stack and abort the process.
 
 use std::fmt::Write as _;
 
@@ -45,6 +54,19 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Moves the value of `key` out of an object, leaving `null` in its
+    /// place, so a decoder can keep a large string without copying it.
+    /// `None` for a missing key or a non-object.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
             _ => None,
         }
     }
@@ -182,6 +204,45 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The index of the first byte at or after `from` that ends a run of
+/// string bytes standing for themselves: `"`, `\` or a control
+/// character; `bytes.len()` if there is none. These stop bytes are
+/// ASCII, so a run starts and ends on a `char` boundary.
+///
+/// Eight bytes are tested at a time: in each word, a byte equal to `"`
+/// or `\` or below 0x20 sets its high bit. Borrows can also flag bytes
+/// above a match, never below one, so the lowest flagged byte is the
+/// first stop byte.
+fn run_end(bytes: &[u8], from: usize) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"));
+        let quote = word ^ (ONES * u64::from(b'"'));
+        let backslash = word ^ (ONES * u64::from(b'\\'));
+        let stops = (quote.wrapping_sub(ONES) & !quote)
+            | (backslash.wrapping_sub(ONES) & !backslash)
+            | (word.wrapping_sub(ONES * 0x20) & !word);
+        let stops = stops & HIGHS;
+        if stops != 0 {
+            return i + (stops.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while let Some(&b) = bytes.get(i) {
+        if b == b'"' || b == b'\\' || b < 0x20 {
+            return i;
+        }
+        i += 1;
+    }
+    bytes.len().min(i)
+}
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. Every
+/// document the tools write nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: byte offset plus message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -265,8 +326,10 @@ pub fn arr_field<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a [Json],
 /// [`ParseError`] with the byte offset of the first violation.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -278,8 +341,13 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    /// The input; already valid UTF-8, so string runs are copied
+    /// without re-checking it.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -324,12 +392,28 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Decodes one array or object with `container`, one level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -384,7 +468,17 @@ impl Parser<'_> {
 
     fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.pos = run_end(self.bytes, start);
+        if self.peek() == Some(b'"') {
+            // No escapes, the common case: one exact copy.
+            self.pos += 1;
+            return Ok(self.text[start..self.pos - 1].to_owned());
+        }
+        // Escapes only shorten the text, so its raw length bounds the
+        // decoded length and the string is allocated once.
+        let mut out = String::with_capacity(self.raw_len(start));
+        out.push_str(&self.text[start..self.pos]);
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
@@ -392,48 +486,62 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates are rejected rather than paired:
-                            // nothing we emit uses them.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("invalid \\u code point"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one whole UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(b'\\') => self.escape(&mut out)?,
+                Some(_) => return Err(self.err("raw control character in string")),
+            }
+            let run = self.pos;
+            self.pos = run_end(self.bytes, run);
+            out.push_str(&self.text[run..self.pos]);
+        }
+    }
+
+    /// Raw bytes from `start` to the closing quote of the string being
+    /// read, or to the end of the input if it has none.
+    fn raw_len(&self, start: usize) -> usize {
+        let mut i = self.pos;
+        loop {
+            i = run_end(self.bytes, i);
+            match self.bytes.get(i) {
+                Some(b'"') => return i - start,
+                Some(b'\\') => i += 2,
+                Some(_) => i += 1,
+                None => return self.bytes.len() - start,
             }
         }
+    }
+
+    /// Decodes the escape sequence at the cursor (a backslash) into
+    /// `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), ParseError> {
+        self.pos += 1;
+        let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                self.pos += 4;
+                // Surrogates are rejected rather than paired: nothing we
+                // emit uses them.
+                let c = char::from_u32(code).ok_or_else(|| self.err("invalid \\u code point"))?;
+                out.push(c);
+            }
+            _ => return Err(self.err("unknown escape")),
+        }
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -462,7 +570,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -527,6 +635,35 @@ mod tests {
     }
 
     #[test]
+    fn run_end_finds_the_first_stop_byte_in_and_across_words() {
+        for len in 0..20 {
+            let plain = "aé—".repeat(len);
+            let bytes = plain.as_bytes();
+            assert_eq!(run_end(bytes, 0), bytes.len(), "no stop byte in {plain:?}");
+            for stop in ["\"", "\\", "\u{0}", "\u{1f}", "\n"] {
+                for at in (0..=bytes.len()).filter(|&i| plain.is_char_boundary(i)) {
+                    let text = format!("{}{stop}{}\"", &plain[..at], &plain[at..]);
+                    for from in (0..=at).filter(|&i| plain.is_char_boundary(i)) {
+                        assert_eq!(run_end(text.as_bytes(), from), at, "{text:?} from {from}");
+                    }
+                }
+            }
+        }
+        // Near misses, none of them a stop byte: the bytes just above
+        // `"`, `\` and the control range, `~` and DEL.
+        assert_eq!(run_end(b"\x7f#]  ~\x7f\x7f\x7f!", 0), 10);
+    }
+
+    #[test]
+    fn take_moves_a_field_out() {
+        let mut doc = parse(r#"{"a": "long text", "b": 2}"#).unwrap();
+        assert_eq!(doc.take("a"), Some(Json::str("long text")));
+        assert_eq!(doc.get("a"), Some(&Json::Null));
+        assert_eq!(doc.take("missing"), None);
+        assert_eq!(Json::Int(1).take("a"), None);
+    }
+
+    #[test]
     fn parses_escapes_and_numbers() {
         assert_eq!(
             parse(r#""A\n\t\\\/""#).unwrap(),
@@ -555,6 +692,25 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_runs_out() {
+        let arrays = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        let objects = |levels: usize| "{\"k\":".repeat(levels) + "1" + &"}".repeat(levels);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let too_deep = |at: usize| {
+            Err(ParseError {
+                at,
+                message: format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+            })
+        };
+        assert_eq!(parse(&arrays(MAX_DEPTH + 1)), too_deep(MAX_DEPTH));
+        assert_eq!(parse(&objects(MAX_DEPTH + 1)), too_deep(5 * MAX_DEPTH));
+        // A megabyte of `[` is refused at the same byte, not by a stack
+        // overflow.
+        assert_eq!(parse(&"[".repeat(1 << 20)), too_deep(MAX_DEPTH));
     }
 
     #[test]

@@ -44,4 +44,4 @@ pub mod server;
 pub use client::Client;
 pub use pool::{Checkout, PoolStats, SessionPool};
 pub use proto::{parse_request, ErrorCode, Op, Request, RpcError, RPC_SCHEMA};
-pub use server::{serve, serve_with_parser, ServeConfig, Server};
+pub use server::{serve, serve_with_parser, ServeConfig, Server, MAX_REQUEST_BYTES};

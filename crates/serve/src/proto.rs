@@ -150,7 +150,8 @@ impl RpcError {
 /// invalid JSON, a missing/`proto` mismatch, an unknown `op`, or a
 /// missing or mistyped field.
 pub fn parse_request(line: &str) -> Result<Request, RpcError> {
-    let doc = json::parse(line).map_err(|e| RpcError::bad_request(format!("invalid JSON: {e}")))?;
+    let mut doc =
+        json::parse(line).map_err(|e| RpcError::bad_request(format!("invalid JSON: {e}")))?;
     match doc.get("proto").and_then(Json::as_str) {
         Some(RPC_SCHEMA) => {}
         Some(other) => {
@@ -164,28 +165,31 @@ pub fn parse_request(line: &str) -> Result<Request, RpcError> {
             )))
         }
     }
-    let id = match doc.get("id") {
+    // String fields move out of the document: an instance text is
+    // never copied.
+    let id = match doc.take("id") {
         None | Some(Json::Null) => None,
-        Some(Json::Str(s)) => Some(s.clone()),
+        Some(Json::Str(s)) => Some(s),
         Some(_) => return Err(RpcError::bad_request("`id` must be a string")),
     };
-    let op = match doc.get("op").and_then(Json::as_str) {
+    let op_field = doc.take("op");
+    let op = match op_field.as_ref().and_then(Json::as_str) {
         None => return Err(RpcError::bad_request("missing `op`")),
         Some("open") => Op::Open {
-            instance: required_str(&doc, "instance")?,
+            instance: required_str(&mut doc, "instance")?,
             deadline_ms: optional_u64(&doc, "deadline_ms")?,
         },
         Some("delta") => Op::Delta {
-            session: required_str(&doc, "session")?,
-            edits: required_str_array(&doc, "edits")?,
+            session: required_str(&mut doc, "session")?,
+            edits: required_str_array(&mut doc, "edits")?,
             deadline_ms: optional_u64(&doc, "deadline_ms")?,
         },
         Some("analyze") => Op::Analyze {
-            instance: required_str(&doc, "instance")?,
+            instance: required_str(&mut doc, "instance")?,
             deadline_ms: optional_u64(&doc, "deadline_ms")?,
         },
         Some("close") => Op::Close {
-            session: required_str(&doc, "session")?,
+            session: required_str(&mut doc, "session")?,
         },
         Some("stats") => Op::Stats,
         Some("shutdown") => Op::Shutdown,
@@ -194,24 +198,24 @@ pub fn parse_request(line: &str) -> Result<Request, RpcError> {
     Ok(Request { id, op })
 }
 
-fn required_str(doc: &Json, key: &str) -> Result<String, RpcError> {
-    match doc.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
+fn required_str(doc: &mut Json, key: &str) -> Result<String, RpcError> {
+    match doc.take(key) {
+        Some(Json::Str(s)) => Ok(s),
         Some(_) => Err(RpcError::bad_request(format!("`{key}` must be a string"))),
         None => Err(RpcError::bad_request(format!("missing `{key}`"))),
     }
 }
 
-fn required_str_array(doc: &Json, key: &str) -> Result<Vec<String>, RpcError> {
-    let arr = match doc.get(key) {
-        Some(json) => json
-            .as_arr()
-            .ok_or_else(|| RpcError::bad_request(format!("`{key}` must be an array")))?,
+fn required_str_array(doc: &mut Json, key: &str) -> Result<Vec<String>, RpcError> {
+    let items = match doc.take(key) {
+        Some(Json::Arr(items)) => items,
+        Some(_) => return Err(RpcError::bad_request(format!("`{key}` must be an array"))),
         None => return Err(RpcError::bad_request(format!("missing `{key}`"))),
     };
-    arr.iter()
+    items
+        .into_iter()
         .map(|v| match v {
-            Json::Str(s) => Ok(s.clone()),
+            Json::Str(s) => Ok(s),
             _ => Err(RpcError::bad_request(format!(
                 "`{key}` must contain only strings"
             ))),

@@ -23,14 +23,26 @@
 //! joins all of its threads before reporting the final
 //! [`MetricsSnapshot`].
 //!
+//! A connection reads at most [`MAX_REQUEST_BYTES`] of one request
+//! line. A longer line is answered with a typed `bad-request` naming
+//! the cap, counted as `serve.rejected.oversize`, and the connection is
+//! closed: the rest of the line cannot be told from the next request.
+//! Before closing, the daemon discards what the client is still sending
+//! for up to [`OVERSIZE_DRAIN`], so a client that finishes its line in
+//! that time reads the refusal and then end of stream rather than a
+//! connection reset. A
+//! line that is not valid UTF-8 is answered with a typed `bad-request`
+//! too, counted as `serve.rejected.not_utf8`, and the connection stays
+//! open.
+//!
 //! With [`ServeConfig::cache_dir`] set, `analyze` requests consult the
 //! content-addressed [`ResultCache`] before running the pipeline and
 //! store fresh `ok` bounds back (`cache.hit` / `cache.miss` /
 //! `cache.write` counters); a hit's response body is byte-identical to
 //! the fresh analysis it replaces.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -49,6 +61,16 @@ use crate::pool::{Checkout, SessionPool};
 use crate::proto::{
     bounds_body, err_response, ok_response, parse_request, ErrorCode, Op, Request, RpcError,
 };
+
+/// The longest request line a connection reads, in bytes, newline not
+/// included: far above the largest instance a client sends (a 400-task
+/// `open` line is about 91 KB), and small enough that a client streaming
+/// a line with no end cannot grow the daemon's memory without bound.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+
+/// How long a connection refused for an oversized line keeps discarding
+/// the client's input before it closes.
+pub const OVERSIZE_DRAIN: Duration = Duration::from_secs(2);
 
 /// Instance parser used for `open`/`analyze` request bodies. The default
 /// is [`rtlb_format::instance::parse`]; tests inject hostile parsers
@@ -231,8 +253,8 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 
 /// Reads request lines until EOF or shutdown, answering each with one
 /// response line. Read timeouts only exist to poll the stop flag; a
-/// partially read line survives them (the buffered reader keeps
-/// appending to `line`).
+/// partially read line survives them (the reader keeps appending to
+/// `line`). At most [`MAX_REQUEST_BYTES`] of a line are read.
 fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     // One-line request/response traffic stalls badly under Nagle +
     // delayed ACK (~40 ms per exchange); this is a latency protocol.
@@ -240,24 +262,44 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if shared.stop.load(Ordering::Acquire) {
             return Ok(());
         }
-        match reader.read_line(&mut line) {
+        // Room for the rest of a capped line plus its newline, so a
+        // line one byte over the cap is seen without reading further.
+        let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => {
                 // EOF; a final unterminated line still deserves an answer.
-                if !line.trim().is_empty() {
-                    let (response, _) = handle_line(line.trim(), shared);
+                if let Some((response, _)) = answer_line(&line, shared) {
                     writeln!(writer, "{}", response.render())?;
                 }
                 return Ok(());
             }
-            Ok(_) if !line.ends_with('\n') => continue,
+            Ok(_) if line.last() != Some(&b'\n') => {
+                if line.len() > MAX_REQUEST_BYTES {
+                    let response = reject(
+                        shared,
+                        "serve.rejected.oversize",
+                        format!(
+                            "request line exceeds the {MAX_REQUEST_BYTES}-byte cap; \
+                             closing the connection"
+                        ),
+                    );
+                    writeln!(writer, "{}", response.render())?;
+                    writer.flush()?;
+                    // Closing with unread input would reset the
+                    // connection and could destroy the refusal before
+                    // the client reads it; half-close and drain first.
+                    writer.shutdown(Shutdown::Write)?;
+                    discard_input(&mut reader, shared);
+                    return Ok(());
+                }
+            }
             Ok(_) => {
-                if !line.trim().is_empty() {
-                    let (response, stop) = handle_line(line.trim(), shared);
+                if let Some((response, stop)) = answer_line(&line, shared) {
                     writeln!(writer, "{}", response.render())?;
                     writer.flush()?;
                     if stop {
@@ -268,12 +310,56 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
                 }
                 line.clear();
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue
-            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(e) => return Err(e),
         }
     }
+}
+
+/// Reads and drops input until end of stream, a read error, shutdown or
+/// [`OVERSIZE_DRAIN`], whichever comes first.
+fn discard_input(reader: &mut impl Read, shared: &Shared) {
+    let deadline = Instant::now() + OVERSIZE_DRAIN;
+    let mut sink = [0u8; 8192];
+    while Instant::now() < deadline && !shared.stop.load(Ordering::Acquire) {
+        match reader.read(&mut sink) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
+            Err(_) => return,
+        }
+    }
+}
+
+/// Answers one complete request line: `None` for a blank line, which
+/// gets no response, and a typed `bad-request` for a line that is not
+/// UTF-8. Each line is checked for UTF-8 once, here.
+fn answer_line(line: &[u8], shared: &Shared) -> Option<(Json, bool)> {
+    match std::str::from_utf8(line) {
+        Ok(text) if text.trim().is_empty() => None,
+        Ok(text) => Some(handle_line(text.trim(), shared)),
+        Err(e) => Some((
+            reject(
+                shared,
+                "serve.rejected.not_utf8",
+                format!(
+                    "request line is not valid UTF-8 (first bad byte at offset {})",
+                    e.valid_up_to()
+                ),
+            ),
+            false,
+        )),
+    }
+}
+
+/// Counts and answers a line that never reached the request decoder.
+fn reject(shared: &Shared, counter: &'static str, message: String) -> Json {
+    shared.registry.counter_add("serve.requests", 1);
+    shared.registry.counter_add(counter, 1);
+    shared
+        .registry
+        .counter_add(error_counter(ErrorCode::BadRequest), 1);
+    err_response(&None, "?", &RpcError::bad_request(message))
 }
 
 /// Parses and dispatches one request line; returns the response and

@@ -471,7 +471,7 @@ fn analyze_options(flags: &[String]) -> Result<AnalyzeArgs, String> {
         } else if let Some(dir) = value_flag(flag, "--cache", "a directory path")? {
             args.cache = Some(dir.to_owned());
         } else {
-            return Err(format!("unknown flag `{flag}` (see `rtlb --help`)"));
+            return Err(format!("unknown flag `{flag}`"));
         }
     }
     if args.cache.is_some() && (args.metrics != MetricsMode::Off || args.trace_out.is_some()) {
@@ -640,7 +640,7 @@ fn serve_options(flags: &[String]) -> Result<ServeArgs, String> {
         } else if let Some(dir) = value_flag(flag, "--cache", "a directory path")? {
             args.config.cache_dir = Some(dir.into());
         } else {
-            return Err(format!("unknown flag `{flag}` (see `rtlb --help`)"));
+            return Err(format!("unknown flag `{flag}`"));
         }
     }
     Ok(args)
@@ -682,7 +682,7 @@ fn scenario_options(flags: &[String]) -> Result<ScenarioArgs, String> {
         } else if flag == "--json" {
             args.json = true;
         } else {
-            return Err(format!("unknown flag `{flag}` (see `rtlb --help`)"));
+            return Err(format!("unknown flag `{flag}`"));
         }
     }
     Ok(args)
@@ -916,7 +916,7 @@ fn batch_options(flags: &[String]) -> Result<BatchArgs, String> {
         } else if flag == "--resume" {
             args.resume = true;
         } else {
-            return Err(format!("unknown flag `{flag}` (see `rtlb --help`)"));
+            return Err(format!("unknown flag `{flag}`"));
         }
     }
     args.options.jobs = analysis.parallelism;
@@ -1010,7 +1010,7 @@ fn merge_options(args: &[String]) -> Result<MergeArgs, String> {
         } else if let Some(path) = value_flag(arg, "--out", "a file path")? {
             parsed.out = Some(path.to_owned());
         } else if arg.starts_with("--") {
-            return Err(format!("unknown flag `{arg}` (see `rtlb --help`)"));
+            return Err(format!("unknown flag `{arg}`"));
         } else {
             parsed.files.push(std::path::PathBuf::from(arg));
         }

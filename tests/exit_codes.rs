@@ -89,6 +89,33 @@ fn usage_errors_are_exit_two() {
     );
 }
 
+/// An unknown flag is named once and followed by the usage hint once,
+/// on every subcommand that takes flags.
+#[test]
+fn unknown_flag_prints_the_usage_hint_once() {
+    for args in [
+        &["analyze", "examples/instances/paper_fig7.rtlb", "--bogus"][..],
+        &["serve", "--bogus"],
+        &[
+            "sweep-scenarios",
+            "examples/scenarios/sensor_sweep.rtlbs",
+            "--bogus",
+        ],
+        &["batch", "examples/batch", "--bogus"],
+        &["merge-shards", "--bogus"],
+    ] {
+        let output = rtlb(args);
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            stderr.matches("(see `rtlb --help`)").count(),
+            1,
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(stderr.matches("unknown flag `--bogus`").count(), 1);
+    }
+}
+
 #[test]
 fn run_failures_are_exit_one() {
     // Unreadable input.

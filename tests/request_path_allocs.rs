@@ -1,0 +1,127 @@
+//! Allocation ceilings for the two layers every one-shot request
+//! crosses before analysis: decoding the `rtlb-rpc-v1` line and parsing
+//! the instance text. Counts at a fixed input do not jitter the way
+//! wall-clock time does, so a change that brings back per-character or
+//! per-line allocation fails here on any host.
+//!
+//! The counting allocator keeps its counters per thread, so tests that
+//! run in parallel in this binary do not see each other's allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rtlb::obs::Json;
+use rtlb::serve::{parse_request, Op};
+
+/// Forwards to the system allocator, counting on the calling thread
+/// every allocation (`alloc`, `alloc_zeroed` and `realloc` each count as
+/// one) and the bytes each one asks for (for `realloc`, the new size).
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    // `try_with`: a thread being torn down has no counters left, and an
+    // allocator must not panic.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; the counters are
+// const-initialized thread-local cells, which neither allocate nor
+// register a destructor.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from `System`; the caller upholds the rest.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the allocations and bytes it
+/// made on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (allocs, bytes) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    let value = f();
+    (
+        value,
+        ALLOCS.with(Cell::get) - allocs,
+        BYTES.with(Cell::get) - bytes,
+    )
+}
+
+/// The text of the 400-task instance the one-shot benchmark sends.
+fn instance_text() -> String {
+    let graph = rtlb::workloads::framed_tasks(100, 4, 42);
+    rtlb::format::render(&graph, None, None)
+}
+
+#[test]
+fn instance_parse_stays_under_its_allocation_ceiling() {
+    let text = instance_text();
+    let (parsed, allocs, _) = counted(|| rtlb::format::parse(&text));
+    let parsed = parsed.expect("the instance parses");
+    assert_eq!(parsed.graph.task_count(), 400);
+    eprintln!("instance::parse: {allocs} allocations");
+    assert!(
+        allocs <= 1_400,
+        "instance::parse made {allocs} allocations on 400 tasks (ceiling 1,400)"
+    );
+}
+
+#[test]
+fn request_decode_stays_under_its_allocation_ceiling() {
+    let text = instance_text();
+    let line = Json::obj([
+        ("proto", Json::str(rtlb::serve::RPC_SCHEMA)),
+        ("id", Json::str("a0")),
+        ("op", Json::str("analyze")),
+        ("instance", Json::str(text.as_str())),
+    ])
+    .render();
+    let (request, allocs, bytes) = counted(|| parse_request(&line));
+    let request = request.expect("the line decodes");
+    eprintln!(
+        "parse_request: {allocs} allocations, {bytes} bytes on a {}-byte line",
+        line.len()
+    );
+    assert!(
+        matches!(&request.op, Op::Analyze { instance, .. } if *instance == text),
+        "the instance text survives decoding"
+    );
+    assert!(
+        allocs <= 40,
+        "parse_request made {allocs} allocations on a {}-byte line (ceiling 40)",
+        line.len()
+    );
+    let ceiling = 3 * line.len() as u64;
+    assert!(
+        bytes <= ceiling,
+        "parse_request allocated {bytes} bytes on a {}-byte line (ceiling {ceiling})",
+        line.len()
+    );
+}

@@ -5,13 +5,17 @@
 //! request's failure — deadline, overflow, panic — is a typed error that
 //! never takes down the daemon or its other sessions, and saturation is
 //! answered with a typed `busy` error instead of a queue, and clients
-//! served at the same time get the same bounds as a lone client.
+//! served at the same time get the same bounds as a lone client. A
+//! request line the daemon cannot read, because it is not UTF-8 or is
+//! longer than the cap, is answered with a typed error too.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
-use rtlb::obs::Json;
-use rtlb::serve::{serve, serve_with_parser, Client, ServeConfig};
+use rtlb::obs::{json, Json};
+use rtlb::serve::{serve, serve_with_parser, Client, ServeConfig, MAX_REQUEST_BYTES};
 
 const INSTANCES: [&str; 2] = [
     "examples/instances/paper_fig7.rtlb",
@@ -25,6 +29,37 @@ fn read(path: &str) -> String {
 fn error_code(response: &Json) -> &str {
     rtlb::serve::client::error_code(response).expect("typed error code")
 }
+
+/// A connection that writes raw bytes and reads raw response lines; a
+/// stalled daemon fails the read after 10 s instead of hanging the test.
+fn raw_connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("client connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone socket"));
+    (stream, reader)
+}
+
+/// Reads one response line: `Err` on EOF, a read error or invalid JSON.
+fn read_response(reader: &mut BufReader<TcpStream>) -> Result<Json, String> {
+    let mut line = String::new();
+    match reader.read_line(&mut line) {
+        Ok(0) => Err("the daemon closed the connection".to_owned()),
+        Ok(_) => json::parse(line.trim()).map_err(|e| e.to_string()),
+        Err(e) => Err(format!("no response: {e}")),
+    }
+}
+
+fn counter(stats: &Json, name: &str) -> Option<i64> {
+    stats
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_int)
+}
+
+const STATS_LINE: &[u8] = b"{\"proto\":\"rtlb-rpc-v1\",\"op\":\"stats\"}\n";
 
 #[test]
 fn server_bounds_match_cli_analyze_bit_for_bit() {
@@ -422,4 +457,136 @@ fn shutdown_request_stops_the_daemon() {
             late.stats().is_err()
         }
     );
+}
+
+/// A request line that is not UTF-8 is answered like malformed JSON: a
+/// typed `bad-request`, with the connection kept open for the next one.
+#[test]
+fn non_utf8_request_gets_a_typed_error_and_the_connection_lives() {
+    let server = serve(ServeConfig::default()).expect("daemon binds");
+    let (mut writer, mut reader) = raw_connect(server.addr());
+    writer
+        .write_all(b"{\"proto\":\"rtlb-rpc-v1\",\"op\":\"\xff\xfe\"}\n")
+        .expect("send");
+    let response = read_response(&mut reader).expect("the bad line is answered");
+    assert_eq!(error_code(&response), "bad-request");
+    let message = response
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .expect("error message");
+    assert!(message.contains("UTF-8"), "{message}");
+
+    writer.write_all(STATS_LINE).expect("send");
+    let stats = read_response(&mut reader).expect("the same socket still answers");
+    assert!(rtlb::serve::client::is_ok(&stats), "{stats:?}");
+    assert_eq!(counter(&stats, "serve.rejected.not_utf8"), Some(1));
+}
+
+/// A request nested too deeply for the decoder is a typed
+/// `bad-request` on a connection that stays open, not a stack overflow
+/// that aborts the daemon.
+#[test]
+fn deeply_nested_request_gets_a_typed_error_and_the_daemon_lives() {
+    let server = serve(ServeConfig::default()).expect("daemon binds");
+    let (mut writer, mut reader) = raw_connect(server.addr());
+    let mut line = vec![b'['; 1 << 20];
+    line.push(b'\n');
+    writer.write_all(&line).expect("send");
+    let response = read_response(&mut reader).expect("the deep line is answered");
+    assert_eq!(error_code(&response), "bad-request");
+
+    writer.write_all(STATS_LINE).expect("send");
+    let stats = read_response(&mut reader).expect("the same socket still answers");
+    assert!(rtlb::serve::client::is_ok(&stats), "{stats:?}");
+}
+
+/// A line longer than [`MAX_REQUEST_BYTES`] is refused with a typed
+/// error naming the cap, and its connection is closed; the daemon keeps
+/// serving other connections.
+#[test]
+fn oversized_request_line_is_refused_and_its_connection_closed() {
+    let server = serve(ServeConfig::default()).expect("daemon binds");
+    let (mut writer, mut reader) = raw_connect(server.addr());
+    writer
+        .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+        .expect("the daemon reads up to the cap");
+    let response = read_response(&mut reader).expect("the long line is answered");
+    assert_eq!(error_code(&response), "bad-request");
+    let message = response
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .expect("error message");
+    assert!(
+        message.contains(&MAX_REQUEST_BYTES.to_string()),
+        "{message}"
+    );
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).expect("a clean close"),
+        0,
+        "the connection is closed after the refusal: {rest}"
+    );
+
+    let mut client = Client::connect(server.addr()).expect("a second client connects");
+    let stats = client.stats().expect("the daemon still answers");
+    assert!(rtlb::serve::client::is_ok(&stats), "{stats:?}");
+    assert_eq!(counter(&stats, "serve.rejected.oversize"), Some(1));
+}
+
+/// A client still sending when its line passes the cap finishes its
+/// writes and reads the typed refusal and then a clean end of stream:
+/// the daemon half-closes and discards the rest of the line instead of
+/// closing with unread input, which would reset the connection and fail
+/// the client's next write.
+#[test]
+fn client_still_sending_past_the_cap_reads_the_refusal() {
+    let server = serve(ServeConfig::default()).expect("daemon binds");
+    let (mut writer, mut reader) = raw_connect(server.addr());
+    writer
+        .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+        .expect("the daemon reads up to the cap");
+    let chunk = vec![b'x'; 128 << 10];
+    for _ in 0..8 {
+        // Paced, so a reset sent at the refusal would reach this socket
+        // before its next write.
+        std::thread::sleep(Duration::from_millis(10));
+        writer
+            .write_all(&chunk)
+            .expect("the rest of the line is accepted after the refusal");
+    }
+    writer.write_all(b"\n").expect("the line ends");
+    writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+
+    let response = read_response(&mut reader).expect("the refusal is read after sending");
+    assert_eq!(error_code(&response), "bad-request");
+    let mut rest = String::new();
+    assert_eq!(
+        reader
+            .read_line(&mut rest)
+            .expect("a clean close, not a reset"),
+        0,
+        "{rest}"
+    );
+
+    let mut client = Client::connect(server.addr()).expect("a second client connects");
+    let stats = client.stats().expect("the daemon still answers");
+    assert_eq!(counter(&stats, "serve.rejected.oversize"), Some(1));
+}
+
+/// A request that arrives in pieces, with a pause longer than the
+/// daemon's 200 ms read poll between them, is still read as one line.
+#[test]
+fn partial_request_line_survives_the_read_poll() {
+    let server = serve(ServeConfig::default()).expect("daemon binds");
+    let (mut writer, mut reader) = raw_connect(server.addr());
+    let (head, tail) = STATS_LINE.split_at(STATS_LINE.len() / 2);
+    writer.write_all(head).expect("send");
+    std::thread::sleep(Duration::from_millis(450));
+    writer.write_all(tail).expect("send");
+    let stats = read_response(&mut reader).expect("answered");
+    assert!(rtlb::serve::client::is_ok(&stats), "{stats:?}");
 }
