@@ -7,7 +7,8 @@
 //! with some of its neighbors onto one processor/node removes message
 //! delays but forces sequential execution. The greedy algorithms below
 //! explore that tradeoff; Theorems 1 and 2 of the paper prove they pick an
-//! optimal merge set.
+//! optimal merge set. Figure 2 is Figure 3 with time reversed, so one
+//! scan, [`bound_of`], computes both (see [`Pass`]).
 //!
 //! ## Correction to Figure 2/3 (documented in DESIGN.md)
 //!
@@ -35,7 +36,9 @@
 //! Table 1 merge set except the `G_9` anomaly discussed in
 //! EXPERIMENTS.md.
 
-use rtlb_graph::{Dur, TaskGraph, TaskId, Time};
+use std::cmp::Reverse;
+
+use rtlb_graph::{Dur, Edge, TaskGraph, TaskId, Time};
 use rtlb_obs::{span, Label, Probe, NULL_PROBE};
 
 use crate::cancel::CancelToken;
@@ -124,25 +127,30 @@ impl TimingAnalysis {
         }
     }
 
-    // Crate-private mutators for the incremental session
-    // ([`crate::session::AnalysisSession`]), which recomputes windows and
-    // merge selections task-by-task via [`est_of`] / [`lct_of`] instead of
-    // re-running the full Figure 2/3 passes.
-
-    pub(crate) fn set_est(&mut self, t: TaskId, est: Time) {
-        self.windows[t.index()].est = est;
+    /// `E_t` or `L_t`, as `pass` names it.
+    pub(crate) fn get(&self, pass: Pass, t: TaskId) -> Time {
+        match pass {
+            Pass::Est => self.est(t),
+            Pass::Lct => self.lct(t),
+        }
     }
 
-    pub(crate) fn set_lct(&mut self, t: TaskId, lct: Time) {
-        self.windows[t.index()].lct = lct;
-    }
-
-    pub(crate) fn set_merged_predecessors(&mut self, t: TaskId, merged: Vec<TaskId>) {
-        self.merged_preds[t.index()] = merged;
-    }
-
-    pub(crate) fn set_merged_successors(&mut self, t: TaskId, merged: Vec<TaskId>) {
-        self.merged_succs[t.index()] = merged;
+    /// Stores one [`bound_of`] result: `E_t` and `M_t`, or `L_t` and
+    /// `G_t`. The incremental session ([`crate::session::AnalysisSession`])
+    /// recomputes windows and merge selections task by task through this
+    /// instead of re-running both full Figure 2/3 passes.
+    pub(crate) fn set(&mut self, pass: Pass, t: TaskId, value: Time, merged: Vec<TaskId>) {
+        let i = t.index();
+        match pass {
+            Pass::Est => {
+                self.windows[i].est = value;
+                self.merged_preds[i] = merged;
+            }
+            Pass::Lct => {
+                self.windows[i].lct = value;
+                self.merged_succs[i] = merged;
+            }
+        }
     }
 }
 
@@ -244,28 +252,11 @@ pub fn compute_timing_traced(
     (analysis, trace)
 }
 
-/// [`compute_timing`] reporting into `probe`: `timing.lct_pass` and
-/// `timing.est_pass` spans around the two Figure 2/3 evaluation orders,
-/// plus `timing.merge_candidates` / `timing.merges_accepted` counters for
-/// the merge-selection scans. The windows are bit-identical with any
-/// probe.
-pub fn compute_timing_probed(
-    graph: &TaskGraph,
-    model: &SystemModel,
-    probe: &dyn Probe,
-) -> TimingAnalysis {
-    uncancellable(compute_timing_inner(
-        graph,
-        model,
-        &mut Timeline::new(),
-        None,
-        probe,
-        &CancelToken::none(),
-    ))
-}
-
-/// [`compute_timing_probed`] polling `ctl` once per task in each of the
-/// two Figure 2/3 passes.
+/// [`compute_timing`] reporting into `probe` and polling `ctl` once per
+/// task in each of the two Figure 2/3 passes: `timing.lct_pass` and
+/// `timing.est_pass` spans around the two evaluation orders, plus
+/// `timing.merge_candidates` / `timing.merges_accepted` counters for the
+/// merge-selection scans. The windows are bit-identical with any probe.
 ///
 /// # Errors
 ///
@@ -314,40 +305,36 @@ fn compute_timing_inner(
     ctl: &CancelToken,
 ) -> Result<TimingAnalysis, AnalysisError> {
     let n = graph.task_count();
-    let mut lct = vec![Time::ZERO; n];
-    let mut est = vec![Time::ZERO; n];
-    let mut merged_succs = vec![Vec::new(); n];
-    let mut merged_preds = vec![Vec::new(); n];
+    let mut timing = TimingAnalysis {
+        windows: vec![
+            TaskWindow {
+                est: Time::ZERO,
+                lct: Time::ZERO,
+            };
+            n
+        ],
+        merged_preds: vec![Vec::new(); n],
+        merged_succs: vec![Vec::new(); n],
+    };
     let (mut candidates, mut accepted) = (0u64, 0u64);
 
-    // LCT: sinks first.
-    {
-        let _pass = span(probe, "timing.lct_pass", Label::None);
-        for i in graph.reverse_topological_order() {
+    for pass in [Pass::Lct, Pass::Est] {
+        let name = match pass {
+            Pass::Lct => "timing.lct_pass",
+            Pass::Est => "timing.est_pass",
+        };
+        let _pass = span(probe, name, Label::None);
+        for i in pass.order(graph) {
             ctl.check()?;
-            let (value, merged, task_trace) = lct_of(graph, model, i, &lct, packer);
+            let (value, merged, task_trace) = bound_of(graph, model, pass, i, &timing, packer);
             candidates += task_trace.steps.len() as u64;
             accepted += merged.len() as u64;
-            lct[i.index()] = value;
-            merged_succs[i.index()] = merged;
+            timing.set(pass, i, value, merged);
             if let Some(t) = trace.as_deref_mut() {
-                t.lct.push(task_trace);
-            }
-        }
-    }
-
-    // EST: sources first.
-    {
-        let _pass = span(probe, "timing.est_pass", Label::None);
-        for &i in graph.topological_order() {
-            ctl.check()?;
-            let (value, merged, task_trace) = est_of(graph, model, i, &est, packer);
-            candidates += task_trace.steps.len() as u64;
-            accepted += merged.len() as u64;
-            est[i.index()] = value;
-            merged_preds[i.index()] = merged;
-            if let Some(t) = trace.as_deref_mut() {
-                t.est.push(task_trace);
+                match pass {
+                    Pass::Lct => t.lct.push(task_trace),
+                    Pass::Est => t.est.push(task_trace),
+                }
             }
         }
     }
@@ -357,56 +344,36 @@ fn compute_timing_inner(
     // Distribution across instances: one observation per fixpoint run,
     // so a batch-level registry sees per-instance merge workloads.
     probe.observe("timing.merge_candidates_per_run", candidates);
-
-    let windows = est
-        .into_iter()
-        .zip(lct)
-        .map(|(est, lct)| TaskWindow { est, lct })
-        .collect();
-    Ok(TimingAnalysis {
-        windows,
-        merged_preds,
-        merged_succs,
-    })
+    Ok(timing)
 }
 
-/// Reusable evaluator for the paper's `lst(A)`/`ect(A)` set packings
-/// inside the Figure 2/3 merge scans.
+/// Reusable evaluator for the paper's `ect(A)` set packing inside the
+/// Figure 2/3 merge scan (`lst(A)` is `−ect` over negated times, see
+/// [`Pass`]).
 ///
 /// One packer serves one merge scan at a time: [`Pack::begin`] resets
-/// the set, `push_*` adds a task, and the clamped read-outs return the
-/// packed value of everything pushed since `begin`. The *empty* set has
-/// no packing value of its own — the pre-fix helpers returned the raw
-/// `Time::MAX`/`Time::MIN` sentinels here, which violate the §7 magnitude
-/// envelope the moment they reach Ψ arithmetic — so every read-out is
-/// window-clamped: the caller supplies the Figure 2/3 incumbent
-/// (`L_i^0`/`E_i^0`) and gets it back unchanged for the empty set. A scan
-/// must not mix `push_lct` and `push_est` between two `begin` calls.
+/// the set, [`Pack::push`] adds a task, and [`Pack::ect_clamped`]
+/// returns the packed value of everything pushed since `begin`. The
+/// *empty* set has no packing value of its own — the pre-fix helpers
+/// returned the raw `Time::MAX`/`Time::MIN` sentinels here, which violate
+/// the §7 magnitude envelope the moment they reach Ψ arithmetic — so the
+/// read-out is window-clamped: the caller supplies the Figure 3
+/// incumbent (`E_i^0`) and gets it back unchanged for the empty set.
 ///
 /// The pipeline packs with the union-find [`Timeline`];
 /// [`crate::oracle::compute_timing_paper`] runs the paper's sequential
-/// re-packing through the same scans as the differential baseline.
+/// re-packing through the same scan as the differential baseline.
 pub(crate) trait Pack {
     /// Starts a fresh (empty) task set, keeping allocations.
     fn begin(&mut self);
 
-    /// Adds a task with window start `est` and computation `c` to the
-    /// `ect` set.
-    fn push_est(&mut self, est: Time, c: Dur);
+    /// Adds a task with window start `est` and computation `c`.
+    fn push(&mut self, est: Time, c: Dur);
 
     /// The paper's `ect(A)` of the current set, clamped from below by
     /// `floor` (Figure 3's `E_i^0` incumbent): `max(floor, ect(A))`, and
     /// exactly `floor` for the empty set.
     fn ect_clamped(&mut self, floor: Time) -> Time;
-
-    /// Adds a task with window end `lct` and computation `c` to the
-    /// `lst` set.
-    fn push_lct(&mut self, lct: Time, c: Dur);
-
-    /// The paper's `lst(A)` of the current set, clamped from above by
-    /// `ceiling` (Figure 2's `L_i^0` incumbent): `min(ceiling, lst(A))`,
-    /// and exactly `ceiling` for the empty set.
-    fn lst_clamped(&mut self, ceiling: Time) -> Time;
 
     /// Segment coalescings performed so far (the `timeline.unions`
     /// counter; 0 for packers without a union-find).
@@ -420,7 +387,7 @@ impl Pack for Timeline {
         self.clear();
     }
 
-    fn push_est(&mut self, est: Time, c: Dur) {
+    fn push(&mut self, est: Time, c: Dur) {
         self.insert(est.ticks(), c.ticks());
     }
 
@@ -428,207 +395,135 @@ impl Pack for Timeline {
         self.ect().map_or(floor, |f| floor.max(Time::new(f)))
     }
 
-    // lst over {(L_j, C_j)} = -ect over {(-L_j, C_j)}.
-    fn push_lct(&mut self, lct: Time, c: Dur) {
-        self.insert(-lct.ticks(), c.ticks());
-    }
-
-    fn lst_clamped(&mut self, ceiling: Time) -> Time {
-        self.ect().map_or(ceiling, |e| ceiling.min(Time::new(-e)))
-    }
-
     fn unions(&self) -> u64 {
         Timeline::unions(self)
     }
 }
 
-/// Figure 2: `L_i` and the merged successor set `G_i`.
+/// One of the two Figure 2/3 bounds.
 ///
-/// Pure in `(D_i, succs' L, succs' C, messages, model)` — the incremental
-/// session relies on this to recompute single tasks out of band. The
-/// `packer` is pure scratch (every [`Pack`] yields identical values).
-pub(crate) fn lct_of(
-    graph: &TaskGraph,
-    model: &SystemModel,
-    i: TaskId,
-    lct: &[Time],
-    packer: &mut impl Pack,
-) -> (Time, Vec<TaskId>, TaskTrace) {
-    let deadline = graph.task(i).deadline();
-    let succs = graph.successors(i);
-    if succs.is_empty() {
-        return (
-            deadline,
-            Vec::new(),
-            TaskTrace {
-                task: i,
-                base: deadline,
-                steps: Vec::new(),
-                final_value: deadline,
-            },
-        );
-    }
-
-    // lms_j = L_j - C_j - m_ij for every immediate successor.
-    let lms: Vec<(TaskId, Time)> = succs
-        .iter()
-        .map(|e| {
-            let j = e.other;
-            (j, lct[j.index()] - graph.task(j).computation() - e.message)
-        })
-        .collect();
-
-    // MS_i: successors individually mergeable with i.
-    let mut seed = MergeSet::new(model, graph, i).expect("validated models host every task");
-    let (ms, non_ms): (Vec<Boundary>, Vec<Boundary>) =
-        lms.iter().copied().partition(|&(j, _)| seed.can_add(j));
-
-    // Figure 2's L_i^0 = min(D_i, min over non-mergeable successors of
-    // lms). The incumbent for the merge scan additionally honors the lms
-    // of every still-unmerged mergeable successor (Equation 4.1 with
-    // A = ∅) — this is the "if no tasks are merged" bound of the paper's
-    // worked example.
-    let mut fig_l0 = deadline;
-    for &(_, b) in &non_ms {
-        fig_l0 = fig_l0.min(b);
-    }
-
-    // Scan MS_i in increasing lms order.
-    let mut ms_sorted = ms;
-    ms_sorted.sort_by_key(|&(j, b)| (b, j));
-
-    let mut best = fig_l0;
-    if let Some(&(_, b)) = ms_sorted.first() {
-        best = best.min(b);
-    }
-    let base = best;
-
-    // Evaluate Equation 4.1 at every mergeable prefix; remember the best
-    // (ties: shortest prefix). See the module docs for why prefixes
-    // suffice and why scanning all of them is required for soundness.
-    // The packer evaluates `lst` of each prefix incrementally: one push
-    // per candidate instead of a re-sorted re-pack per prefix.
-    packer.begin();
-    let mut prefix: Vec<TaskId> = Vec::new();
-    let mut values: Vec<(Time, MergeStep)> = Vec::new();
-    for (idx, &(j, boundary)) in ms_sorted.iter().enumerate() {
-        if !seed.can_add(j) {
-            values.push((
-                Time::MIN,
-                MergeStep {
-                    candidate: j,
-                    boundary,
-                    resulting: best,
-                    decision: MergeDecision::RejectedNotMergeable,
-                },
-            ));
-            break;
-        }
-        seed.add(j);
-        prefix.push(j);
-        packer.push_lct(lct[j.index()], graph.task(j).computation());
-        let mut value = packer.lst_clamped(fig_l0);
-        if let Some(&(_, b)) = ms_sorted.get(idx + 1) {
-            value = value.min(b); // sorted ascending: first remaining is min
-        }
-        values.push((
-            value,
-            MergeStep {
-                candidate: j,
-                boundary,
-                resulting: value,
-                decision: MergeDecision::RejectedNoImprovement,
-            },
-        ));
-    }
-    // Best prefix length (0 = merge nothing); strict > keeps ties short.
-    let mut best_len = 0usize;
-    for (k, &(v, _)) in values.iter().enumerate() {
-        if v > best {
-            best = v;
-            best_len = k + 1;
-        }
-    }
-    let mut steps = Vec::new();
-    for (k, (_, mut step)) in values.into_iter().enumerate() {
-        if k < best_len {
-            step.decision = MergeDecision::Accepted;
-        }
-        steps.push(step);
-    }
-    let merged: Vec<TaskId> = prefix.into_iter().take(best_len).collect();
-
-    let trace = TaskTrace {
-        task: i,
-        base,
-        steps,
-        final_value: best,
-    };
-    (best, merged, trace)
+/// Figure 2 is Figure 3 with time reversed: negating every time turns a
+/// latest completion `L` into an earliest start `−L`, the successors
+/// into the inputs, `lms_j = L_j − C_j − m` into `−lms_j = −L_j + C_j + m`
+/// (an `emr`), and the deadline into a release `−D_i`. So [`bound_of`]
+/// runs only Figure 3's scan, on times mapped through [`Pass::orient`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Pass {
+    /// Figure 3: `E_i` and `M_i` from the predecessors.
+    Est,
+    /// Figure 2: `L_i` and `G_i` from the successors.
+    Lct,
 }
 
-/// Figure 3: `E_i` and the merged predecessor set `M_i`.
+impl Pass {
+    /// Maps a time into this pass's orientation, where every bound is an
+    /// earliest start: the identity for `Est`, negation for `Lct`. It is
+    /// its own inverse, and maps the ±`Time::MAX` magnitude envelope onto
+    /// itself.
+    fn orient(self, t: Time) -> Time {
+        match self {
+            Pass::Est => t,
+            Pass::Lct => Time::new(-t.ticks()),
+        }
+    }
+
+    /// The neighbors whose bounds feed `i`'s.
+    fn inputs(self, graph: &TaskGraph, i: TaskId) -> &[Edge] {
+        match self {
+            Pass::Est => graph.predecessors(i),
+            Pass::Lct => graph.successors(i),
+        }
+    }
+
+    /// The neighbors whose bounds `i`'s feeds.
+    pub(crate) fn outputs(self, graph: &TaskGraph, i: TaskId) -> &[Edge] {
+        match self {
+            Pass::Est => graph.successors(i),
+            Pass::Lct => graph.predecessors(i),
+        }
+    }
+
+    /// The evaluation order, every task after its inputs: topological
+    /// for `Est`, reverse topological for `Lct`.
+    pub(crate) fn order(self, graph: &TaskGraph) -> impl Iterator<Item = TaskId> + '_ {
+        let topo = graph.topological_order();
+        let n = topo.len();
+        (0..n).map(move |k| match self {
+            Pass::Est => topo[k],
+            Pass::Lct => topo[n - 1 - k],
+        })
+    }
+}
+
+/// Figure 3 in `pass`'s orientation: `E_i` and the merged predecessor
+/// set `M_i`, or `L_i` and the merged successor set `G_i` (Figure 2).
+/// The value, merge set and trace come back in real time.
 ///
-/// Pure in `(rel_i, preds' E, preds' C, messages, model)` — the
-/// incremental session relies on this to recompute single tasks out of
-/// band. The `packer` is pure scratch (every [`Pack`] yields identical
-/// values).
-pub(crate) fn est_of(
+/// Pure in the task's own limit (`rel_i` or `D_i`), its inputs' values
+/// and computations, the messages and the model — the incremental
+/// session relies on this to recompute single tasks out of band. The
+/// `packer` is pure scratch (every [`Pack`] yields identical values).
+pub(crate) fn bound_of(
     graph: &TaskGraph,
     model: &SystemModel,
+    pass: Pass,
     i: TaskId,
-    est: &[Time],
+    timing: &TimingAnalysis,
     packer: &mut impl Pack,
 ) -> (Time, Vec<TaskId>, TaskTrace) {
-    let release = graph.task(i).release();
-    let preds = graph.predecessors(i);
-    if preds.is_empty() {
+    let task = graph.task(i);
+    let limit = match pass {
+        Pass::Est => task.release(),
+        Pass::Lct => task.deadline(),
+    };
+    let inputs = pass.inputs(graph, i);
+    if inputs.is_empty() {
         return (
-            release,
+            limit,
             Vec::new(),
             TaskTrace {
                 task: i,
-                base: release,
+                base: limit,
                 steps: Vec::new(),
-                final_value: release,
+                final_value: limit,
             },
         );
     }
+    let o = |t: Time| pass.orient(t);
 
-    // emr_j = E_j + C_j + m_ji for every immediate predecessor.
-    let emr: Vec<(TaskId, Time)> = preds
+    // emr_j = E_j + C_j + m_ji for every input (for Lct: −lms_j).
+    let emr: Vec<Boundary> = inputs
         .iter()
         .map(|e| {
             let j = e.other;
-            (j, est[j.index()] + graph.task(j).computation() + e.message)
+            (
+                j,
+                o(timing.get(pass, j)) + graph.task(j).computation() + e.message,
+            )
         })
         .collect();
 
+    // MP_i: inputs individually mergeable with i.
     let mut seed = MergeSet::new(model, graph, i).expect("validated models host every task");
     let (mp, non_mp): (Vec<Boundary>, Vec<Boundary>) =
         emr.iter().copied().partition(|&(j, _)| seed.can_add(j));
 
-    // Figure 3's E_i^0 = max(rel_i, max over non-mergeable predecessors
-    // of emr); the scan incumbent additionally honors the emr of every
-    // still-unmerged mergeable predecessor (Equation 4.5 with A = ∅).
-    let mut fig_e0 = release;
-    for &(_, b) in &non_mp {
-        fig_e0 = fig_e0.max(b);
-    }
+    // Figure 3's E_i^0 = max(rel_i, max over non-mergeable inputs of
+    // emr), with −D_i for rel_i on reversed time. The scan incumbent additionally honors the emr of every
+    // still-unmerged mergeable input (Equation 4.5 with A = ∅) — this is
+    // the "if no tasks are merged" bound of the paper's worked example.
+    let fig_e0 = non_mp.iter().fold(o(limit), |e0, &(_, b)| e0.max(b));
 
     // Scan MP_i in decreasing emr order.
     let mut mp_sorted = mp;
-    mp_sorted.sort_by_key(|&(j, b)| (std::cmp::Reverse(b), j));
+    mp_sorted.sort_by_key(|&(j, b)| (Reverse(b), j));
+    let base = mp_sorted.first().map_or(fig_e0, |&(_, b)| fig_e0.max(b));
 
-    let mut best = fig_e0;
-    if let Some(&(_, b)) = mp_sorted.first() {
-        best = best.max(b);
-    }
-    let base = best;
-
-    // Evaluate Equation 4.5 at every mergeable prefix (mirror image of
-    // the LCT scan); best value is the minimum, ties keep the shortest
-    // prefix.
+    // Evaluate Equation 4.5 at every mergeable prefix; remember the best
+    // (ties: shortest prefix). See the module docs for why prefixes
+    // suffice and why scanning all of them is required for soundness.
+    // The packer evaluates `ect` of each prefix incrementally: one push
+    // per candidate instead of a re-sorted re-pack per prefix.
     packer.begin();
     let mut prefix: Vec<TaskId> = Vec::new();
     let mut values: Vec<(Time, MergeStep)> = Vec::new();
@@ -638,8 +533,8 @@ pub(crate) fn est_of(
                 Time::MAX,
                 MergeStep {
                     candidate: j,
-                    boundary,
-                    resulting: best,
+                    boundary: o(boundary),
+                    resulting: o(base),
                     decision: MergeDecision::RejectedNotMergeable,
                 },
             ));
@@ -647,7 +542,7 @@ pub(crate) fn est_of(
         }
         seed.add(j);
         prefix.push(j);
-        packer.push_est(est[j.index()], graph.task(j).computation());
+        packer.push(o(timing.get(pass, j)), graph.task(j).computation());
         let mut value = packer.ect_clamped(fig_e0);
         if let Some(&(_, b)) = mp_sorted.get(idx + 1) {
             value = value.max(b); // sorted descending: first remaining is max
@@ -656,35 +551,39 @@ pub(crate) fn est_of(
             value,
             MergeStep {
                 candidate: j,
-                boundary,
-                resulting: value,
+                boundary: o(boundary),
+                resulting: o(value),
                 decision: MergeDecision::RejectedNoImprovement,
             },
         ));
     }
-    let mut best_len = 0usize;
+    // Best prefix length (0 = merge nothing); strict < keeps ties short.
+    let (mut best, mut best_len) = (base, 0usize);
     for (k, &(v, _)) in values.iter().enumerate() {
         if v < best {
             best = v;
             best_len = k + 1;
         }
     }
-    let mut steps = Vec::new();
-    for (k, (_, mut step)) in values.into_iter().enumerate() {
-        if k < best_len {
-            step.decision = MergeDecision::Accepted;
-        }
-        steps.push(step);
-    }
-    let merged: Vec<TaskId> = prefix.into_iter().take(best_len).collect();
+    let steps = values
+        .into_iter()
+        .enumerate()
+        .map(|(k, (_, mut step))| {
+            if k < best_len {
+                step.decision = MergeDecision::Accepted;
+            }
+            step
+        })
+        .collect();
+    prefix.truncate(best_len);
 
     let trace = TaskTrace {
         task: i,
-        base,
+        base: o(base),
         steps,
-        final_value: best,
+        final_value: o(best),
     };
-    (best, merged, trace)
+    (o(best), prefix, trace)
 }
 
 #[cfg(test)]

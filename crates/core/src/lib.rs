@@ -91,8 +91,8 @@ pub use cancel::{CancelToken, DEADLINE_STRIDE};
 pub use cost::{dedicated_cost_bound, shared_cost_bound, DedicatedCostBound, SharedCostBound};
 pub use error::AnalysisError;
 pub use estlct::{
-    compute_timing, compute_timing_ctl, compute_timing_probed, compute_timing_traced,
-    MergeDecision, MergeStep, TaskTrace, TaskWindow, TimingAnalysis, TimingTrace,
+    compute_timing, compute_timing_ctl, compute_timing_traced, MergeDecision, MergeStep, TaskTrace,
+    TaskWindow, TimingAnalysis, TimingTrace,
 };
 pub use exec::{effective_threads, run_jobs};
 pub use fault::{classify, panic_message, OutcomeKind, OUTCOME_KINDS};

@@ -11,7 +11,8 @@
 //!   demander of a resource at once. It must agree on every bound value
 //!   while examining at least as many intervals (the Theorem 5 ablation).
 //! * [`compute_timing_paper`] — Figures 2/3 with the paper's sequential
-//!   `lst`/`ect` re-packing (Equations 4.1/4.5) instead of the union-find
+//!   `ect` re-packing (Equation 4.5; Equation 4.1's `lst` is `−ect` on
+//!   reversed time) instead of the union-find
 //!   Timeline. Its windows and merge selections must equal
 //!   [`crate::compute_timing`]'s exactly.
 
@@ -98,20 +99,13 @@ pub fn compute_timing_paper(graph: &TaskGraph, model: &SystemModel) -> TimingAna
     compute_timing_with(graph, model, &mut PaperPacker::default())
 }
 
-/// Sequential sorted packing straight from Equations 4.1/4.5, on a reused
-/// scratch buffer (no per-call allocation or re-sort).
+/// Sequential sorted packing straight from Equation 4.5, on a reused
+/// scratch buffer (no per-call allocation or re-sort). Equation 4.1's
+/// `lst` reaches it as `−ect` over negated times.
 #[derive(Default)]
 struct PaperPacker {
-    /// `(boundary, computation)` pairs, sorted ascending by boundary
-    /// (EST for `ect`, LCT for `lst`).
+    /// `(est, computation)` pairs, sorted ascending by EST.
     sorted: Vec<(i64, i64)>,
-}
-
-impl PaperPacker {
-    fn push_sorted(&mut self, boundary: i64, c: i64) {
-        let at = self.sorted.partition_point(|&(b, _)| b <= boundary);
-        self.sorted.insert(at, (boundary, c));
-    }
 }
 
 impl Pack for PaperPacker {
@@ -119,8 +113,9 @@ impl Pack for PaperPacker {
         self.sorted.clear();
     }
 
-    fn push_est(&mut self, est: Time, c: Dur) {
-        self.push_sorted(est.ticks(), c.ticks());
+    fn push(&mut self, est: Time, c: Dur) {
+        let at = self.sorted.partition_point(|&(e, _)| e <= est.ticks());
+        self.sorted.insert(at, (est.ticks(), c.ticks()));
     }
 
     fn ect_clamped(&mut self, floor: Time) -> Time {
@@ -131,19 +126,6 @@ impl Pack for PaperPacker {
         }
         finish.map_or(floor, |f| floor.max(Time::new(f)))
     }
-
-    fn push_lct(&mut self, lct: Time, c: Dur) {
-        self.push_sorted(lct.ticks(), c.ticks());
-    }
-
-    fn lst_clamped(&mut self, ceiling: Time) -> Time {
-        let mut start: Option<i64> = None;
-        for &(l, c) in self.sorted.iter().rev() {
-            let completion = start.map_or(l, |s| s.min(l));
-            start = Some(completion - c);
-        }
-        start.map_or(ceiling, |s| ceiling.min(Time::new(s)))
-    }
 }
 
 #[cfg(test)]
@@ -151,24 +133,57 @@ mod tests {
     use super::*;
     use crate::timeline::Timeline;
 
+    fn neg(t: Time) -> Time {
+        Time::new(-t.ticks())
+    }
+
+    /// Equation 4.1's `lst(A)` straight from the paper, clamped from
+    /// above by `ceiling`: the tasks packed from the back in decreasing
+    /// LCT order. The reference for computing `lst` as `−ect` over
+    /// negated times.
+    fn paper_lst(tasks: &[(Time, Dur)], ceiling: Time) -> Time {
+        let mut sorted = tasks.to_vec();
+        sorted.sort_by_key(|&(l, _)| std::cmp::Reverse(l));
+        let mut start: Option<Time> = None;
+        for (l, c) in sorted {
+            let completion = start.map_or(l, |s| s.min(l));
+            start = Some(completion - c);
+        }
+        start.map_or(ceiling, |s| ceiling.min(s))
+    }
+
+    /// `lst` of `tasks` as `packer` computes it: `−ect` over negated LCTs.
+    fn lst_by_negation(packer: &mut impl Pack, tasks: &[(Time, Dur)], ceiling: Time) -> Time {
+        packer.begin();
+        for &(l, c) in tasks {
+            packer.push(neg(l), c);
+        }
+        neg(packer.ect_clamped(neg(ceiling)))
+    }
+
     /// lst/ect micro-checks straight from the paper's definitions, for
     /// both packers.
     fn sequential_packing(packer: &mut impl Pack) {
         // lst: (LCT, C) = (20,3), (15,5), (12,2) → pack from the back:
         //   completes 20 start 17; completes min(17,15)=15 start 10;
         //   completes min(10,12)=10 start 8.
-        packer.begin();
-        packer.push_lct(Time::new(20), Dur::new(3));
-        packer.push_lct(Time::new(15), Dur::new(5));
-        packer.push_lct(Time::new(12), Dur::new(2));
-        assert_eq!(packer.lst_clamped(Time::new(100)), Time::new(8));
+        let lst_set = [
+            (Time::new(20), Dur::new(3)),
+            (Time::new(15), Dur::new(5)),
+            (Time::new(12), Dur::new(2)),
+        ];
+        assert_eq!(paper_lst(&lst_set, Time::new(100)), Time::new(8));
+        assert_eq!(
+            lst_by_negation(packer, &lst_set, Time::new(100)),
+            Time::new(8)
+        );
 
         // ect: (EST, C) = (0,3), (4,5), (4,2) → [0,3], starts
         // max(3,4)=4 ends 9, starts 9 ends 11.
         packer.begin();
-        packer.push_est(Time::new(0), Dur::new(3));
-        packer.push_est(Time::new(4), Dur::new(5));
-        packer.push_est(Time::new(4), Dur::new(2));
+        packer.push(Time::new(0), Dur::new(3));
+        packer.push(Time::new(4), Dur::new(5));
+        packer.push(Time::new(4), Dur::new(2));
         assert_eq!(packer.ect_clamped(Time::new(-50)), Time::new(11));
     }
 
@@ -185,8 +200,7 @@ mod tests {
     /// empty-set read-out must be the caller's window clamp, strictly
     /// inside the envelope.
     fn empty_set_is_window_clamped(packer: &mut impl Pack) {
-        packer.begin();
-        let lst = packer.lst_clamped(Time::new(17));
+        let lst = lst_by_negation(packer, &[], Time::new(17));
         packer.begin();
         let ect = packer.ect_clamped(Time::new(-4));
         assert_eq!(lst, Time::new(17));
@@ -212,7 +226,8 @@ mod tests {
 
     /// The two packings are interchangeable: identical values for every
     /// prefix of pseudo-random task sets, read mid-scan like the Figure
-    /// 2/3 merge loops do.
+    /// 2/3 merge loop does. On the `lst` sets, `−ect` over negated times
+    /// also equals the paper's sequential `lst` packed from the back.
     #[test]
     fn paper_and_timeline_packings_agree_on_every_prefix() {
         let mut state = 0x2545f4914f6cdd1du64;
@@ -229,20 +244,24 @@ mod tests {
             paper.begin();
             timeline.begin();
             let clamp = Time::new((next() % 60) as i64);
+            let mut lst_set = Vec::new();
             for _ in 0..n {
                 let b = Time::new((next() % 50) as i64 - 10);
                 let c = Dur::new((next() % 9) as i64);
-                paper.push_lct(b, c);
-                timeline.push_lct(b, c);
-                assert_eq!(paper.lst_clamped(clamp), timeline.lst_clamped(clamp));
+                lst_set.push((b, c));
+                paper.push(neg(b), c);
+                timeline.push(neg(b), c);
+                let lst = neg(paper.ect_clamped(neg(clamp)));
+                assert_eq!(lst, neg(timeline.ect_clamped(neg(clamp))));
+                assert_eq!(lst, paper_lst(&lst_set, clamp));
             }
             paper.begin();
             timeline.begin();
             for _ in 0..n {
                 let b = Time::new((next() % 50) as i64 - 10);
                 let c = Dur::new((next() % 9) as i64);
-                paper.push_est(b, c);
-                timeline.push_est(b, c);
+                paper.push(b, c);
+                timeline.push(b, c);
                 assert_eq!(paper.ect_clamped(clamp), timeline.ect_clamped(clamp));
             }
         }

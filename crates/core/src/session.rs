@@ -45,7 +45,7 @@ use crate::analysis::{check_magnitudes, run_stages, Analysis, AnalysisOptions, R
 use crate::bounds::{fold_bound, RatioMax, ResourceBound};
 use crate::cancel::CancelToken;
 use crate::error::AnalysisError;
-use crate::estlct::{est_of, lct_of, TimingAnalysis};
+use crate::estlct::{bound_of, Pass, TimingAnalysis};
 use crate::model::SystemModel;
 use crate::partition::partition_tasks;
 use crate::propagate::refine_block;
@@ -216,28 +216,15 @@ impl AnalysisSession {
         model: SystemModel,
         options: AnalysisOptions,
     ) -> Result<AnalysisSession, AnalysisError> {
-        AnalysisSession::new_probed(graph, model, options, &NULL_PROBE)
+        AnalysisSession::new_ctl(graph, model, options, &NULL_PROBE, &CancelToken::none())
     }
 
     /// [`AnalysisSession::new`] reporting the initial full analysis into
-    /// `probe`: the same `analyze.*` stage spans and counters as
-    /// [`crate::analyze_with_probe`], under a `session.analyze` span.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AnalysisSession::new`].
-    pub fn new_probed(
-        graph: TaskGraph,
-        model: SystemModel,
-        options: AnalysisOptions,
-        probe: &dyn Probe,
-    ) -> Result<AnalysisSession, AnalysisError> {
-        AnalysisSession::new_ctl(graph, model, options, probe, &CancelToken::none())
-    }
-
-    /// [`AnalysisSession::new_probed`] polling `ctl` at the same
-    /// checkpoints as [`crate::analyze_ctl`] — the batch driver's
-    /// session-based entry point.
+    /// `probe` — the same `analyze.*` stage spans and counters as
+    /// [`crate::analyze_with_probe`], under a `session.analyze` span —
+    /// and polling `ctl` at the same checkpoints as
+    /// [`crate::analyze_ctl`]: the batch driver's session-based entry
+    /// point.
     ///
     /// # Errors
     ///
@@ -418,8 +405,8 @@ impl AnalysisSession {
             let _timing = span(probe, "session.timing", Label::None);
             let est_seed = std::mem::take(&mut self.pending_est);
             let lct_seed = std::mem::take(&mut self.pending_lct);
-            stats.tasks_recomputed_est = self.propagate_est(&est_seed);
-            stats.tasks_recomputed_lct = self.propagate_lct(&lct_seed);
+            stats.tasks_recomputed_est = self.propagate(Pass::Est, &est_seed);
+            stats.tasks_recomputed_lct = self.propagate(Pass::Lct, &lct_seed);
         }
         probe.add("session.tasks_recomputed", stats.tasks_recomputed());
 
@@ -565,77 +552,38 @@ impl AnalysisSession {
         }
     }
 
-    /// Forward EST wave over the stored topological order: recompute
-    /// seeded tasks, propagate to successors only when the value moved.
-    /// Merge selections are re-stored even on a value tie (the selected
-    /// set can change while the value doesn't; downstream evaluations
-    /// depend only on values, so the cutoff stays sound).
-    fn propagate_est(&mut self, seeds: &BTreeSet<TaskId>) -> u64 {
+    /// One Figure 2/3 wave in `pass`'s evaluation order (EST forward,
+    /// LCT backward): recompute seeded tasks, propagate to their outputs
+    /// only when the value moved. Inputs are read from `self.timing` in
+    /// place — every one is settled before the task that reads it. Merge
+    /// selections are re-stored even on a value tie (the selected set can
+    /// change while the value doesn't; downstream evaluations depend only
+    /// on values, so the cutoff stays sound).
+    fn propagate(&mut self, pass: Pass, seeds: &BTreeSet<TaskId>) -> u64 {
         if seeds.is_empty() {
             return 0;
         }
-        let n = self.graph.task_count();
-        let mut dirty = vec![false; n];
+        let mut dirty = vec![false; self.graph.task_count()];
         for &s in seeds {
             dirty[s.index()] = true;
         }
-        let mut est: Vec<Time> = (0..n)
-            .map(|i| self.timing.est(TaskId::from_index(i)))
-            .collect();
         let mut recomputed = 0u64;
         let mut packer = Timeline::new();
-        for &i in self.graph.topological_order() {
+        for i in pass.order(&self.graph) {
             if !dirty[i.index()] {
                 continue;
             }
             recomputed += 1;
-            let (value, merged, _) = est_of(&self.graph, &self.model, i, &est, &mut packer);
-            if value != est[i.index()] {
-                est[i.index()] = value;
+            let (value, merged, _) =
+                bound_of(&self.graph, &self.model, pass, i, &self.timing, &mut packer);
+            if value != self.timing.get(pass, i) {
                 self.pending_touched.insert(i);
                 self.pending_window.insert(i);
-                for e in self.graph.successors(i) {
+                for e in pass.outputs(&self.graph, i) {
                     dirty[e.other.index()] = true;
                 }
             }
-            self.timing.set_est(i, value);
-            self.timing.set_merged_predecessors(i, merged);
-        }
-        recomputed
-    }
-
-    /// Backward LCT wave over the reverse topological order; mirror image
-    /// of [`propagate_est`](AnalysisSession::propagate_est).
-    fn propagate_lct(&mut self, seeds: &BTreeSet<TaskId>) -> u64 {
-        if seeds.is_empty() {
-            return 0;
-        }
-        let n = self.graph.task_count();
-        let mut dirty = vec![false; n];
-        for &s in seeds {
-            dirty[s.index()] = true;
-        }
-        let mut lct: Vec<Time> = (0..n)
-            .map(|i| self.timing.lct(TaskId::from_index(i)))
-            .collect();
-        let mut recomputed = 0u64;
-        let mut packer = Timeline::new();
-        for i in self.graph.reverse_topological_order() {
-            if !dirty[i.index()] {
-                continue;
-            }
-            recomputed += 1;
-            let (value, merged, _) = lct_of(&self.graph, &self.model, i, &lct, &mut packer);
-            if value != lct[i.index()] {
-                lct[i.index()] = value;
-                self.pending_touched.insert(i);
-                self.pending_window.insert(i);
-                for e in self.graph.predecessors(i) {
-                    dirty[e.other.index()] = true;
-                }
-            }
-            self.timing.set_lct(i, value);
-            self.timing.set_merged_successors(i, merged);
+            self.timing.set(pass, i, value, merged);
         }
         recomputed
     }

@@ -125,7 +125,7 @@ struct BandEvent {
 /// built and sorted once, then merged allocation-free per `t1` column.
 /// See the module docs for the regime decomposition; the differential
 /// unit test `arena_streams_match_ramp_decomposition` pins each stream
-/// against [`psi_ramp`] exhaustively.
+/// against `psi_ramp` exhaustively.
 struct BlockArena {
     /// `+1` at a fixed position (NP early/mid regime, P early regime).
     start_fixed: Vec<ClampEvent>,

@@ -272,6 +272,9 @@ pub fn parse(input: &str) -> Result<ParsedSystem, ParseError> {
                         .ok_or_else(|| err(line, "message must be non-negative"))?,
                     None => Dur::ZERO,
                 };
+                if let Some(key) = fields.unknown_key(&["m"]) {
+                    return Err(err(line, format!("unknown edge field `{key}`")));
+                }
                 edges.push((line, tokens[1], tokens[3], m));
             }
             "cost" => {
@@ -307,6 +310,9 @@ pub fn parse(input: &str) -> Result<ParsedSystem, ParseError> {
                     for r in v.split(',').filter(|r| !r.is_empty()) {
                         resources.push(lookup(builder.catalog(), r, line)?);
                     }
+                }
+                if let Some(key) = fields.unknown_key(&["proc", "cost", "uses"]) {
+                    return Err(err(line, format!("unknown node field `{key}`")));
                 }
                 node_types.push(NodeType::new(name, proc, resources, cost));
             }

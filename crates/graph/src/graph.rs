@@ -246,6 +246,7 @@ impl TaskGraphBuilder {
         Ok(TaskGraph {
             catalog: self.catalog,
             tasks,
+            names: self.names,
             succs,
             preds,
             topo,
@@ -297,6 +298,8 @@ fn topological_sort(
 pub struct TaskGraph {
     catalog: Catalog,
     tasks: Vec<Task>,
+    /// Task ids by name; names are fixed at build time.
+    names: HashMap<String, TaskId>,
     succs: Vec<Vec<Edge>>,
     preds: Vec<Vec<Edge>>,
     topo: Vec<TaskId>,
@@ -337,10 +340,7 @@ impl TaskGraph {
 
     /// Looks up a task id by name.
     pub fn task_id(&self, name: &str) -> Option<TaskId> {
-        self.tasks
-            .iter()
-            .position(|t| t.name() == name)
-            .map(TaskId::from_index)
+        self.names.get(name).copied()
     }
 
     /// Immediate successors of `id` (the paper's `Succ_i`), with message

@@ -531,8 +531,12 @@ impl Parser<'_> {
                     .get(self.pos..self.pos + 4)
                     .and_then(|h| std::str::from_utf8(h).ok())
                     .ok_or_else(|| self.err("truncated \\u escape"))?;
-                let code =
-                    u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                // Exactly four hex digits: `from_str_radix` alone would
+                // also take a sign, as in `\u+061`.
+                let code = Some(hex)
+                    .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| self.err("invalid \\u escape"))?;
                 self.pos += 4;
                 // Surrogates are rejected rather than paired: nothing we
                 // emit uses them.

@@ -45,8 +45,9 @@ pub enum Checkout {
     /// variants.
     Live(Box<AnalysisSession>),
     /// The session was evicted to the parked tier: here is its graph,
-    /// re-analyze from scratch before applying.
-    Parked(TaskGraph),
+    /// re-analyze from scratch before applying. Boxed, like `Live`, so
+    /// that `Missing` stays small.
+    Parked(Box<TaskGraph>),
     /// No such session (never opened, closed, or dropped while parked).
     Missing,
 }
@@ -148,7 +149,7 @@ impl SessionPool {
         }
         if let Some((graph, _)) = self.parked.remove(id) {
             self.checked_out += 1;
-            return Checkout::Parked(graph);
+            return Checkout::Parked(Box::new(graph));
         }
         Checkout::Missing
     }

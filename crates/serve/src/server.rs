@@ -543,7 +543,7 @@ fn op_delta(
             shared.registry.counter_add("serve.session_rebuilds", 1);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 AnalysisSession::new_ctl(
-                    graph,
+                    *graph,
                     SystemModel::shared(),
                     shared.config.options,
                     &NULL_PROBE,

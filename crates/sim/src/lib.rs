@@ -4,7 +4,7 @@
 //! The analysis in `rtlb-core` reasons about schedules statically; this
 //! crate *executes* them:
 //!
-//! * [`replay`] — runs a static [`Schedule`](rtlb_sched::Schedule)
+//! * [`replay`](fn@replay) — runs a static [`Schedule`](rtlb_sched::Schedule)
 //!   (placement + order) on a simulated system, deriving all timing from
 //!   causality: unit availability, message delivery through a simulated
 //!   interconnection network, release times and resource counts. Under

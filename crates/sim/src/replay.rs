@@ -1,7 +1,7 @@
 //! Replay of a static schedule on a simulated distributed system.
 //!
-//! The input [`Schedule`](rtlb_sched::Schedule) fixes *placement* (which
-//! unit each task runs on) and *order* (per unit, planned start order);
+//! The input [`Schedule`] fixes *placement* (which unit each task runs
+//! on) and *order* (per unit, planned start order);
 //! the simulator derives the *timing* from causality: a task starts when
 //! its unit is free, its predecessors' messages have arrived through the
 //! simulated network, its release time has passed, its resources have

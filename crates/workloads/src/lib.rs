@@ -2,7 +2,7 @@
 //!
 //! Three families:
 //!
-//! * [`paper_example`] — the reconstructed 15-task instance of the
+//! * [`paper_example`](fn@paper_example) — the reconstructed 15-task instance of the
 //!   paper's Section 8 (Figure 7), the ground truth for the reproduction
 //!   experiments;
 //! * synthetic generators ([`layered`], [`fork_join`],

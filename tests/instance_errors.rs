@@ -1,14 +1,17 @@
 //! Pins the exact error, line and message, that the instance parser
 //! reports for malformed lines: a faster parser must tell the user
 //! exactly what the old one did, including which of several problems on
-//! one line (or in one file) it names first.
+//! one line (or in one file) it names first. Also checks that very long
+//! instance and edit input is handled in time linear in its size.
 
 use std::fmt::Write as _;
 use std::sync::mpsc;
 use std::time::Duration;
 
 use rtlb::format::parse;
-use rtlb::scenario::parse_edit_line;
+use rtlb::graph::Dur;
+use rtlb::scenario::{parse_edit_line, resolve_edits, ScenarioEdit};
+use rtlb::workloads::framed_tasks;
 
 /// Declares `P` (processor), `r` (resource) and a default deadline on
 /// lines 1–3, so each case's own lines start at line 4.
@@ -82,6 +85,7 @@ fn malformed_edge_lines() {
         ("edge a -> b m=1 m=2", 6, "duplicate field `m`"),
         ("edge a -> b m=x", 6, "invalid message `x`"),
         ("edge a -> b m=-1", 6, "message must be non-negative"),
+        ("edge a -> b M=3", 6, "unknown edge field `M`"),
         ("edge a -> u", 6, "unknown task `u`"),
         ("edge u -> v", 6, "unknown task `u`"),
         ("edge a -> a", 6, "self-loop on task `a`"),
@@ -120,6 +124,7 @@ fn malformed_node_lines() {
         ("node N proc=Q cost=5", 4, "unknown type `Q`"),
         ("node N proc=P cost=x", 4, "invalid price `x`"),
         ("node N proc=P cost=5 uses=q", 4, "unknown type `q`"),
+        ("node N proc=P cost=5 zz=1", 4, "unknown node field `zz`"),
     ];
     for &(body, line, message) in cases {
         assert_error(&format!("{TASKS}{body}"), line + 2, message);
@@ -176,7 +181,7 @@ fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'st
         let _ = tx.send(f());
     });
     rx.recv_timeout(limit)
-        .expect("the line is rejected in time linear in its field count")
+        .expect("the input is handled in time linear in its size")
 }
 
 /// A line with very many distinct fields is rejected in time linear in
@@ -203,6 +208,25 @@ fn lines_with_very_many_fields_are_rejected_quickly() {
         parse_edit_line(&text, 7).expect_err("unknown fields")
     });
     assert_eq!((e.line, e.message.as_str()), (7, "unknown set field `k0`"));
+}
+
+/// Resolving edits looks each task up by name in constant time. A scan
+/// of every task per edit made resolving one `delta` of `n` edits
+/// against an `n`-task graph quadratic, while `rtlb serve` holds an
+/// admission permit for it. As above, the limit is far above the linear
+/// cost of an unoptimised build.
+#[test]
+fn edits_resolve_in_time_linear_in_their_count() {
+    const TASKS: usize = 150_000;
+    const LIMIT: Duration = Duration::from_secs(60);
+    let graph = framed_tasks(TASKS / 4, 4, 7);
+    let edits: Vec<ScenarioEdit> = graph
+        .tasks()
+        .map(|(_, t)| ScenarioEdit::SetComputation(t.name().to_owned(), Dur::new(1)))
+        .collect();
+    let deltas =
+        within(LIMIT, move || resolve_edits(&edits, &graph, 1)).expect("every edit names a task");
+    assert_eq!(deltas.len(), TASKS);
 }
 
 /// The first duplicate in line order is named whether it is found by

@@ -168,6 +168,9 @@ mod oracle {
                                     .get(self.pos..self.pos + 4)
                                     .and_then(|h| std::str::from_utf8(h).ok())
                                     .ok_or_else(|| self.err("truncated \\u escape"))?;
+                                if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                                    return Err(self.err("invalid \\u escape"));
+                                }
                                 let code = u32::from_str_radix(hex, 16)
                                     .map_err(|_| self.err("invalid \\u escape"))?;
                                 self.pos += 4;
@@ -315,6 +318,7 @@ fn string_errors_keep_their_message_and_offset() {
         ("\"ab\\", 4, "dangling escape"),
         ("\"ab\\q\"", 5, "unknown escape"),
         ("\"\\u00zz\"", 3, "invalid \\u escape"),
+        ("\"\\u+061\"", 3, "invalid \\u escape"),
         ("\"\\u0é\"", 3, "invalid \\u escape"),
         ("\"\\u00\"", 3, "truncated \\u escape"),
         // The four bytes after `\u` cut `—` in two.

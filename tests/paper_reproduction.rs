@@ -1,9 +1,11 @@
 //! End-to-end reproduction of the paper's Section 8 example:
 //! Table 1 (E1), the Step 2 partitions (E2), the Step 3 bounds and quoted
-//! Θ ratios (E3), and the Step 4 cost programs (E4).
+//! Θ ratios (E3), the Step 4 cost programs (E4), and the worked merge
+//! traces (E6).
 
 use rtlb::core::{
-    analyze, compute_timing, dedicated_cost_bound, shared_cost_bound, theta, SystemModel,
+    analyze, compute_timing, compute_timing_traced, dedicated_cost_bound, shared_cost_bound, theta,
+    MergeDecision, SystemModel, TaskTrace,
 };
 use rtlb::graph::{TaskId, Time};
 use rtlb::ilp::Rational;
@@ -160,4 +162,73 @@ fn dedicated_model_analysis_matches_shared() {
     for (a, b) in shared.bounds().iter().zip(dedicated.bounds()) {
         assert_eq!(a.bound, b.bound);
     }
+}
+
+/// E6: the merge scans the Section 8 prose walks through, step by step
+/// (`--bin trace_merges` prints them): for `L_9`, `L_5` and `E_15`, each
+/// candidate with its `lms` or `emr`, the bound merging it gives and the
+/// decision, plus the no-merge base and the final value.
+#[test]
+fn e6_worked_merge_traces() {
+    use MergeDecision::{Accepted, RejectedNoImprovement};
+    let ex = paper_example();
+    let (_, trace) = compute_timing_traced(&ex.graph, &SystemModel::shared());
+    let summary = |traces: &[TaskTrace], n: usize| {
+        let t = traces
+            .iter()
+            .find(|t| t.task == ex.task(n))
+            .expect("every task is traced");
+        let steps: Vec<(usize, i64, i64, MergeDecision)> = t
+            .steps
+            .iter()
+            .map(|s| {
+                let candidate = names(&ex, &[s.candidate])[0];
+                (
+                    candidate,
+                    s.boundary.ticks(),
+                    s.resulting.ticks(),
+                    s.decision,
+                )
+            })
+            .collect();
+        (t.base.ticks(), steps, t.final_value.ticks())
+    };
+
+    // lms from 9 to (14, 13, 15) = 18, 19, 26: merging 14 lifts the
+    // no-merge 18 to 19; merging 13 as well keeps 19, so it is not merged.
+    assert_eq!(
+        summary(&trace.lct, 9),
+        (
+            18,
+            vec![
+                (14, 18, 19, Accepted),
+                (13, 19, 19, RejectedNoImprovement),
+                (15, 26, 19, RejectedNoImprovement),
+            ],
+            19
+        ),
+        "L_9"
+    );
+    // lms_9 = 7; merging 9 gives 15. Task 8 runs on another processor
+    // type, so it is never a candidate.
+    assert_eq!(
+        summary(&trace.lct, 5),
+        (7, vec![(9, 7, 15, Accepted)], 15),
+        "L_5"
+    );
+    // emr from (10, 11, 9) to 15 = 35, 31, 23: merging 10 gives 31,
+    // merging 11 as well gives 30, and merging 9 keeps 30.
+    assert_eq!(
+        summary(&trace.est, 15),
+        (
+            35,
+            vec![
+                (10, 35, 31, Accepted),
+                (11, 31, 30, Accepted),
+                (9, 23, 30, RejectedNoImprovement),
+            ],
+            30
+        ),
+        "E_15"
+    );
 }

@@ -9,6 +9,9 @@
 //! * Theorem 1: the greedy merge scan attains the best Equation 4.1 value
 //!   over *all* mergeable successor subsets (brute-force comparison on
 //!   star graphs).
+//! * Time reversal: Figure 2 is Figure 3 on the reversed graph, so
+//!   flipping every edge and negating every time swaps `E` with `−L` and
+//!   the merged predecessors with the merged successors.
 //! * The ILP solver agrees with exhaustive enumeration on small covering
 //!   programs.
 
@@ -19,7 +22,7 @@ use rtlb::core::{
     analyze, compute_timing, overlap, partition_tasks, resource_bound, theta, CandidatePolicy,
     SystemModel, TaskWindow,
 };
-use rtlb::graph::{Catalog, Dur, ExecutionMode, TaskGraphBuilder, TaskSpec, Time};
+use rtlb::graph::{Catalog, Dur, ExecutionMode, TaskGraph, TaskGraphBuilder, TaskSpec, Time};
 use rtlb::ilp::{brute_force_ilp, solve_ilp, Constraint, Outcome, Problem, Rational};
 
 /// Brute-force minimum overlap for a non-preemptive task: try every
@@ -38,6 +41,57 @@ fn brute_p(e: i64, l: i64, c: i64, t1: i64, t2: i64) -> i64 {
     let before = (t1.min(l) - e).max(0);
     let after = (l - t2.max(e)).max(0);
     (c - before - after).max(0)
+}
+
+fn neg(t: Time) -> Time {
+    Time::new(-t.ticks())
+}
+
+/// `graph` with every edge flipped and time reversed: each task keeps
+/// its computation, processor, resources and mode, and its window
+/// `[rel, D]` becomes `[−D, −rel]`. Task ids are kept.
+fn reversed(graph: &TaskGraph) -> TaskGraph {
+    let mut builder = TaskGraphBuilder::new(graph.catalog().clone());
+    for (_, task) in graph.tasks() {
+        let spec = TaskSpec::new(task.name(), task.computation(), task.processor())
+            .resources(task.resources().iter().copied())
+            .mode(task.mode())
+            .release(neg(task.deadline()))
+            .deadline(neg(task.release()));
+        builder.add_task(spec).unwrap();
+    }
+    for from in graph.task_ids() {
+        for e in graph.successors(from) {
+            builder.add_edge(e.other, from, e.message).unwrap();
+        }
+    }
+    builder.build().unwrap()
+}
+
+/// Checks `E' = −L`, `L' = −E`, `M' = G` and `G' = M` between `graph`
+/// and its reversal, and returns how many merges the forward timing made.
+fn check_time_reversal(graph: &TaskGraph, model: &SystemModel) -> Result<usize, TestCaseError> {
+    let forward = compute_timing(graph, model);
+    let backward = compute_timing(&reversed(graph), model);
+    let mut merges = 0;
+    for t in graph.task_ids() {
+        prop_assert_eq!(backward.est(t), neg(forward.lct(t)), "E' of {}", t);
+        prop_assert_eq!(backward.lct(t), neg(forward.est(t)), "L' of {}", t);
+        prop_assert_eq!(
+            backward.merged_predecessors(t),
+            forward.merged_successors(t),
+            "M' of {}",
+            t
+        );
+        prop_assert_eq!(
+            backward.merged_successors(t),
+            forward.merged_predecessors(t),
+            "G' of {}",
+            t
+        );
+        merges += forward.merged_predecessors(t).len() + forward.merged_successors(t).len();
+    }
+    Ok(merges)
 }
 
 fn window(e: i64, l: i64) -> TaskWindow {
@@ -291,6 +345,45 @@ proptest! {
         prop_assert_eq!(greedy, best, "greedy E differs from subset optimum");
     }
 
+    /// Time reversal on random DAGs under the shared model: two processor
+    /// types, one resource, arbitrary windows (infeasible ones included)
+    /// and messages on forward edges `i -> j`, `i < j`.
+    #[test]
+    fn time_reversal_swaps_est_and_lct(
+        specs in proptest::collection::vec(
+            (0i64..8, -4i64..16, 0i64..40, any::<bool>(), any::<bool>(), any::<bool>()),
+            1..12,
+        ),
+        edges in proptest::collection::vec((0usize..12, 0usize..12, 0i64..8), 0..30),
+    ) {
+        let mut catalog = Catalog::new();
+        let procs = [catalog.processor("P"), catalog.processor("Q")];
+        let r = catalog.resource("r");
+        let mut builder = TaskGraphBuilder::new(catalog);
+        let mut ids = Vec::new();
+        for (i, &(c, rel, width, on_q, uses_r, preempt)) in specs.iter().enumerate() {
+            let mut spec = TaskSpec::new(format!("t{i}"), Dur::new(c), procs[usize::from(on_q)])
+                .release(Time::new(rel))
+                .deadline(Time::new(rel + width));
+            if uses_r {
+                spec = spec.resource(r);
+            }
+            if preempt {
+                spec = spec.preemptive();
+            }
+            ids.push(builder.add_task(spec).unwrap());
+        }
+        let mut added = std::collections::BTreeSet::new();
+        for &(a, b, m) in &edges {
+            let (a, b) = (a % ids.len(), b % ids.len());
+            if a < b && added.insert((a, b)) {
+                builder.add_edge(ids[a], ids[b], Dur::new(m)).unwrap();
+            }
+        }
+        let graph = builder.build().unwrap();
+        check_time_reversal(&graph, &SystemModel::shared())?;
+    }
+
     /// Text-format round trip preserves the analysis outcome on random
     /// independent task sets.
     #[test]
@@ -364,6 +457,16 @@ proptest! {
             ),
         }
     }
+}
+
+/// Time reversal on the paper example under its dedicated model, where
+/// Table 1's merges happen in both directions.
+#[test]
+fn time_reversal_on_the_paper_example() {
+    let ex = rtlb::workloads::paper_example();
+    let model = SystemModel::Dedicated(ex.node_types([1, 1, 1]));
+    let merges = check_time_reversal(&ex.graph, &model).unwrap();
+    assert!(merges >= 10, "only {merges} merges: the check saw too few");
 }
 
 /// Deterministic cross-check: the pipeline's bound for every generated
