@@ -131,7 +131,7 @@ mod tests {
         let ex = rtlb_workloads::paper_example();
         let timing = compute_timing(&ex.graph, &SystemModel::shared());
         for part in partition_all(&ex.graph, &timing) {
-            let blocks: Vec<Vec<TaskId>> = part.blocks.iter().map(|b| b.tasks.clone()).collect();
+            let blocks: Vec<Vec<TaskId>> = part.blocks().map(|b| b.tasks.to_vec()).collect();
             assert!(is_time_disjoint(&timing, &blocks));
         }
         // ...whereas the level partition of the same instance is not.

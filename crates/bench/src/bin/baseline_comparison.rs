@@ -98,7 +98,7 @@ fn main() {
         let level_ok = is_time_disjoint(&timing, &levels);
         let fig4_ok = rtlb_core::partition_all(&graph, &timing).iter().all(|p| {
             let blocks: Vec<Vec<rtlb_graph::TaskId>> =
-                p.blocks.iter().map(|b| b.tasks.clone()).collect();
+                p.blocks().map(|b| b.tasks.to_vec()).collect();
             is_time_disjoint(&timing, &blocks)
         });
         part_table.row([

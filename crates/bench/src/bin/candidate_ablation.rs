@@ -153,14 +153,14 @@ fn main() {
         let timing = std.timing();
         let mut best = 0u32;
         for part in std.partitions().iter().filter(|pt| pt.resource == p) {
-            for block in &part.blocks {
+            for block in part.blocks() {
                 let (s, f) = (block.start.ticks(), block.finish.ticks());
                 for t1 in s..f {
                     for t2 in (t1 + 1)..=f {
                         let th = rtlb_core::theta(
                             &graph,
                             timing,
-                            &block.tasks,
+                            block.tasks,
                             Time::new(t1),
                             Time::new(t2),
                         )

@@ -31,8 +31,7 @@ fn main() {
             .find(|p| p.resource == r)
             .expect("partition computed");
         let ours: Vec<Vec<usize>> = partition
-            .blocks
-            .iter()
+            .blocks()
             .map(|b| {
                 let mut ns: Vec<usize> = b
                     .tasks

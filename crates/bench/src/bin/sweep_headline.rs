@@ -5,17 +5,20 @@
 //!
 //! The naive side is `rtlb_core::oracle::naive_bounds` after the same
 //! timing and partition stages. The binary exits non-zero when its
-//! bounds differ from the pipeline's, then times one warm run of each
-//! side, prints the single-thread speedup and writes `BENCH_sweep.json`
-//! with the pipeline's work counters. The counters do not depend on the
-//! host except `sweep.chunks` and `sweep.jobs`, which follow the worker
-//! pool; the timings are single samples.
+//! bounds differ from the pipeline's, then times each side as the median
+//! of [`RUNS`] warm runs, prints the single-thread speedup and writes
+//! `BENCH_sweep.json` with the pipeline's work counters, for the
+//! all-cores leg (`counters`) and the serial one (`counters_serial`).
+//! The counters do not depend on the host except `sweep.chunks` and
+//! `sweep.jobs`, which follow the worker pool; the binary also exits
+//! non-zero when any other counter differs between the two legs.
 //!
 //! ```sh
 //! cargo run --release -p rtlb-bench --bin sweep_headline
 //! ```
 
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use rtlb_bench::{counters_json, write_bench_json};
@@ -25,7 +28,7 @@ use rtlb_core::{
     AnalysisOptions, CandidatePolicy, ResourceBound, SystemModel,
 };
 use rtlb_graph::TaskGraph;
-use rtlb_obs::{Json, Recorder};
+use rtlb_obs::{Json, Metrics, Recorder};
 use rtlb_workloads::independent_tasks;
 
 const TASKS: usize = 400;
@@ -33,6 +36,10 @@ const TASKS: usize = 400;
 /// partitioner produces few, large blocks.
 const LOAD: u32 = 20;
 const SEED: u64 = 11;
+/// Timed warm runs per side; each side reports their median.
+const RUNS: usize = 7;
+/// The counters that follow the worker pool rather than the work.
+const POOL_COUNTERS: [&str; 2] = ["sweep.chunks", "sweep.jobs"];
 
 fn options(parallelism: usize) -> AnalysisOptions {
     AnalysisOptions {
@@ -58,13 +65,46 @@ fn pipeline(graph: &TaskGraph, parallelism: usize) -> Vec<ResourceBound> {
         .to_vec()
 }
 
-fn time<T>(run: impl FnOnce() -> T) -> Duration {
-    let start = Instant::now();
-    black_box(run());
-    start.elapsed()
+/// The wall-clock times of [`RUNS`] runs, sorted.
+fn time<T>(run: impl Fn() -> T) -> [Duration; RUNS] {
+    let mut times = [Duration::ZERO; RUNS];
+    for slot in &mut times {
+        let start = Instant::now();
+        black_box(run());
+        *slot = start.elapsed();
+    }
+    times.sort_unstable();
+    times
 }
 
-fn main() {
+/// The pipeline's counters on the headline workload at `parallelism`.
+fn counters(graph: &TaskGraph, parallelism: usize) -> Metrics {
+    let recorder = Recorder::new();
+    analyze_with_probe(
+        graph,
+        &SystemModel::shared(),
+        options(parallelism),
+        &recorder,
+    )
+    .expect("workload is feasible");
+    recorder.take_metrics()
+}
+
+/// The work counters of `a` and `b` that differ, as `(name, a, b)`.
+fn moved_counters(a: &Metrics, b: &Metrics) -> Vec<(String, Option<u64>, Option<u64>)> {
+    let value = |m: &Metrics, name: &str| m.counters.iter().find(|c| c.0 == name).map(|c| c.1);
+    let mut names: Vec<&str> = a.counters.iter().chain(&b.counters).map(|c| c.0).collect();
+    names.sort_unstable();
+    names.dedup();
+    names
+        .into_iter()
+        .filter(|name| !POOL_COUNTERS.contains(name))
+        .map(|name| (name.to_owned(), value(a, name), value(b, name)))
+        .filter(|(_, a, b)| a != b)
+        .collect()
+}
+
+fn main() -> ExitCode {
     let graph = independent_tasks(TASKS, LOAD, SEED);
 
     // The oracle check doubles as the warm-up of both timed paths.
@@ -75,23 +115,29 @@ fn main() {
         "the pipeline's bounds differ from the naive-sweep oracle's"
     );
 
-    let naive = time(|| analyze_naive(&graph));
-    let incremental = time(|| pipeline(&graph, 1));
-    let allcores = time(|| pipeline(&graph, 0));
+    let naive_runs = time(|| analyze_naive(&graph));
+    let incremental_runs = time(|| pipeline(&graph, 1));
+    let allcores_runs = time(|| pipeline(&graph, 0));
+    let median = |runs: &[Duration; RUNS]| runs[RUNS / 2];
+    let (naive, incremental, allcores) = (
+        median(&naive_runs),
+        median(&incremental_runs),
+        median(&allcores_runs),
+    );
     let speedup = naive.as_secs_f64() / incremental.as_secs_f64().max(1e-9);
     println!(
         "bounds/sweep: single-thread speedup on {TASKS} tasks (load {LOAD}): \
-         {speedup:.1}x (naive {naive:?}, incremental {incremental:?})"
+         {speedup:.1}x (medians of {RUNS}: naive {naive:?}, incremental {incremental:?})"
     );
 
-    // Re-run the headline configuration under the recorder so the
-    // artifact carries the pipeline counters alongside the timings.
-    let recorder = Recorder::new();
-    analyze_with_probe(&graph, &SystemModel::shared(), options(0), &recorder)
-        .expect("workload is feasible");
-    let metrics = recorder.take_metrics();
+    // Re-run both legs under the recorder so the artifact carries the
+    // pipeline counters alongside the timings.
+    let metrics = counters(&graph, 0);
+    let serial_metrics = counters(&graph, 1);
+    let moved = moved_counters(&metrics, &serial_metrics);
 
     let micros = |d: Duration| Json::Int(d.as_micros() as i64);
+    let range = |runs: &[Duration; RUNS]| Json::Arr(vec![micros(runs[0]), micros(runs[RUNS - 1])]);
     let body = vec![
         (
             "workload".to_owned(),
@@ -101,12 +147,21 @@ fn main() {
                 ("seed", Json::Int(SEED as i64)),
             ]),
         ),
+        ("timed_runs".to_owned(), Json::Int(RUNS as i64)),
         (
             "times_micros".to_owned(),
             Json::obj([
                 ("naive", micros(naive)),
                 ("incremental", micros(incremental)),
                 ("incremental_allcores", micros(allcores)),
+            ]),
+        ),
+        (
+            "times_range_micros".to_owned(),
+            Json::obj([
+                ("naive", range(&naive_runs)),
+                ("incremental", range(&incremental_runs)),
+                ("incremental_allcores", range(&allcores_runs)),
             ]),
         ),
         (
@@ -120,6 +175,7 @@ fn main() {
             ]),
         ),
         ("counters".to_owned(), counters_json(&metrics)),
+        ("counters_serial".to_owned(), counters_json(&serial_metrics)),
         // The configured pool size for the all-cores leg. The recorder's
         // own thread count (`threads_observed`) can be smaller: it only
         // counts threads that actually recorded a span, and on a small
@@ -141,4 +197,13 @@ fn main() {
     let path =
         write_bench_json("BENCH_sweep.json", "sweep-headline", body).expect("can write artifact");
     println!("bounds/sweep: wrote {}", path.display());
+    if moved.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "bounds/sweep: the serial leg's work counters differ from the all-cores leg's \
+             (name, all cores, serial): {moved:?}"
+        );
+        ExitCode::FAILURE
+    }
 }

@@ -372,14 +372,14 @@ pub(crate) fn run_stages(
     probe.add("partition.resources", partitions.len() as u64);
     probe.add(
         "partition.blocks",
-        partitions.iter().map(|p| p.blocks.len() as u64).sum(),
+        partitions.iter().map(|p| p.block_count() as u64).sum(),
     );
     probe.add(
         "partition.tasks",
         partitions.iter().map(|p| p.task_count() as u64).sum(),
     );
     for p in &partitions {
-        probe.observe("partition.blocks_per_resource", p.blocks.len() as u64);
+        probe.observe("partition.blocks_per_resource", p.block_count() as u64);
     }
 
     let maxima = {
@@ -392,14 +392,16 @@ pub(crate) fn run_stages(
         partitions
             .iter()
             .map(|p| {
-                p.blocks
-                    .iter()
-                    .map(|b| refine_block(graph, &timing, &b.tasks, probe, ctl))
+                p.blocks()
+                    .map(|b| refine_block(graph, &timing, b.tasks, probe, ctl))
                     .collect::<Result<Vec<u32>, _>>()
             })
             .collect::<Result<Vec<_>, _>>()?
     } else {
-        partitions.iter().map(|p| vec![0; p.blocks.len()]).collect()
+        partitions
+            .iter()
+            .map(|p| vec![0; p.block_count()])
+            .collect()
     };
 
     let resources = partitions

@@ -45,6 +45,14 @@ impl CandidatePolicy {
             CandidatePolicy::Extended => "extended",
         }
     }
+
+    /// Candidate points one task contributes before deduplication.
+    pub(crate) fn points_per_task(self) -> usize {
+        match self {
+            CandidatePolicy::EstLct => 2,
+            CandidatePolicy::Extended => 4,
+        }
+    }
 }
 
 use crate::analysis::AnalysisOptions;
@@ -210,7 +218,22 @@ pub(crate) fn candidate_points(
     tasks: &[TaskId],
     policy: CandidatePolicy,
 ) -> Vec<Time> {
-    let mut points: Vec<Time> = Vec::with_capacity(tasks.len() * 4);
+    let mut points: Vec<Time> = Vec::with_capacity(tasks.len() * policy.points_per_task());
+    push_candidate_points(graph, timing, tasks, policy, &mut points);
+    points
+}
+
+/// Appends the [`candidate_points`] of `tasks` to `points`: the appended
+/// run is deduplicated and sorted, and what `points` held before is left
+/// as it was.
+pub(crate) fn push_candidate_points(
+    graph: &TaskGraph,
+    timing: &TimingAnalysis,
+    tasks: &[TaskId],
+    policy: CandidatePolicy,
+    points: &mut Vec<Time>,
+) {
+    let first = points.len();
     for &t in tasks {
         let w = timing.window(t);
         points.push(w.est);
@@ -221,9 +244,15 @@ pub(crate) fn candidate_points(
             points.push(w.lct - c);
         }
     }
-    points.sort();
-    points.dedup();
-    points
+    points[first..].sort_unstable();
+    let mut kept = first;
+    for i in first..points.len() {
+        if kept == first || points[i] != points[kept - 1] {
+            points[kept] = points[i];
+            kept += 1;
+        }
+    }
+    points.truncate(kept);
 }
 
 /// Computes `LB_r` for the resource covered by `partition`, sweeping
@@ -390,7 +419,7 @@ mod tests {
         ]);
         let timing = compute_timing(&g, &SystemModel::shared());
         let part = partition_tasks(&g, &timing, p);
-        assert!(part.blocks.len() >= 2, "fixture should partition");
+        assert!(part.block_count() >= 2, "fixture should partition");
         let with = resource_bound(&g, &timing, &part).unwrap();
         let without = crate::oracle::flat_bounds(&g, &timing, CandidatePolicy::EstLct).unwrap();
         let without = without[0];

@@ -41,31 +41,29 @@ pub fn effective_threads(parallelism: usize) -> usize {
 /// overhead stays negligible. Every split covers `0..count` exactly
 /// once, in ascending order, which is what makes the chunk-maxima fold
 /// bit-identical to the serial scan.
-pub fn chunk_spans(count: usize, threads: usize, chunk_columns: usize) -> Vec<Range<usize>> {
-    if count == 0 {
-        return Vec::new();
-    }
+pub fn chunk_spans(
+    count: usize,
+    threads: usize,
+    chunk_columns: usize,
+) -> impl Iterator<Item = Range<usize>> {
     let size = if chunk_columns > 0 {
         chunk_columns
     } else if threads <= 1 {
-        count
+        count.max(1)
     } else {
         count.div_ceil(threads * 4).max(8)
     };
-    let mut spans = Vec::with_capacity(count.div_ceil(size));
-    let mut start = 0;
-    while start < count {
-        let end = (start + size).min(count);
-        spans.push(start..end);
-        start = end;
-    }
-    spans
+    (0..count)
+        .step_by(size)
+        .map(move |start| start..(start + size).min(count))
 }
 
 /// Runs `count` independent jobs on up to `threads` scoped threads and
 /// returns their results in job order. Each worker thread (including the
-/// calling thread on the serial path) runs under a `sweep.worker` span so
-/// trace sinks get one swim-lane per worker.
+/// calling thread on the serial path) builds one state with `worker`
+/// and hands it to every job it runs — scratch that lives as long as a
+/// worker, not a job — and runs under a `sweep.worker` span so trace
+/// sinks get one swim-lane per worker.
 ///
 /// # Panics
 ///
@@ -73,15 +71,23 @@ pub fn chunk_spans(count: usize, threads: usize, chunk_columns: usize) -> Vec<Ra
 /// are discarded), then the first panic payload — in worker-spawn order —
 /// is resumed on the calling thread. Jobs that must not unwind across
 /// the pool should catch their own panics and return them as values.
-pub fn run_jobs<T, F>(probe: &dyn Probe, threads: usize, count: usize, run: F) -> Vec<T>
+pub fn run_jobs<S, T, W, F>(
+    probe: &dyn Probe,
+    threads: usize,
+    count: usize,
+    worker: W,
+    run: F,
+) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    W: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
 {
     let workers = threads.min(count);
     if workers <= 1 {
         let _worker = span(probe, "sweep.worker", Label::None);
-        return (0..count).map(run).collect();
+        let mut state = worker();
+        return (0..count).map(|job| run(&mut state, job)).collect();
     }
 
     let next = AtomicUsize::new(0);
@@ -91,13 +97,14 @@ where
             .map(|_| {
                 scope.spawn(|| {
                     let _worker = span(probe, "sweep.worker", Label::None);
+                    let mut state = worker();
                     let mut done = Vec::new();
                     loop {
                         let job = next.fetch_add(1, Ordering::Relaxed);
                         if job >= count {
                             break done;
                         }
-                        done.push((job, run(job)));
+                        done.push((job, run(&mut state, job)));
                     }
                 })
             })
@@ -139,7 +146,7 @@ mod tests {
     #[test]
     fn run_jobs_preserves_job_order() {
         for threads in [1, 2, 5] {
-            let out = run_jobs(&NULL_PROBE, threads, 23, |j| j * j);
+            let out = run_jobs(&NULL_PROBE, threads, 23, || (), |_, j| j * j);
             assert_eq!(out, (0..23).map(|j| j * j).collect::<Vec<_>>());
         }
     }
@@ -158,7 +165,7 @@ mod tests {
         for count in [0usize, 1, 7, 8, 9, 63, 64, 100] {
             for threads in [0usize, 1, 2, 3, 8] {
                 for chunk_columns in [0usize, 1, 2, 3, 7, 64] {
-                    let spans = chunk_spans(count, threads, chunk_columns);
+                    let spans: Vec<_> = chunk_spans(count, threads, chunk_columns).collect();
                     let mut covered = 0;
                     for s in &spans {
                         assert_eq!(s.start, covered, "gapless ascending tiling");
@@ -173,16 +180,17 @@ mod tests {
 
     #[test]
     fn chunk_spans_honor_explicit_size_and_serial_default() {
+        let spans = |count, threads, chunk_columns| -> Vec<_> {
+            chunk_spans(count, threads, chunk_columns).collect()
+        };
         // Explicit size wins regardless of the pool.
-        assert_eq!(chunk_spans(10, 8, 3), vec![0..3, 3..6, 6..9, 9..10]);
-        assert_eq!(chunk_spans(10, 1, 4), vec![0..4, 4..8, 8..10]);
+        assert_eq!(spans(10, 8, 3), vec![0..3, 3..6, 6..9, 9..10]);
+        assert_eq!(spans(10, 1, 4), vec![0..4, 4..8, 8..10]);
         // Serial pools default to one chunk; parallel pools oversplit by
         // 4x for stealing, with a floor of 8 columns per chunk.
-        assert_eq!(chunk_spans(100, 1, 0), vec![0..100]);
-        assert_eq!(chunk_spans(100, 2, 0).len(), 8); // ceil(100/8) chunks of 13
-        assert!(chunk_spans(16, 8, 0)
-            .iter()
-            .all(|s| s.len() >= 8 || s.end == 16));
+        assert_eq!(spans(100, 1, 0), vec![0..100]);
+        assert_eq!(spans(100, 2, 0).len(), 8); // ceil(100/8) chunks of 13
+        assert!(spans(16, 8, 0).iter().all(|s| s.len() >= 8 || s.end == 16));
     }
 
     /// One panicking job must not abort the process; the panic surfaces
@@ -192,13 +200,19 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let completed = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_jobs(&NULL_PROBE, 4, 32, |j| {
-                if j == 3 {
-                    panic!("job 3 exploded");
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                j
-            })
+            run_jobs(
+                &NULL_PROBE,
+                4,
+                32,
+                || (),
+                |_, j| {
+                    if j == 3 {
+                        panic!("job 3 exploded");
+                    }
+                    completed.fetch_add(1, Ordering::Relaxed);
+                    j
+                },
+            )
         }));
         let payload = result.expect_err("the panic must propagate");
         let message = payload

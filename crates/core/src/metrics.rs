@@ -85,7 +85,7 @@ pub fn build_run_report(
         .enumerate()
         .map(|(pi, partition)| PartitionStat {
             resource: graph.catalog().name(partition.resource).to_owned(),
-            blocks: partition.blocks.len() as u64,
+            blocks: partition.block_count() as u64,
             tasks: partition.task_count() as u64,
             sweep_micros: metrics
                 .spans

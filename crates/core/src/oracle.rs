@@ -44,8 +44,8 @@ pub fn naive_bounds(
         .iter()
         .map(|partition| {
             let mut max = RatioMax::default();
-            for block in &partition.blocks {
-                naive_sweep(graph, timing, &block.tasks, policy, &mut max);
+            for block in partition.blocks() {
+                naive_sweep(graph, timing, block.tasks, policy, &mut max);
             }
             max.into_bound(partition.resource)
         })

@@ -14,23 +14,26 @@
 //! LCT first, which is what groups the paper's tasks 12 and 15 into one
 //! subset.
 
+use std::cmp::Reverse;
+
 use rtlb_graph::{ResourceId, TaskGraph, TaskId, Time};
 
 use crate::estlct::TimingAnalysis;
 
-/// One subset `P_rk` together with its covering interval `[s_k, f_k]`
-/// (`s_k = min EST`, `f_k = max LCT` over the subset's tasks).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartitionBlock {
+/// One subset `P_rk` of a [`ResourcePartition`], borrowed: its tasks
+/// together with its covering interval `[s_k, f_k]` (`s_k = min EST`,
+/// `f_k = max LCT` over the subset's tasks).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PartitionBlock<'a> {
     /// Tasks of the subset, in increasing-EST order as scanned.
-    pub tasks: Vec<TaskId>,
+    pub tasks: &'a [TaskId],
     /// Earliest EST in the subset.
     pub start: Time,
     /// Latest LCT in the subset.
     pub finish: Time,
 }
 
-impl PartitionBlock {
+impl PartitionBlock<'_> {
     /// The covering window `(min E, max L)` of the subset, maintained
     /// incrementally by the Figure 4 scan — a cheap fingerprint for
     /// deciding whether a cached sweep of this block is still valid
@@ -40,20 +43,60 @@ impl PartitionBlock {
     }
 }
 
-/// The ordered partition of `ST_r` for one resource.
+/// Where one block ends in the partition's task array, and its covering
+/// interval.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct BlockSpan {
+    end: usize,
+    start: Time,
+    finish: Time,
+}
+
+/// The ordered partition of `ST_r` for one resource, stored flat: one
+/// task array in scan order, cut into the chain `P_r1 ≺ P_r2 ≺ …` by
+/// per-block end offsets. Read the blocks through
+/// [`blocks`](ResourcePartition::blocks) or
+/// [`block`](ResourcePartition::block).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResourcePartition {
     /// The resource this partition is for.
     pub resource: ResourceId,
-    /// The chain `P_r1 ≺ P_r2 ≺ …`; empty when no task demands the
-    /// resource.
-    pub blocks: Vec<PartitionBlock>,
+    /// Every task of `ST_r`, block after block.
+    tasks: Vec<TaskId>,
+    /// One entry per block, in chain order; empty when no task demands
+    /// the resource.
+    blocks: Vec<BlockSpan>,
 }
 
 impl ResourcePartition {
     /// Total number of tasks across all blocks (`|ST_r|`).
     pub fn task_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.tasks.len()).sum()
+        self.tasks.len()
+    }
+
+    /// Number of blocks in the chain.
+    pub fn block_count(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Block `index` of the chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.block_count()`.
+    pub fn block(&self, index: usize) -> PartitionBlock<'_> {
+        let span = self.blocks[index];
+        let begin = index.checked_sub(1).map_or(0, |prev| self.blocks[prev].end);
+        PartitionBlock {
+            tasks: &self.tasks[begin..span.end],
+            start: span.start,
+            finish: span.finish,
+        }
+    }
+
+    /// The chain `P_r1 ≺ P_r2 ≺ …`, in order.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = PartitionBlock<'_>> + '_ {
+        (0..self.blocks.len()).map(|index| self.block(index))
     }
 }
 
@@ -87,7 +130,7 @@ impl ResourcePartition {
 /// let g = b.build()?;
 /// let timing = compute_timing(&g, &SystemModel::shared());
 /// let partition = partition_tasks(&g, &timing, p);
-/// assert_eq!(partition.blocks.len(), 2);
+/// assert_eq!(partition.block_count(), 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -96,28 +139,39 @@ pub fn partition_tasks(
     timing: &TimingAnalysis,
     resource: ResourceId,
 ) -> ResourcePartition {
-    let mut tasks = graph.tasks_demanding(resource);
-    tasks.sort_by_key(|&t| (timing.est(t), std::cmp::Reverse(timing.lct(t)), t));
+    // Each task's sort key is read once. Task ids make the keys
+    // distinct, so the unstable sort is exact.
+    let mut keyed: Vec<(Time, Reverse<Time>, TaskId)> = graph
+        .tasks()
+        .filter(|(_, task)| task.demands_resource(resource))
+        .map(|(t, _)| (timing.est(t), Reverse(timing.lct(t)), t))
+        .collect();
+    keyed.sort_unstable();
 
+    // Scanned in this order, every block is a contiguous run of `tasks`.
     // Worst case (all windows disjoint) is one block per task.
-    let mut blocks: Vec<PartitionBlock> = Vec::with_capacity(tasks.len());
-    for t in tasks {
-        let est = timing.est(t);
-        let lct = timing.lct(t);
+    let mut tasks = Vec::with_capacity(keyed.len());
+    let mut blocks: Vec<BlockSpan> = Vec::with_capacity(keyed.len());
+    for (est, Reverse(lct), t) in keyed {
+        tasks.push(t);
         match blocks.last_mut() {
             Some(block) if est < block.finish => {
-                block.tasks.push(t);
+                block.end = tasks.len();
                 block.start = block.start.min(est);
                 block.finish = block.finish.max(lct);
             }
-            _ => blocks.push(PartitionBlock {
-                tasks: vec![t],
+            _ => blocks.push(BlockSpan {
+                end: tasks.len(),
                 start: est,
                 finish: lct,
             }),
         }
     }
-    ResourcePartition { resource, blocks }
+    ResourcePartition {
+        resource,
+        tasks,
+        blocks,
+    }
 }
 
 /// Partitions every resource the application demands, in resource-id
@@ -154,7 +208,7 @@ mod tests {
         (b.build().unwrap(), p)
     }
 
-    fn names(graph: &TaskGraph, block: &PartitionBlock) -> Vec<String> {
+    fn names(graph: &TaskGraph, block: PartitionBlock<'_>) -> Vec<String> {
         block
             .tasks
             .iter()
@@ -167,11 +221,11 @@ mod tests {
         let (g, p) = graph_with_windows(&[(0, 5), (10, 20), (30, 31)]);
         let timing = compute_timing(&g, &SystemModel::shared());
         let part = partition_tasks(&g, &timing, p);
-        assert_eq!(part.blocks.len(), 3);
+        assert_eq!(part.block_count(), 3);
         assert_eq!(part.task_count(), 3);
-        assert_eq!(part.blocks[0].start, Time::new(0));
-        assert_eq!(part.blocks[0].finish, Time::new(5));
-        assert_eq!(part.blocks[2].start, Time::new(30));
+        assert_eq!(part.block(0).start, Time::new(0));
+        assert_eq!(part.block(0).finish, Time::new(5));
+        assert_eq!(part.block(2).start, Time::new(30));
     }
 
     #[test]
@@ -179,9 +233,9 @@ mod tests {
         let (g, p) = graph_with_windows(&[(0, 5), (3, 12), (11, 20)]);
         let timing = compute_timing(&g, &SystemModel::shared());
         let part = partition_tasks(&g, &timing, p);
-        assert_eq!(part.blocks.len(), 1);
-        assert_eq!(part.blocks[0].start, Time::new(0));
-        assert_eq!(part.blocks[0].finish, Time::new(20));
+        assert_eq!(part.block_count(), 1);
+        assert_eq!(part.block(0).start, Time::new(0));
+        assert_eq!(part.block(0).finish, Time::new(20));
     }
 
     #[test]
@@ -191,7 +245,7 @@ mod tests {
         let (g, p) = graph_with_windows(&[(0, 10), (10, 20)]);
         let timing = compute_timing(&g, &SystemModel::shared());
         let part = partition_tasks(&g, &timing, p);
-        assert_eq!(part.blocks.len(), 2);
+        assert_eq!(part.block_count(), 2);
     }
 
     #[test]
@@ -201,8 +255,8 @@ mod tests {
         let (g, p) = graph_with_windows(&[(30, 30), (30, 36)]);
         let timing = compute_timing(&g, &SystemModel::shared());
         let part = partition_tasks(&g, &timing, p);
-        assert_eq!(part.blocks.len(), 1);
-        assert_eq!(names(&g, &part.blocks[0]), vec!["t1", "t0"]);
+        assert_eq!(part.block_count(), 1);
+        assert_eq!(names(&g, part.block(0)), vec!["t1", "t0"]);
     }
 
     #[test]
@@ -219,15 +273,17 @@ mod tests {
         let timing = compute_timing(&g, &SystemModel::shared());
         let part = partition_tasks(&g, &timing, p);
         // Property (iii): earlier block's max LCT <= later block's min EST.
-        for k in 0..part.blocks.len() {
-            for l in (k + 1)..part.blocks.len() {
-                let max_l = part.blocks[k]
+        for k in 0..part.block_count() {
+            for l in (k + 1)..part.block_count() {
+                let max_l = part
+                    .block(k)
                     .tasks
                     .iter()
                     .map(|&t| timing.lct(t))
                     .max()
                     .unwrap();
-                let min_e = part.blocks[l]
+                let min_e = part
+                    .block(l)
                     .tasks
                     .iter()
                     .map(|&t| timing.est(t))
@@ -238,8 +294,8 @@ mod tests {
         }
         // Properties (i) and (ii): cover and disjointness.
         let mut seen = std::collections::BTreeSet::new();
-        for b in &part.blocks {
-            for &t in &b.tasks {
+        for b in part.blocks() {
+            for &t in b.tasks {
                 assert!(seen.insert(t), "task in two blocks");
             }
         }
@@ -251,8 +307,8 @@ mod tests {
         let (g, p) = graph_with_windows(&[(0, 5), (3, 12), (11, 20)]);
         let timing = compute_timing(&g, &SystemModel::shared());
         let part = partition_tasks(&g, &timing, p);
-        assert_eq!(part.blocks.len(), 1);
-        let block = &part.blocks[0];
+        assert_eq!(part.block_count(), 1);
+        let block = part.block(0);
         let min_e = block.tasks.iter().map(|&t| timing.est(t)).min().unwrap();
         let max_l = block.tasks.iter().map(|&t| timing.lct(t)).max().unwrap();
         assert_eq!(block.window_span(), (min_e, max_l));
@@ -269,7 +325,7 @@ mod tests {
         let g = b.build().unwrap();
         let timing = compute_timing(&g, &SystemModel::shared());
         let part = partition_tasks(&g, &timing, unused);
-        assert!(part.blocks.is_empty());
+        assert_eq!(part.block_count(), 0);
         assert_eq!(part.task_count(), 0);
     }
 

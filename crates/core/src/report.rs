@@ -52,12 +52,11 @@ pub fn render_partitions(graph: &TaskGraph, partitions: &[ResourcePartition]) ->
     let mut out = String::new();
     for p in partitions {
         let blocks: Vec<String> = p
-            .blocks
-            .iter()
+            .blocks()
             .map(|b| {
                 format!(
                     "{} [{}, {}]",
-                    task_list(graph, &b.tasks),
+                    task_list(graph, b.tasks),
                     b.start.ticks(),
                     b.finish.ticks()
                 )

@@ -145,11 +145,6 @@ impl ApplyStats {
     }
 }
 
-/// An old block's identity and cached results, keyed by leading task
-/// during re-partitioning: (member list, window span, sweep maximum,
-/// filtered refinement).
-type CachedBlock = (Vec<TaskId>, (Time, Time), RatioMax, u32);
-
 /// A fully analyzed instance that accepts [`Delta`] edits and recomputes
 /// only the dirty cone on [`apply`](AnalysisSession::apply).
 ///
@@ -663,7 +658,7 @@ impl AnalysisSession {
         // resource's partition index in a from-scratch run.
         let blocks: Vec<_> = jobs
             .iter()
-            .map(|&(ci, bi)| (ci, &caches[ci].partition.blocks[bi]))
+            .map(|&(ci, bi)| (ci, caches[ci].partition.block(bi)))
             .collect();
         let maxima = sweep_blocks(
             &self.graph,
@@ -689,7 +684,7 @@ impl AnalysisSession {
                 caches[ci].block_refined[bi] = refine_block(
                     &self.graph,
                     &self.timing,
-                    &caches[ci].partition.blocks[bi].tasks,
+                    caches[ci].partition.block(bi).tasks,
                     probe,
                     ctl,
                 )?;
@@ -716,7 +711,7 @@ impl AnalysisSession {
         stats: &mut ApplyStats,
     ) -> (ResourceState, Vec<usize>) {
         let mut pending_jobs = Vec::new();
-        for (bi, block) in cache.partition.blocks.iter().enumerate() {
+        for (bi, block) in cache.partition.blocks().enumerate() {
             if block.tasks.iter().any(|t| touched.contains(t)) {
                 cache.block_maxima[bi] = RatioMax::default();
                 cache.block_refined[bi] = 0;
@@ -748,34 +743,28 @@ impl AnalysisSession {
         stats: &mut ApplyStats,
     ) -> (ResourceState, Vec<usize>) {
         let partition = partition_tasks(&self.graph, &self.timing, r);
-        let mut old_blocks: BTreeMap<TaskId, CachedBlock> = BTreeMap::new();
-        if let Some(prev) = previous {
-            for ((block, max), refined) in prev
-                .partition
-                .blocks
-                .into_iter()
-                .zip(prev.block_maxima)
-                .zip(prev.block_refined)
-            {
-                let span = block.window_span();
-                old_blocks.insert(block.tasks[0], (block.tasks, span, max, refined));
-            }
-        }
+        // Old block indices by leading task.
+        let old_blocks: BTreeMap<TaskId, usize> = previous
+            .iter()
+            .flat_map(|prev| prev.partition.blocks().enumerate())
+            .map(|(bi, block)| (block.tasks[0], bi))
+            .collect();
 
-        let mut block_maxima = Vec::with_capacity(partition.blocks.len());
-        let mut block_refined = Vec::with_capacity(partition.blocks.len());
+        let mut block_maxima = Vec::with_capacity(partition.block_count());
+        let mut block_refined = Vec::with_capacity(partition.block_count());
         let mut pending_jobs = Vec::new();
-        for (bi, block) in partition.blocks.iter().enumerate() {
-            let reusable = old_blocks
-                .get(&block.tasks[0])
-                .is_some_and(|(tasks, span, ..)| {
-                    tasks == &block.tasks
-                        && *span == block.window_span()
-                        && block.tasks.iter().all(|t| !touched.contains(t))
-                });
-            if reusable {
-                block_maxima.push(old_blocks[&block.tasks[0]].2);
-                block_refined.push(old_blocks[&block.tasks[0]].3);
+        for (bi, block) in partition.blocks().enumerate() {
+            let reused = previous.as_ref().and_then(|prev| {
+                let old = *old_blocks.get(&block.tasks[0])?;
+                let old_block = prev.partition.block(old);
+                let clean = old_block.tasks == block.tasks
+                    && old_block.window_span() == block.window_span()
+                    && block.tasks.iter().all(|t| !touched.contains(t));
+                clean.then(|| (prev.block_maxima[old], prev.block_refined[old]))
+            });
+            if let Some((max, refined)) = reused {
+                block_maxima.push(max);
+                block_refined.push(refined);
                 stats.blocks_reused += 1;
             } else {
                 block_maxima.push(RatioMax::default());

@@ -37,28 +37,37 @@
 //! struct-of-arrays streams and then *merges* the streams' alive entries
 //! per column in `O(N)` without sorting or touching the graph again:
 //!
-//! * `start_fixed` / `end_fixed`: events at a constant position, alive
-//!   while `t1 ≤ until` (entries die as `t1` grows);
+//! * `fixed`: events at a constant position, alive on a `t1` band — the
+//!   `+1` at `L − C` and the `−1` at `L` while `t1` is early, and the
+//!   non-preemptive late-regime `−1` pinned at `E + C`. Planning
+//!   pre-merges the three into one position-sorted stream whose entries
+//!   carry their delta and band;
 //! * `start_shift` / `end_shift`: events at `s₀ ± t1`, alive on a `t1`
 //!   band — sorted by shift key, their relative order is invariant under
 //!   the common shift;
 //! * `start_at_t1`: non-preemptive ramps whose onset *is* `t1`, coalesced
 //!   into one leading `(t1, +count)` event (every other alive event sits
-//!   at or beyond `t1`, so the merged list stays sorted);
-//! * `end_band`: non-preemptive late-regime ends pinned at `E + C`.
+//!   at or beyond `t1`, so the merged list stays sorted).
 //!
-//! The accumulated `Θ` depends only on the *multiset* of slope events, so
-//! the merged stream reproduces the sorted per-column list bit for bit.
+//! A column is the coalesced `t1` lead followed by a three-cursor merge
+//! of `fixed`, `start_shift` and `end_shift`, coalescing same-position
+//! deltas whichever stream they come from. The accumulated `Θ` depends
+//! only on the *multiset* of slope events, so the merged stream
+//! reproduces the sorted per-column list bit for bit.
 //!
-//! ## Chunked fan-out
+//! ## One flat plan per sweep, chunked fan-out
 //!
-//! Columns are independent, so [`plan_block`] splits each block's `t1`
-//! range into contiguous chunks ([`crate::exec::chunk_spans`]) and
 //! [`sweep_blocks`] — the one sweep driver behind `analyze`, session
-//! creation, and the session's dirty-block re-sweep — fans block×chunk
-//! jobs across cores with `std::thread::scope`. Merging the per-chunk
-//! maxima in deterministic ascending-`t1` chunk order with the first-wins
-//! strict comparison of [`RatioMax::merge`] reproduces the serial result
+//! creation, and the session's dirty-block re-sweep — plans every block
+//! it is given into one [`SweepPlan`]: one arena, one candidate-point
+//! array and one job list, with per-block ranges into them. A sweep thus
+//! allocates a fixed number of buffers however many blocks it covers.
+//! Columns are independent, so each block's `t1` range is split into
+//! contiguous chunks ([`crate::exec::chunk_spans`]), one job each, fanned
+//! across cores with `std::thread::scope`; each worker reuses one event
+//! buffer for every chunk it runs. Merging the per-chunk maxima in
+//! deterministic ascending-`t1` chunk order with the first-wins strict
+//! comparison of [`RatioMax::merge`] reproduces the serial result
 //! exactly, whatever the thread count or chunk size.
 //!
 //! Results are **bit-identical** to the naive sweep (same demands, same
@@ -72,18 +81,21 @@ use rtlb_graph::{Dur, TaskGraph, TaskId, Time};
 use rtlb_obs::{span, Label, Probe};
 
 use crate::analysis::AnalysisOptions;
-use crate::bounds::{candidate_points, CandidatePolicy, RatioMax};
+use crate::bounds::{push_candidate_points, CandidatePolicy, RatioMax};
 use crate::cancel::CancelToken;
 use crate::error::AnalysisError;
 use crate::estlct::TimingAnalysis;
 use crate::exec::{chunk_spans, effective_threads, run_jobs};
 use crate::partition::{PartitionBlock, ResourcePartition};
 
-/// A slope event at a constant position, alive while `t1 <= until`.
+/// A slope event of `delta` at a constant position, alive for
+/// `lo <= t1 <= hi`.
 #[derive(Clone, Copy, Debug)]
-struct ClampEvent {
+struct FixedEvent {
     pos: i64,
-    until: i64,
+    delta: i64,
+    lo: i64,
+    hi: i64,
 }
 
 /// A preemptive mid-regime start event at `key + t1`, alive for
@@ -113,52 +125,74 @@ struct Band {
     hi: i64,
 }
 
-/// A slope event at a constant position, alive on a `t1` band.
-#[derive(Clone, Copy, Debug)]
-struct BandEvent {
-    pos: i64,
-    lo: i64,
-    hi: i64,
-}
-
-/// Flat struct-of-arrays slope-event streams for one partition block,
-/// built and sorted once, then merged allocation-free per `t1` column.
-/// See the module docs for the regime decomposition; the differential
-/// unit test `arena_streams_match_ramp_decomposition` pins each stream
-/// against `psi_ramp` exhaustively.
+/// Flat struct-of-arrays slope-event streams of one or more blocks. Each
+/// block owns one contiguous, sorted run of every stream (its
+/// [`StreamRuns`]); a column merges a block's runs allocation-free. See
+/// the module docs for the regime decomposition; the unit tests
+/// `arena_streams_match_ramp_decomposition` and
+/// `emit_column_matches_coalesced_ramp_events` pin the merged columns
+/// against `psi_ramp`.
+#[derive(Debug)]
 struct BlockArena {
-    /// `+1` at a fixed position (NP early/mid regime, P early regime).
-    start_fixed: Vec<ClampEvent>,
-    /// `+1` at `key + t1` (P mid regime).
+    /// Constant-position events, by position: `+1` at `L − C` (NP
+    /// early/mid regime, P early regime), `−1` at `L` (NP early regime,
+    /// P early/mid regime) and `−1` at `E + C` (NP late regime).
+    fixed: Vec<FixedEvent>,
+    /// `+1` at `key + t1` (P mid regime), by key.
     start_shift: Vec<StartShiftEvent>,
+    /// `−1` at `L + E − t1` (NP mid regime), by `L + E`.
+    end_shift: Vec<EndShiftEvent>,
     /// `+1` at `t1` itself (NP late regime), coalesced per column.
     start_at_t1: Vec<Band>,
-    /// `−1` at `L` (NP early regime, P early/mid regime).
-    end_fixed: Vec<ClampEvent>,
-    /// `−1` at `L + E − t1` (NP mid regime).
-    end_shift: Vec<EndShiftEvent>,
-    /// `−1` at `E + C` (NP late regime).
-    end_band: Vec<BandEvent>,
+}
+
+/// One block's runs of the [`BlockArena`] streams.
+#[derive(Clone, Debug)]
+struct StreamRuns {
+    fixed: Range<usize>,
+    start_shift: Range<usize>,
+    end_shift: Range<usize>,
+    start_at_t1: Range<usize>,
+}
+
+/// One block's streams, borrowed from a [`BlockArena`].
+#[derive(Clone, Copy, Debug)]
+struct BlockStreams<'a> {
+    fixed: &'a [FixedEvent],
+    start_shift: &'a [StartShiftEvent],
+    end_shift: &'a [EndShiftEvent],
+    start_at_t1: &'a [Band],
 }
 
 impl BlockArena {
-    /// Decomposes every task's ramp into its per-regime stream entries
-    /// and sorts each stream once. Requires feasible windows — an
-    /// infeasible task surfaces as [`AnalysisError::Infeasible`] here
-    /// instead of a wrong answer or a debug assertion.
-    fn build(
+    /// An empty arena with room for the streams of `tasks` tasks: at most
+    /// three fixed entries and one entry of every other stream per task.
+    fn with_capacity(tasks: usize) -> BlockArena {
+        BlockArena {
+            fixed: Vec::with_capacity(3 * tasks),
+            start_shift: Vec::with_capacity(tasks),
+            end_shift: Vec::with_capacity(tasks),
+            start_at_t1: Vec::with_capacity(tasks),
+        }
+    }
+
+    /// Appends one block: decomposes every task's ramp into its
+    /// per-regime stream entries and sorts the block's run of each stream
+    /// once. Requires feasible windows — an infeasible task surfaces as
+    /// [`AnalysisError::Infeasible`] here instead of a wrong answer or a
+    /// debug assertion, and leaves a partial block the caller discards.
+    fn push_block(
+        &mut self,
         graph: &TaskGraph,
         timing: &TimingAnalysis,
         tasks: &[TaskId],
-    ) -> Result<BlockArena, AnalysisError> {
-        let mut arena = BlockArena {
-            start_fixed: Vec::with_capacity(tasks.len()),
-            start_shift: Vec::new(),
-            start_at_t1: Vec::new(),
-            end_fixed: Vec::with_capacity(tasks.len()),
-            end_shift: Vec::new(),
-            end_band: Vec::new(),
-        };
+    ) -> Result<StreamRuns, AnalysisError> {
+        let firsts = (
+            self.fixed.len(),
+            self.start_shift.len(),
+            self.end_shift.len(),
+            self.start_at_t1.len(),
+        );
         for &t in tasks {
             let task = graph.task(t);
             let w = timing.window(t);
@@ -176,17 +210,17 @@ impl BlockArena {
             // All arithmetic below stays in range because e + c <= l:
             // l − c >= e, l − c − e >= 0, and shifted positions are
             // computed only inside their alive band (see emit_column).
+            let early = |pos, delta, until| FixedEvent {
+                pos,
+                delta,
+                lo: i64::MIN,
+                hi: until,
+            };
             if task.is_preemptive() {
-                arena.start_fixed.push(ClampEvent {
-                    pos: l - c,
-                    until: e,
-                });
-                arena.end_fixed.push(ClampEvent {
-                    pos: l,
-                    until: e + c - 1,
-                });
+                self.fixed.push(early(l - c, 1, e));
+                self.fixed.push(early(l, -1, e + c - 1));
                 if c >= 2 {
-                    arena.start_shift.push(StartShiftEvent {
+                    self.start_shift.push(StartShiftEvent {
                         key: (l - c) - e,
                         lo: e + 1,
                         hi: e + c - 1,
@@ -194,37 +228,76 @@ impl BlockArena {
                 }
             } else {
                 let mid_hi = (l - c).min(e + c - 1);
-                arena.start_fixed.push(ClampEvent {
-                    pos: l - c,
-                    until: mid_hi,
-                });
-                arena.end_fixed.push(ClampEvent { pos: l, until: e });
+                self.fixed.push(early(l - c, 1, mid_hi));
+                self.fixed.push(early(l, -1, e));
                 if e < mid_hi {
-                    arena.end_shift.push(EndShiftEvent { l, e, hi: mid_hi });
+                    self.end_shift.push(EndShiftEvent { l, e, hi: mid_hi });
                 }
                 if l - c < e + c - 1 {
-                    arena.start_at_t1.push(Band {
+                    let band = Band {
                         lo: l - c + 1,
                         hi: e + c - 1,
-                    });
-                    arena.end_band.push(BandEvent {
+                    };
+                    self.start_at_t1.push(band);
+                    self.fixed.push(FixedEvent {
                         pos: e + c,
-                        lo: l - c + 1,
-                        hi: e + c - 1,
+                        delta: -1,
+                        lo: band.lo,
+                        hi: band.hi,
                     });
                 }
             }
         }
-        arena.start_fixed.sort_unstable_by_key(|x| x.pos);
-        arena.start_shift.sort_unstable_by_key(|x| x.key);
-        arena.end_fixed.sort_unstable_by_key(|x| x.pos);
-        arena
-            .end_shift
+        let runs = StreamRuns {
+            fixed: firsts.0..self.fixed.len(),
+            start_shift: firsts.1..self.start_shift.len(),
+            end_shift: firsts.2..self.end_shift.len(),
+            start_at_t1: firsts.3..self.start_at_t1.len(),
+        };
+        self.fixed[runs.fixed.clone()].sort_unstable_by_key(|x| x.pos);
+        self.start_shift[runs.start_shift.clone()].sort_unstable_by_key(|x| x.key);
+        self.end_shift[runs.end_shift.clone()]
             .sort_unstable_by_key(|x| i128::from(x.l) + i128::from(x.e));
-        arena.end_band.sort_unstable_by_key(|x| x.pos);
+        Ok(runs)
+    }
+
+    /// The streams of the block that owns `runs`.
+    fn streams(&self, runs: &StreamRuns) -> BlockStreams<'_> {
+        BlockStreams {
+            fixed: &self.fixed[runs.fixed.clone()],
+            start_shift: &self.start_shift[runs.start_shift.clone()],
+            end_shift: &self.end_shift[runs.end_shift.clone()],
+            start_at_t1: &self.start_at_t1[runs.start_at_t1.clone()],
+        }
+    }
+
+    /// A one-block arena over `tasks`.
+    #[cfg(test)]
+    fn build(
+        graph: &TaskGraph,
+        timing: &TimingAnalysis,
+        tasks: &[TaskId],
+    ) -> Result<BlockArena, AnalysisError> {
+        let mut arena = BlockArena::with_capacity(tasks.len());
+        arena.push_block(graph, timing, tasks)?;
         Ok(arena)
     }
 
+    /// [`BlockStreams::emit_column`] over the whole arena: the column of
+    /// its one block.
+    #[cfg(test)]
+    fn emit_column(&self, t1: i64, events: &mut Vec<(i64, i64)>) -> u64 {
+        let runs = StreamRuns {
+            fixed: 0..self.fixed.len(),
+            start_shift: 0..self.start_shift.len(),
+            end_shift: 0..self.end_shift.len(),
+            start_at_t1: 0..self.start_at_t1.len(),
+        };
+        self.streams(&runs).emit_column(t1, events)
+    }
+}
+
+impl BlockStreams<'_> {
     /// Merges the alive entries of every stream into `events`, sorted by
     /// position, with same-position deltas coalesced. Returns the number
     /// of *raw* ramp slope events represented (what the pre-arena sweep
@@ -232,7 +305,6 @@ impl BlockArena {
     /// `events.len()` because of coalescing.
     fn emit_column(&self, t1: i64, events: &mut Vec<(i64, i64)>) -> u64 {
         events.clear();
-        let mut raw = 0u64;
 
         // NP late-regime starts sit exactly at t1 — the minimum possible
         // position (every alive event is at or beyond t1) — so the
@@ -244,79 +316,100 @@ impl BlockArena {
             .count() as i64;
         if at_t1 > 0 {
             events.push((t1, at_t1));
-            raw += at_t1 as u64;
         }
+        let mut raw = at_t1 as u64;
 
-        let (mut sf, mut ss, mut ef, mut es, mut eb) = (0usize, 0, 0, 0, 0);
-        loop {
-            // Peek the next alive entry of each stream; dead entries are
-            // skipped (cursors restart per column, so non-monotone alive
-            // bands are handled by construction).
-            let psf = Self::peek(&self.start_fixed, &mut sf, |x| {
-                (t1 <= x.until).then_some(x.pos)
-            });
-            let pss = Self::peek(&self.start_shift, &mut ss, |x| {
-                (x.lo <= t1 && t1 <= x.hi).then(|| x.key + t1)
-            });
-            let pef = Self::peek(&self.end_fixed, &mut ef, |x| {
-                (t1 <= x.until).then_some(x.pos)
-            });
-            let pes = Self::peek(&self.end_shift, &mut es, |x| {
-                (x.e < t1 && t1 <= x.hi).then(|| x.l - (t1 - x.e))
-            });
-            let peb = Self::peek(&self.end_band, &mut eb, |x| {
-                (x.lo <= t1 && t1 <= x.hi).then_some(x.pos)
-            });
-
-            let mut best: Option<(i64, i64, u8)> = None;
-            for (pos, delta, stream) in [
-                (psf, 1, 0u8),
-                (pss, 1, 1),
-                (pef, -1, 2),
-                (pes, -1, 3),
-                (peb, -1, 4),
-            ] {
-                if let Some(pos) = pos {
-                    if best.is_none_or(|(b, _, _)| pos < b) {
-                        best = Some((pos, delta, stream));
-                    }
-                }
-            }
-            let Some((pos, delta, stream)) = best else {
-                break;
-            };
-            match stream {
-                0 => sf += 1,
-                1 => ss += 1,
-                2 => ef += 1,
-                3 => es += 1,
-                _ => eb += 1,
-            }
+        // One cursor per stream over its alive entries; dead entries are
+        // skipped (cursors restart per column, so non-monotone alive
+        // bands are handled by construction).
+        let mut fixed = self
+            .fixed
+            .iter()
+            .filter(|x| x.lo <= t1 && t1 <= x.hi)
+            .map(|x| (x.pos, x.delta));
+        let mut starts = self
+            .start_shift
+            .iter()
+            .filter(|x| x.lo <= t1 && t1 <= x.hi)
+            .map(|x| (x.key + t1, 1));
+        let mut ends = self
+            .end_shift
+            .iter()
+            .filter(|x| x.e < t1 && t1 <= x.hi)
+            .map(|x| (x.l - (t1 - x.e), -1));
+        let mut push = |(pos, delta): (i64, i64)| {
             debug_assert!(pos >= t1, "alive events never precede t1");
             raw += 1;
             match events.last_mut() {
                 Some(last) if last.0 == pos => last.1 += delta,
                 _ => events.push((pos, delta)),
             }
+        };
+        // Take the lowest head while two or more cursors are live, then
+        // drain the last one. Ties may go either way: same-position
+        // deltas coalesce whatever their order.
+        let (mut f, mut s, mut e) = (fixed.next(), starts.next(), ends.next());
+        loop {
+            match (f, s, e) {
+                (Some(a), Some(b), Some(c)) => {
+                    if a.0 <= b.0 && a.0 <= c.0 {
+                        push(a);
+                        f = fixed.next();
+                    } else if b.0 <= c.0 {
+                        push(b);
+                        s = starts.next();
+                    } else {
+                        push(c);
+                        e = ends.next();
+                    }
+                }
+                (Some(a), Some(b), None) => {
+                    if a.0 <= b.0 {
+                        push(a);
+                        f = fixed.next();
+                    } else {
+                        push(b);
+                        s = starts.next();
+                    }
+                }
+                (Some(a), None, Some(c)) => {
+                    if a.0 <= c.0 {
+                        push(a);
+                        f = fixed.next();
+                    } else {
+                        push(c);
+                        e = ends.next();
+                    }
+                }
+                (None, Some(b), Some(c)) => {
+                    if b.0 <= c.0 {
+                        push(b);
+                        s = starts.next();
+                    } else {
+                        push(c);
+                        e = ends.next();
+                    }
+                }
+                (Some(a), None, None) => {
+                    push(a);
+                    fixed.for_each(&mut push);
+                    break;
+                }
+                (None, Some(b), None) => {
+                    push(b);
+                    starts.for_each(&mut push);
+                    break;
+                }
+                (None, None, Some(c)) => {
+                    push(c);
+                    ends.for_each(&mut push);
+                    break;
+                }
+                (None, None, None) => break,
+            }
         }
         debug_assert!(events.windows(2).all(|w| w[0].0 < w[1].0));
         raw
-    }
-
-    /// Advances `cursor` past dead entries and returns the next alive
-    /// entry's position, without consuming it.
-    fn peek<T: Copy>(
-        stream: &[T],
-        cursor: &mut usize,
-        alive_pos: impl Fn(T) -> Option<i64>,
-    ) -> Option<i64> {
-        while let Some(&entry) = stream.get(*cursor) {
-            if let Some(pos) = alive_pos(entry) {
-                return Some(pos);
-            }
-            *cursor += 1;
-        }
-        None
     }
 }
 
@@ -405,65 +498,95 @@ struct ChunkCounters {
     merged_events: u64,
 }
 
-/// One block's sweep, planned: candidate points, the SoA event arena,
-/// and the ascending-`t1` chunk spans. Chunks are independent units of
-/// work whose maxima merge back in span order.
-struct BlockPlan {
-    points: Vec<Time>,
+/// One planned block: its runs of the plan's arena and its candidate
+/// points in the plan's point array.
+#[derive(Debug)]
+struct PlannedBlock {
+    runs: StreamRuns,
+    points: Range<usize>,
+}
+
+/// Every block of one [`sweep_blocks`] call, planned flat: one event
+/// arena, one array of every block's candidate points and one job list,
+/// with per-block ranges into them. Jobs are independent units of work
+/// whose maxima merge back per block in job order.
+#[derive(Debug)]
+struct SweepPlan {
     arena: BlockArena,
-    chunks: Vec<Range<usize>>,
-    /// Upper bound on one column's merged event count (two per task plus
-    /// the coalesced `t1` event), the per-chunk buffer size.
+    points: Vec<Time>,
+    blocks: Vec<PlannedBlock>,
+    /// One job per contiguous `t1` chunk: its block, and its columns as
+    /// indices into that block's points, in (block, chunk) order.
+    jobs: Vec<(usize, Range<usize>)>,
+    /// Upper bound on one column's merged event count over every block
+    /// (two per task plus the coalesced `t1` event): the size of each
+    /// worker's event buffer.
     max_events: usize,
 }
 
-/// Plans one block's chunked sweep: builds the block's event arena,
-/// computes the candidate grid, and splits the `t1` range off the worker
-/// pool (`chunk_columns` forces a size, `0` auto-sizes; see
-/// [`chunk_spans`]).
-///
-/// # Errors
-///
-/// [`AnalysisError::Infeasible`] if a swept task's window cannot contain
-/// its computation.
-fn plan_block(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    tasks: &[TaskId],
-    policy: CandidatePolicy,
-    threads: usize,
-    chunk_columns: usize,
-) -> Result<BlockPlan, AnalysisError> {
-    let arena = BlockArena::build(graph, timing, tasks)?;
-    let points = candidate_points(graph, timing, tasks, policy);
-    let t1_count = points.len().saturating_sub(1);
-    Ok(BlockPlan {
-        chunks: chunk_spans(t1_count, threads, chunk_columns),
-        points,
-        arena,
-        max_events: tasks.len() * 2 + 1,
-    })
-}
+impl SweepPlan {
+    /// Plans `blocks` in input order, so a planning error surfaces in the
+    /// order a serial sweep would hit it: builds each block's event
+    /// streams and candidate grid, and splits its `t1` range off the
+    /// worker pool (`chunk_columns` forces a size, `0` auto-sizes; see
+    /// [`chunk_spans`]).
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::Infeasible`] if a swept task's window cannot
+    /// contain its computation.
+    fn new(
+        graph: &TaskGraph,
+        timing: &TimingAnalysis,
+        blocks: &[(usize, PartitionBlock<'_>)],
+        policy: CandidatePolicy,
+        threads: usize,
+        chunk_columns: usize,
+    ) -> Result<SweepPlan, AnalysisError> {
+        let tasks: usize = blocks.iter().map(|(_, block)| block.tasks.len()).sum();
+        let mut plan = SweepPlan {
+            arena: BlockArena::with_capacity(tasks),
+            points: Vec::with_capacity(tasks * policy.points_per_task()),
+            blocks: Vec::with_capacity(blocks.len()),
+            jobs: Vec::with_capacity(blocks.len()),
+            max_events: 0,
+        };
+        for (bi, (_, block)) in blocks.iter().enumerate() {
+            let runs = plan.arena.push_block(graph, timing, block.tasks)?;
+            let first = plan.points.len();
+            push_candidate_points(graph, timing, block.tasks, policy, &mut plan.points);
+            let points = first..plan.points.len();
+            let columns = points.len().saturating_sub(1);
+            plan.jobs
+                .extend(chunk_spans(columns, threads, chunk_columns).map(|span| (bi, span)));
+            plan.max_events = plan.max_events.max(block.tasks.len() * 2 + 1);
+            plan.blocks.push(PlannedBlock { runs, points });
+        }
+        Ok(plan)
+    }
 
-impl BlockPlan {
-    /// Sweeps chunk `ci` into `max`, polling `ctl` once per `t1` column
+    /// Sweeps job `job` into `max`, polling `ctl` once per `t1` column
     /// (the interruption checkpoint — a column is the unit of work
     /// between checks, so cancellation latency is one column, not one
-    /// whole chunk). The event buffer is allocated once per chunk and
-    /// reused across its columns; the merge itself never allocates.
-    fn sweep_chunk(
+    /// whole chunk). `events` is the calling worker's column buffer; the
+    /// merge itself never allocates.
+    fn sweep_job(
         &self,
-        ci: usize,
+        job: usize,
+        events: &mut Vec<(i64, i64)>,
         max: &mut RatioMax,
         ctl: &CancelToken,
     ) -> Result<ChunkCounters, AnalysisError> {
+        let (bi, ref columns) = self.jobs[job];
+        let block = &self.blocks[bi];
+        let streams = self.arena.streams(&block.runs);
+        let points = &self.points[block.points.clone()];
         let mut counters = ChunkCounters::default();
-        let mut events: Vec<(i64, i64)> = Vec::with_capacity(self.max_events);
-        for li in self.chunks[ci].clone() {
+        for li in columns.clone() {
             ctl.check()?;
-            counters.raw_events += self.arena.emit_column(self.points[li].ticks(), &mut events);
+            counters.raw_events += streams.emit_column(points[li].ticks(), events);
             counters.merged_events += events.len() as u64;
-            accumulate_column(&self.points, li, &events, max);
+            accumulate_column(points, li, events, max);
         }
         Ok(counters)
     }
@@ -475,10 +598,9 @@ impl BlockPlan {
 /// with the index that labels its `sweep.chunk` spans (the partition's
 /// position in the run).
 ///
-/// Every block is planned first, in input order, so a planning error
-/// surfaces in the order a serial sweep would hit it. Blocks are then
-/// split into contiguous `t1` chunks for load balance, one job per chunk,
-/// and chunk maxima fold back per block in ascending-`t1` order with the
+/// Every block is planned first ([`SweepPlan::new`]). Blocks are split
+/// into contiguous `t1` chunks for load balance, one job per chunk, and
+/// chunk maxima fold back per block in ascending-`t1` order with the
 /// serial first-wins tie-break — bit-identical for any thread count and
 /// chunk size. On error (the first in job order wins) all partial maxima
 /// are discarded; workers that observe a tripped `ctl` stop at their
@@ -493,56 +615,50 @@ impl BlockPlan {
 ///
 /// # Errors
 ///
-/// [`AnalysisError::Infeasible`] as in [`plan_block`], or
+/// [`AnalysisError::Infeasible`] as in [`SweepPlan::new`], or
 /// [`AnalysisError::Deadline`] when `ctl` trips.
 pub(crate) fn sweep_blocks(
     graph: &TaskGraph,
     timing: &TimingAnalysis,
-    blocks: &[(usize, &PartitionBlock)],
+    blocks: &[(usize, PartitionBlock<'_>)],
     options: &AnalysisOptions,
     probe: &dyn Probe,
     ctl: &CancelToken,
 ) -> Result<Vec<RatioMax>, AnalysisError> {
     let threads = effective_threads(options.parallelism);
-    let plans = blocks
-        .iter()
-        .map(|(_, block)| {
-            plan_block(
-                graph,
-                timing,
-                &block.tasks,
-                options.candidates,
-                threads,
-                options.chunk_columns,
-            )
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let plan = SweepPlan::new(
+        graph,
+        timing,
+        blocks,
+        options.candidates,
+        threads,
+        options.chunk_columns,
+    )?;
 
-    // One job per contiguous t1 chunk, in (block, chunk) order.
-    let jobs: Vec<(usize, usize)> = plans
-        .iter()
-        .enumerate()
-        .flat_map(|(bi, plan)| (0..plan.chunks.len()).map(move |ci| (bi, ci)))
-        .collect();
+    probe.add("sweep.blocks", plan.blocks.len() as u64);
+    probe.add("sweep.jobs", plan.jobs.len() as u64);
+    probe.add("sweep.chunks", plan.jobs.len() as u64);
 
-    probe.add("sweep.blocks", plans.len() as u64);
-    probe.add("sweep.jobs", jobs.len() as u64);
-    probe.add("sweep.chunks", jobs.len() as u64);
+    let chunk_maxima = run_jobs(
+        probe,
+        threads,
+        plan.jobs.len(),
+        || Vec::with_capacity(plan.max_events),
+        |events, job| {
+            let label = Label::Index(blocks[plan.jobs[job].0].0 as u64);
+            let _chunk = span(probe, "sweep.chunk", label);
+            let mut max = RatioMax::default();
+            let counters = plan.sweep_job(job, events, &mut max, ctl)?;
+            probe.add("sweep.pairs_offered", max.intervals());
+            probe.add("sweep.events_processed", counters.raw_events);
+            probe.add("sweep.chunk_events", counters.merged_events);
+            probe.observe("sweep.events_per_chunk", counters.merged_events);
+            Ok(max)
+        },
+    );
 
-    let chunk_maxima = run_jobs(probe, threads, jobs.len(), |j| {
-        let (bi, ci) = jobs[j];
-        let _chunk = span(probe, "sweep.chunk", Label::Index(blocks[bi].0 as u64));
-        let mut max = RatioMax::default();
-        let counters = plans[bi].sweep_chunk(ci, &mut max, ctl)?;
-        probe.add("sweep.pairs_offered", max.intervals());
-        probe.add("sweep.events_processed", counters.raw_events);
-        probe.add("sweep.chunk_events", counters.merged_events);
-        probe.observe("sweep.events_per_chunk", counters.merged_events);
-        Ok(max)
-    });
-
-    let mut folded = vec![RatioMax::default(); plans.len()];
-    for ((bi, _), max) in jobs.iter().zip(chunk_maxima) {
+    let mut folded = vec![RatioMax::default(); plan.blocks.len()];
+    for ((bi, _), max) in plan.jobs.iter().zip(chunk_maxima) {
         folded[*bi].merge(max?);
     }
     Ok(folded)
@@ -563,15 +679,15 @@ pub(crate) fn sweep_partitions(
     probe: &dyn Probe,
     ctl: &CancelToken,
 ) -> Result<Vec<Vec<RatioMax>>, AnalysisError> {
-    let blocks: Vec<(usize, &PartitionBlock)> = partitions
+    let blocks: Vec<(usize, PartitionBlock<'_>)> = partitions
         .iter()
         .enumerate()
-        .flat_map(|(pi, p)| p.blocks.iter().map(move |b| (pi, b)))
+        .flat_map(|(pi, p)| p.blocks().map(move |b| (pi, b)))
         .collect();
     let mut maxima = sweep_blocks(graph, timing, &blocks, options, probe, ctl)?.into_iter();
     Ok(partitions
         .iter()
-        .map(|p| maxima.by_ref().take(p.blocks.len()).collect())
+        .map(|p| maxima.by_ref().take(p.block_count()).collect())
         .collect())
 }
 
@@ -681,6 +797,78 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Independent tasks on one processor, one per `(release, width, C,
+    /// preemptive)` spec, with `C` folded into `1..=width` so every
+    /// window is feasible. Precedence-free, so EST = release and LCT =
+    /// release + width.
+    fn block_of(specs: &[(i64, i64, i64, bool)]) -> (rtlb_graph::TaskGraph, Vec<TaskId>) {
+        let mut cat = Catalog::new();
+        let p = cat.processor("P");
+        let mut b = TaskGraphBuilder::new(cat);
+        let tasks = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(e, width, c, preemptive))| {
+                let c = 1 + (c - 1) % width;
+                let mut spec = TaskSpec::new(format!("t{i}"), Dur::new(c), p)
+                    .release(Time::new(e))
+                    .deadline(Time::new(e + width));
+                if preemptive {
+                    spec = spec.preemptive();
+                }
+                b.add_task(spec).unwrap()
+            })
+            .collect();
+        (b.build().unwrap(), tasks)
+    }
+
+    proptest::proptest! {
+        /// The per-column merge against the ramp decomposition on whole
+        /// blocks: for every `t1` on and off the candidate grid, the
+        /// emitted list is the position-sorted, delta-coalesced multiset
+        /// of every member's `psi_ramp` events, and the raw count is the
+        /// size of that multiset. Blocks this dense put position ties
+        /// across streams, coalesced deltas and dead entries between
+        /// live ones into almost every column.
+        #[test]
+        fn emit_column_matches_coalesced_ramp_events(
+            specs in proptest::collection::vec(
+                (0i64..16, 1i64..12, 1i64..12, proptest::prelude::any::<bool>()),
+                1..=12,
+            ),
+        ) {
+            let (g, tasks) = block_of(&specs);
+            let timing = compute_timing(&g, &SystemModel::shared());
+            let arena = BlockArena::build(&g, &timing, &tasks).unwrap();
+            let mut events = Vec::new();
+            // Windows lie inside [0, 27]: this covers every candidate
+            // point with off-grid columns on both sides.
+            for t1 in -2..30 {
+                let mut ramp_events = Vec::new();
+                for &t in &tasks {
+                    let task = g.task(t);
+                    let (window, c) = (timing.window(t), task.computation());
+                    if let Some(r) = psi_ramp(window, c, task.mode(), Time::new(t1)) {
+                        ramp_events.push((r.start, 1));
+                        ramp_events.push((r.start + r.height, -1));
+                    }
+                }
+                ramp_events.sort_by_key(|&(pos, _)| pos);
+                let mut expect: Vec<(i64, i64)> = Vec::new();
+                for &(pos, delta) in &ramp_events {
+                    match expect.last_mut() {
+                        Some(last) if last.0 == pos => last.1 += delta,
+                        _ => expect.push((pos, delta)),
+                    }
+                }
+                let raw = arena.emit_column(t1, &mut events);
+                let expect_raw = ramp_events.len() as u64;
+                proptest::prop_assert_eq!(raw, expect_raw, "raw count at t1 = {}", t1);
+                proptest::prop_assert_eq!(&events, &expect, "merged column at t1 = {}", t1);
             }
         }
     }

@@ -233,11 +233,17 @@ impl Drop for Server {
     }
 }
 
+/// Accepts connections until the stop flag is set, one thread each.
+/// Finished connection threads are joined as the loop goes, so the loop
+/// holds only live connections and a finished one keeps no stack mapped.
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    let mut connections = Vec::new();
+    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if shared.stop.load(Ordering::Acquire) {
             break;
+        }
+        for finished in connections.extract_if(.., |conn| conn.is_finished()) {
+            let _ = finished.join();
         }
         let Ok(stream) = stream else { continue };
         shared.registry.counter_add("serve.connections", 1);

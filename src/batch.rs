@@ -713,7 +713,7 @@ pub(crate) fn drive(
 
         // Phase 1 — scan: read, parse, and key every input on the pool.
         // Parse failures are decided here; everything else gets a key.
-        let scans = run_jobs(&NULL_PROBE, pool.min(inputs.len()), inputs.len(), |job| {
+        let scan = |_: &mut (), job: usize| {
             let start = Instant::now();
             let result = catch_unwind(AssertUnwindSafe(|| {
                 scan_instance(&inputs[job], &fingerprint)
@@ -728,7 +728,14 @@ pub(crate) fn drive(
                     micros,
                 ),
             }
-        });
+        };
+        let scans = run_jobs(
+            &NULL_PROBE,
+            pool.min(inputs.len()),
+            inputs.len(),
+            || (),
+            scan,
+        );
 
         // Phase 2 — group and consult: content-identical inputs form one
         // group; the lowest index is the representative. Representatives
@@ -820,7 +827,7 @@ pub(crate) fn drive(
             if workers > 1 {
                 per_instance.parallelism = 1;
             }
-            let analyzed = run_jobs(&NULL_PROBE, workers, worklist.len(), |job| {
+            let analyze = |_: &mut (), job: usize| {
                 let idx = worklist[job];
                 let path = &inputs[idx];
                 progress.begin(idx);
@@ -860,7 +867,8 @@ pub(crate) fn drive(
                 probe.observe("batch.instance_micros", outcome.micros);
                 on_complete(&outcome, key);
                 (idx, outcome)
-            });
+            };
+            let analyzed = run_jobs(&NULL_PROBE, workers, worklist.len(), || (), analyze);
             for (idx, outcome) in analyzed {
                 outcomes[idx] = Some(outcome);
             }

@@ -67,9 +67,16 @@ fn parallel_report_matches_serial_except_pool_shape() {
     // identical; only the chunk plan and the `jobs` option differ.
     assert_eq!(serial_doc.get("bounds"), parallel_doc.get("bounds"));
     assert_eq!(serial_doc.get("partitions"), parallel_doc.get("partitions"));
-    for counter in ["sweep.pairs_offered", "sweep.events_processed"] {
+    for counter in [
+        "sweep.pairs_offered",
+        "sweep.events_processed",
+        "sweep.chunk_events",
+        "sweep.blocks",
+    ] {
+        let serial_value = serial_doc.get("counters").unwrap().get(counter);
+        assert!(serial_value.is_some(), "counter {counter} is reported");
         assert_eq!(
-            serial_doc.get("counters").unwrap().get(counter),
+            serial_value,
             parallel_doc.get("counters").unwrap().get(counter),
             "counter {counter} must not depend on the worker pool"
         );

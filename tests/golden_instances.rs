@@ -74,8 +74,7 @@ fn check(name: &str, expected: &[ExpectedBound], blocks: &[ExpectedBlock]) {
             .find(|p| p.resource == r)
             .unwrap();
         let block = partition
-            .blocks
-            .iter()
+            .blocks()
             .find(|b| b.start == Time::new(expect.span.0))
             .unwrap_or_else(|| {
                 panic!(
@@ -100,7 +99,7 @@ fn check(name: &str, expected: &[ExpectedBound], blocks: &[ExpectedBlock]) {
         );
         seen += 1;
     }
-    let total: usize = analysis.partitions().iter().map(|p| p.blocks.len()).sum();
+    let total: usize = analysis.partitions().iter().map(|p| p.block_count()).sum();
     assert_eq!(total, seen, "{name}: every partition block is pinned");
 }
 

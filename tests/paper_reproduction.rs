@@ -73,10 +73,9 @@ fn e2_partitions() {
             .find(|p| p.resource == r)
             .expect("partition exists");
         partition
-            .blocks
-            .iter()
+            .blocks()
             .map(|b| {
-                let mut ns = names(&ex, &b.tasks);
+                let mut ns = names(&ex, b.tasks);
                 ns.sort_unstable();
                 ns
             })

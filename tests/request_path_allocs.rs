@@ -1,8 +1,8 @@
-//! Allocation ceilings for the two layers every one-shot request
-//! crosses before analysis: decoding the `rtlb-rpc-v1` line and parsing
-//! the instance text. Counts at a fixed input do not jitter the way
-//! wall-clock time does, so a change that brings back per-character or
-//! per-line allocation fails here on any host.
+//! Allocation ceilings for the layers every one-shot request crosses:
+//! decoding the `rtlb-rpc-v1` line, parsing the instance text and
+//! analyzing it. Counts at a fixed input do not jitter the way
+//! wall-clock time does, so a change that brings back per-character,
+//! per-line or per-block allocation fails here on any host.
 //!
 //! The counting allocator keeps its counters per thread, so tests that
 //! run in parallel in this binary do not see each other's allocations.
@@ -123,5 +123,23 @@ fn request_decode_stays_under_its_allocation_ceiling() {
         bytes <= ceiling,
         "parse_request allocated {bytes} bytes on a {}-byte line (ceiling {ceiling})",
         line.len()
+    );
+}
+
+/// The whole pipeline at default options on the one-shot benchmark's
+/// instance: 187 Figure 4 blocks, so anything allocated per block or per
+/// sweep chunk breaks the ceiling.
+#[test]
+fn analysis_stays_under_its_allocation_ceiling() {
+    let graph = rtlb::workloads::framed_tasks(100, 4, 42);
+    let options = rtlb::core::AnalysisOptions::default();
+    let model = rtlb::core::SystemModel::shared();
+    let (analysis, allocs, _) = counted(|| rtlb::core::analyze_with(&graph, &model, options));
+    let analysis = analysis.expect("the instance analyzes");
+    let blocks: usize = analysis.partitions().iter().map(|p| p.block_count()).sum();
+    eprintln!("analyze_with: {allocs} allocations on 400 tasks in {blocks} blocks");
+    assert!(
+        allocs <= 100,
+        "analyze_with made {allocs} allocations on 400 tasks in {blocks} blocks (ceiling 100)"
     );
 }
