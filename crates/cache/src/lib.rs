@@ -39,7 +39,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rtlb_core::{IntervalWitness, ResourceBound};
+use rtlb_core::{IntervalWitness, PropagationLevel, ResourceBound};
 use rtlb_format::{content_key, ContentKey, ParsedSystem};
 use rtlb_graph::{Catalog, Dur, ResourceId, Time};
 use rtlb_obs::{json, Json, Probe};
@@ -292,10 +292,14 @@ pub fn entry_json(
 /// the one entry reader: [`ResultCache::lookup`] treats any error as a
 /// miss, and `rtlb check-report` reports it.
 ///
+/// Beyond the [`bound_from_json`] row rules, an entry whose `options`
+/// say `propagation=timeline` must carry each witnessed `lb` equal to
+/// its witness ceiling: nothing at that level raises a bound past it.
+///
 /// # Errors
 ///
-/// A message naming the first field that breaks the entry schema or
-/// the [`bound_from_json`] row rules.
+/// A message naming the first field that breaks the entry schema, the
+/// [`bound_from_json`] row rules or the timeline ceiling.
 pub fn entry_from_json(doc: &Json) -> Result<(ContentKey, NamedBounds), String> {
     if doc.get("schema").and_then(Json::as_str) != Some(CACHE_ENTRY_SCHEMA) {
         return Err(format!("not an {CACHE_ENTRY_SCHEMA} document"));
@@ -303,7 +307,12 @@ pub fn entry_from_json(doc: &Json) -> Result<(ContentKey, NamedBounds), String> 
     let hex = json::str_field(doc, "", "key")?;
     let key = ContentKey::parse(hex)
         .ok_or_else(|| format!("key: `{hex}` is not a 128-bit hex content key"))?;
-    json::str_field(doc, "", "options")?;
+    let options = json::str_field(doc, "", "options")?;
+    // Timeline propagation never raises a bound past its sweep witness,
+    // so there `lb` must be the witness ceiling itself.
+    let timeline = options
+        .split(';')
+        .any(|knob| knob.strip_prefix("propagation=") == Some(PropagationLevel::Timeline.label()));
     let bounds = json::arr_field(doc, "", "bounds")?
         .iter()
         .enumerate()
@@ -312,10 +321,27 @@ pub fn entry_from_json(doc: &Json) -> Result<(ContentKey, NamedBounds), String> 
             let index = json::nonneg_field(row, &path, "index")?;
             let index = u32::try_from(index)
                 .map_err(|_| format!("{path}.index: {index} is not a catalog index"))?;
-            bound_from_json(row, &path, ResourceId::from_index(index as usize))
+            let named = bound_from_json(row, &path, ResourceId::from_index(index as usize))?;
+            let bound = &named.1;
+            match bound.witness.as_ref().map(witness_ceiling) {
+                Some(ceiling) if timeline && i128::from(bound.bound) > ceiling => Err(format!(
+                    "{path}: lb {} exceeds its witness ceiling {ceiling}, which a \
+                     propagation=timeline bound must equal",
+                    bound.bound
+                )),
+                _ => Ok(named),
+            }
         })
         .collect::<Result<_, _>>()?;
     Ok((key, bounds))
+}
+
+/// `⌈demand / (t2 − t1)⌉`: the bound a witness interval proves on its
+/// own (Eq. 6.3). Widened, so no decoded witness can overflow it.
+fn witness_ceiling(witness: &IntervalWitness) -> i128 {
+    let length = i128::from(witness.t2.ticks()) - i128::from(witness.t1.ticks());
+    let demand = i128::from(witness.demand.ticks());
+    (demand + length - 1).div_euclid(length)
 }
 
 /// Checks a cache directory's `rtlb-cache-v1` `index.json` against the
@@ -371,10 +397,13 @@ pub fn bound_json(name: &str, bound: &ResourceBound) -> Json {
 ///
 /// The row must keep the witness rule the sweep guarantees: the
 /// witness is `null` exactly when no interval was examined, a witness
-/// interval has `t1 < t2`, and `lb > 0` needs a witness. A witness with
-/// `lb` 0 is valid (only zero-computation tasks demand the resource),
-/// and `lb` may exceed the ceiling the witness alone justifies
-/// (filtered propagation raises it).
+/// interval has `t1 < t2`, and `lb > 0` needs a witness. `lb` is at
+/// least the ceiling `⌈demand / (t2 − t1)⌉` the witness proves, since
+/// the sweep reports exactly that ceiling. A witness with `lb` 0 is
+/// valid (only zero-computation tasks demand the resource), and `lb`
+/// may exceed the ceiling (filtered propagation raises it; the reader
+/// of a cache entry refuses that where its options rule it out, see
+/// [`entry_from_json`]).
 ///
 /// # Errors
 ///
@@ -414,6 +443,13 @@ pub fn bound_from_json(
         )),
         (None, n) if n > 0 => Err(format!("{path}: {n} interval(s) examined but no witness")),
         (Some(_), 0) => Err(format!("{path}: a witness needs an examined interval")),
+        (Some(w), _) if i128::from(bound) < witness_ceiling(&w) => Err(format!(
+            "{path}: lb {bound} is below its witness ceiling ⌈{} / ({} − {})⌉ = {}",
+            w.demand.ticks(),
+            w.t2.ticks(),
+            w.t1.ticks(),
+            witness_ceiling(&w)
+        )),
         _ => Ok((
             name.to_owned(),
             ResourceBound {
@@ -566,9 +602,35 @@ mod tests {
                 r#"{"resource":"r","lb":-1,"intervals_examined":0,"witness":null}"#,
                 "b.lb",
             ),
+            (
+                r#"{"resource":"r","lb":1,"intervals_examined":3,"witness":{"t1":0,"t2":4,"demand":5}}"#,
+                "below its witness ceiling",
+            ),
         ] {
             let err = row(text).expect_err(text);
             assert!(err.contains(expected), "{text}: {err}");
+        }
+    }
+
+    /// At `propagation=timeline` a witnessed `lb` must be its witness
+    /// ceiling; at `filtered` it may exceed it, never undercut it.
+    #[test]
+    fn timeline_entries_carry_exactly_their_witness_ceiling() {
+        let key = ContentKey::of(b"ceiling");
+        let entry = |options: &str, lb: u32| {
+            let mut bounds = sample_bounds();
+            bounds[0].1.bound = lb; // witness: 21 over [2, 9], ceiling 3
+            entry_from_json(&entry_json(key, options, &bounds))
+        };
+        let timeline = "candidates=est-lct;propagation=timeline";
+        let filtered = "candidates=est-lct;propagation=filtered";
+        assert!(entry(timeline, 3).is_ok());
+        let err = entry(timeline, 4).unwrap_err();
+        assert!(err.contains("exceeds its witness ceiling 3"), "{err}");
+        assert!(entry(filtered, 4).is_ok());
+        for options in [timeline, filtered] {
+            let err = entry(options, 2).unwrap_err();
+            assert!(err.contains("below its witness ceiling"), "{err}");
         }
     }
 

@@ -109,7 +109,7 @@ pub struct ResourceBound {
 
 /// Exact ratio maximization state: max of Θ/length compared by
 /// cross-multiplication, no floating point.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct RatioMax {
     /// (demand, length, witness)
     best: Option<(i64, i64, IntervalWitness)>,
@@ -117,10 +117,23 @@ pub(crate) struct RatioMax {
 }
 
 impl RatioMax {
-    /// Candidate pairs offered so far (the sweep's instrumentation
-    /// counter; equals `intervals_examined` of the resulting bound).
+    /// Candidate pairs counted so far, offered or pruned (the sweep's
+    /// `sweep.pairs_offered` counter; equals `intervals_examined` of the
+    /// resulting bound).
     pub(crate) fn intervals(&self) -> u64 {
         self.intervals
+    }
+
+    /// Whether a pair of ratio `demand / length` (`length > 0`) would
+    /// replace the incumbent: always when there is none, else only when
+    /// strictly larger, so the first of tying pairs wins.
+    pub(crate) fn would_take(&self, demand: i64, length: i64) -> bool {
+        match self.best {
+            None => true,
+            Some((bn, bd, _)) => {
+                i128::from(demand) * i128::from(bd) > i128::from(bn) * i128::from(length)
+            }
+        }
     }
 
     pub(crate) fn offer(&mut self, demand: Dur, t1: Time, t2: Time) {
@@ -128,13 +141,17 @@ impl RatioMax {
         let num = demand.ticks();
         let den = t2.diff(t1);
         debug_assert!(den > 0);
-        let better = match self.best {
-            None => true,
-            Some((bn, bd, _)) => (num as i128) * (bd as i128) > (bn as i128) * (den as i128),
-        };
-        if better {
+        if self.would_take(num, den) {
             self.best = Some((num, den, IntervalWitness { t1, t2, demand }));
         }
+    }
+
+    /// Counts `pairs` candidate pairs that were not offered because none
+    /// of them [`would_take`](RatioMax::would_take) the incumbent's
+    /// place: offering them would only have counted them.
+    pub(crate) fn count_pruned(&mut self, pairs: u64) {
+        debug_assert!(self.best.is_some(), "without an incumbent every pair wins");
+        self.intervals += pairs;
     }
 
     /// Folds another maximization state into this one, preserving the
@@ -146,11 +163,7 @@ impl RatioMax {
     pub(crate) fn merge(&mut self, other: RatioMax) {
         self.intervals += other.intervals;
         if let Some((num, den, witness)) = other.best {
-            let better = match self.best {
-                None => true,
-                Some((bn, bd, _)) => (num as i128) * (bd as i128) > (bn as i128) * (den as i128),
-            };
-            if better {
+            if self.would_take(num, den) {
                 self.best = Some((num, den, witness));
             }
         }

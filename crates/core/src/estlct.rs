@@ -136,21 +136,30 @@ impl TimingAnalysis {
     }
 
     /// Stores one [`bound_of`] result: `E_t` and `M_t`, or `L_t` and
-    /// `G_t`. The incremental session ([`crate::session::AnalysisSession`])
+    /// `G_t`, copying the merge set into the stored one's allocation. The
+    /// incremental session ([`crate::session::AnalysisSession`])
     /// recomputes windows and merge selections task by task through this
     /// instead of re-running both full Figure 2/3 passes.
-    pub(crate) fn set(&mut self, pass: Pass, t: TaskId, value: Time, merged: Vec<TaskId>) {
+    pub(crate) fn set(
+        &mut self,
+        pass: Pass,
+        t: TaskId,
+        value: Time,
+        merged: impl IntoIterator<Item = TaskId>,
+    ) {
         let i = t.index();
-        match pass {
+        let stored = match pass {
             Pass::Est => {
                 self.windows[i].est = value;
-                self.merged_preds[i] = merged;
+                &mut self.merged_preds[i]
             }
             Pass::Lct => {
                 self.windows[i].lct = value;
-                self.merged_succs[i] = merged;
+                &mut self.merged_succs[i]
             }
-        }
+        };
+        stored.clear();
+        stored.extend(merged);
     }
 }
 
@@ -317,6 +326,7 @@ fn compute_timing_inner(
         merged_succs: vec![Vec::new(); n],
     };
     let (mut candidates, mut accepted) = (0u64, 0u64);
+    let mut scan = MergeScan::default();
 
     for pass in [Pass::Lct, Pass::Est] {
         let name = match pass {
@@ -326,14 +336,14 @@ fn compute_timing_inner(
         let _pass = span(probe, name, Label::None);
         for i in pass.order(graph) {
             ctl.check()?;
-            let (value, merged, task_trace) = bound_of(graph, model, pass, i, &timing, packer);
-            candidates += task_trace.steps.len() as u64;
-            accepted += merged.len() as u64;
-            timing.set(pass, i, value, merged);
+            let value = bound_of(graph, model, pass, i, &timing, packer, &mut scan);
+            candidates += scan.considered() as u64;
+            accepted += scan.merged().len() as u64;
+            timing.set(pass, i, value, scan.merged());
             if let Some(t) = trace.as_deref_mut() {
                 match pass {
-                    Pass::Lct => t.lct.push(task_trace),
-                    Pass::Est => t.est.push(task_trace),
+                    Pass::Lct => t.lct.push(scan.trace(i)),
+                    Pass::Est => t.est.push(scan.trace(i)),
                 }
             }
         }
@@ -407,9 +417,10 @@ impl Pack for Timeline {
 /// into the inputs, `lms_j = L_j − C_j − m` into `−lms_j = −L_j + C_j + m`
 /// (an `emr`), and the deadline into a release `−D_i`. So [`bound_of`]
 /// runs only Figure 3's scan, on times mapped through [`Pass::orient`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) enum Pass {
     /// Figure 3: `E_i` and `M_i` from the predecessors.
+    #[default]
     Est,
     /// Figure 2: `L_i` and `G_i` from the successors.
     Lct,
@@ -455,14 +466,95 @@ impl Pass {
     }
 }
 
+/// The merge scan of the last [`bound_of`] evaluation, kept in buffers
+/// the caller reuses across evaluations (a timing pass, a session wave):
+/// once they have grown, an evaluation allocates nothing, and the trace
+/// steps are built only by [`MergeScan::trace`], for a caller that keeps
+/// them.
+#[derive(Debug, Default)]
+pub(crate) struct MergeScan {
+    /// The pass whose orientation the times below are in.
+    pass: Pass,
+    /// The inputs individually mergeable with the task (`MP_i`), with
+    /// their oriented `emr`, in scan order.
+    candidates: Vec<Boundary>,
+    /// The merged set of each scanned prefix of `candidates`: its
+    /// Equation 4.5 value, oriented.
+    values: Vec<Time>,
+    /// Whether the scan stopped at `candidates[values.len()]`, which is
+    /// not mergeable with the prefix before it.
+    stopped: bool,
+    /// The "if no tasks are merged" bound, oriented.
+    base: Time,
+    /// The best value, oriented, and the length of the shortest prefix
+    /// that attains it: the merge set.
+    best: Time,
+    best_len: usize,
+}
+
+impl MergeScan {
+    /// Maps an oriented time back to real time.
+    fn real(&self, t: Time) -> Time {
+        self.pass.orient(t)
+    }
+
+    /// The merge set the last evaluation selected, in merge order.
+    pub(crate) fn merged(&self) -> impl ExactSizeIterator<Item = TaskId> + '_ {
+        self.candidates[..self.best_len].iter().map(|&(j, _)| j)
+    }
+
+    /// The candidates the last evaluation considered: one trace step
+    /// each (the `timing.merge_candidates` counter).
+    pub(crate) fn considered(&self) -> usize {
+        self.values.len() + usize::from(self.stopped)
+    }
+
+    /// The last evaluation's trace, for task `task`.
+    pub(crate) fn trace(&self, task: TaskId) -> TaskTrace {
+        let mut steps: Vec<MergeStep> = self
+            .values
+            .iter()
+            .zip(&self.candidates)
+            .enumerate()
+            .map(|(k, (&value, &(candidate, boundary)))| MergeStep {
+                candidate,
+                boundary: self.real(boundary),
+                resulting: self.real(value),
+                decision: if k < self.best_len {
+                    MergeDecision::Accepted
+                } else {
+                    MergeDecision::RejectedNoImprovement
+                },
+            })
+            .collect();
+        if self.stopped {
+            let (candidate, boundary) = self.candidates[self.values.len()];
+            steps.push(MergeStep {
+                candidate,
+                boundary: self.real(boundary),
+                resulting: self.real(self.base),
+                decision: MergeDecision::RejectedNotMergeable,
+            });
+        }
+        TaskTrace {
+            task,
+            base: self.real(self.base),
+            steps,
+            final_value: self.real(self.best),
+        }
+    }
+}
+
 /// Figure 3 in `pass`'s orientation: `E_i` and the merged predecessor
 /// set `M_i`, or `L_i` and the merged successor set `G_i` (Figure 2).
-/// The value, merge set and trace come back in real time.
+/// Returns the value in real time and leaves the scan — the merge set,
+/// and what a trace needs — in `scan`.
 ///
 /// Pure in the task's own limit (`rel_i` or `D_i`), its inputs' values
 /// and computations, the messages and the model — the incremental
 /// session relies on this to recompute single tasks out of band. The
-/// `packer` is pure scratch (every [`Pack`] yields identical values).
+/// `packer` and the buffers of `scan` are pure scratch (every [`Pack`]
+/// yields identical values).
 pub(crate) fn bound_of(
     graph: &TaskGraph,
     model: &SystemModel,
@@ -470,54 +562,52 @@ pub(crate) fn bound_of(
     i: TaskId,
     timing: &TimingAnalysis,
     packer: &mut impl Pack,
-) -> (Time, Vec<TaskId>, TaskTrace) {
+    scan: &mut MergeScan,
+) -> Time {
     let task = graph.task(i);
-    let limit = match pass {
+    let o = |t: Time| pass.orient(t);
+    let limit = o(match pass {
         Pass::Est => task.release(),
         Pass::Lct => task.deadline(),
-    };
+    });
     let inputs = pass.inputs(graph, i);
+    scan.pass = pass;
+    scan.candidates.clear();
+    scan.values.clear();
+    scan.stopped = false;
+    scan.base = limit;
+    scan.best = limit;
+    scan.best_len = 0;
     if inputs.is_empty() {
-        return (
-            limit,
-            Vec::new(),
-            TaskTrace {
-                task: i,
-                base: limit,
-                steps: Vec::new(),
-                final_value: limit,
-            },
-        );
+        return o(limit);
     }
-    let o = |t: Time| pass.orient(t);
 
-    // emr_j = E_j + C_j + m_ji for every input (for Lct: −lms_j).
-    let emr: Vec<Boundary> = inputs
-        .iter()
-        .map(|e| {
-            let j = e.other;
-            (
-                j,
-                o(timing.get(pass, j)) + graph.task(j).computation() + e.message,
-            )
-        })
-        .collect();
-
-    // MP_i: inputs individually mergeable with i.
+    // MP_i: inputs individually mergeable with i, each with its
+    // emr_j = E_j + C_j + m_ji (for Lct: −lms_j). Figure 3's E_i^0 =
+    // max(rel_i, max over non-mergeable inputs of emr), with −D_i for
+    // rel_i on reversed time.
     let mut seed = MergeSet::new(model, graph, i).expect("validated models host every task");
-    let (mp, non_mp): (Vec<Boundary>, Vec<Boundary>) =
-        emr.iter().copied().partition(|&(j, _)| seed.can_add(j));
+    let mut fig_e0 = limit;
+    for e in inputs {
+        let j = e.other;
+        let emr = o(timing.get(pass, j)) + graph.task(j).computation() + e.message;
+        if seed.can_add(j) {
+            scan.candidates.push((j, emr));
+        } else {
+            fig_e0 = fig_e0.max(emr);
+        }
+    }
 
-    // Figure 3's E_i^0 = max(rel_i, max over non-mergeable inputs of
-    // emr), with −D_i for rel_i on reversed time. The scan incumbent additionally honors the emr of every
-    // still-unmerged mergeable input (Equation 4.5 with A = ∅) — this is
-    // the "if no tasks are merged" bound of the paper's worked example.
-    let fig_e0 = non_mp.iter().fold(o(limit), |e0, &(_, b)| e0.max(b));
-
-    // Scan MP_i in decreasing emr order.
-    let mut mp_sorted = mp;
-    mp_sorted.sort_by_key(|&(j, b)| (Reverse(b), j));
-    let base = mp_sorted.first().map_or(fig_e0, |&(_, b)| fig_e0.max(b));
+    // Scan MP_i in decreasing emr order. The scan incumbent additionally
+    // honors the emr of every still-unmerged mergeable input (Equation
+    // 4.5 with A = ∅) — this is the "if no tasks are merged" bound of the
+    // paper's worked example.
+    scan.candidates.sort_by_key(|&(j, b)| (Reverse(b), j));
+    let base = scan
+        .candidates
+        .first()
+        .map_or(fig_e0, |&(_, b)| fig_e0.max(b));
+    scan.base = base;
 
     // Evaluate Equation 4.5 at every mergeable prefix; remember the best
     // (ties: shortest prefix). See the module docs for why prefixes
@@ -525,65 +615,28 @@ pub(crate) fn bound_of(
     // The packer evaluates `ect` of each prefix incrementally: one push
     // per candidate instead of a re-sorted re-pack per prefix.
     packer.begin();
-    let mut prefix: Vec<TaskId> = Vec::new();
-    let mut values: Vec<(Time, MergeStep)> = Vec::new();
-    for (idx, &(j, boundary)) in mp_sorted.iter().enumerate() {
+    let (mut best, mut best_len) = (base, 0usize);
+    for (idx, &(j, _)) in scan.candidates.iter().enumerate() {
         if !seed.can_add(j) {
-            values.push((
-                Time::MAX,
-                MergeStep {
-                    candidate: j,
-                    boundary: o(boundary),
-                    resulting: o(base),
-                    decision: MergeDecision::RejectedNotMergeable,
-                },
-            ));
+            scan.stopped = true;
             break;
         }
         seed.add(j);
-        prefix.push(j);
         packer.push(o(timing.get(pass, j)), graph.task(j).computation());
         let mut value = packer.ect_clamped(fig_e0);
-        if let Some(&(_, b)) = mp_sorted.get(idx + 1) {
+        if let Some(&(_, b)) = scan.candidates.get(idx + 1) {
             value = value.max(b); // sorted descending: first remaining is max
         }
-        values.push((
-            value,
-            MergeStep {
-                candidate: j,
-                boundary: o(boundary),
-                resulting: o(value),
-                decision: MergeDecision::RejectedNoImprovement,
-            },
-        ));
-    }
-    // Best prefix length (0 = merge nothing); strict < keeps ties short.
-    let (mut best, mut best_len) = (base, 0usize);
-    for (k, &(v, _)) in values.iter().enumerate() {
-        if v < best {
-            best = v;
-            best_len = k + 1;
+        scan.values.push(value);
+        // Strict < keeps ties short.
+        if value < best {
+            best = value;
+            best_len = idx + 1;
         }
     }
-    let steps = values
-        .into_iter()
-        .enumerate()
-        .map(|(k, (_, mut step))| {
-            if k < best_len {
-                step.decision = MergeDecision::Accepted;
-            }
-            step
-        })
-        .collect();
-    prefix.truncate(best_len);
-
-    let trace = TaskTrace {
-        task: i,
-        base: o(base),
-        steps,
-        final_value: o(best),
-    };
-    (o(best), prefix, trace)
+    scan.best = best;
+    scan.best_len = best_len;
+    o(best)
 }
 
 #[cfg(test)]

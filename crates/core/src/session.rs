@@ -45,7 +45,7 @@ use crate::analysis::{check_magnitudes, run_stages, Analysis, AnalysisOptions, R
 use crate::bounds::{fold_bound, RatioMax, ResourceBound};
 use crate::cancel::CancelToken;
 use crate::error::AnalysisError;
-use crate::estlct::{bound_of, Pass, TimingAnalysis};
+use crate::estlct::{bound_of, MergeScan, Pass, TimingAnalysis};
 use crate::model::SystemModel;
 use crate::partition::partition_tasks;
 use crate::propagate::refine_block;
@@ -549,7 +549,8 @@ impl AnalysisSession {
 
     /// One Figure 2/3 wave in `pass`'s evaluation order (EST forward,
     /// LCT backward): recompute seeded tasks, propagate to their outputs
-    /// only when the value moved. Inputs are read from `self.timing` in
+    /// only when the value moved. One packer and one [`MergeScan`] serve
+    /// every evaluation of the wave, and no trace is built. Inputs are read from `self.timing` in
     /// place — every one is settled before the task that reads it. Merge
     /// selections are re-stored even on a value tie (the selected set can
     /// change while the value doesn't; downstream evaluations depend only
@@ -564,13 +565,21 @@ impl AnalysisSession {
         }
         let mut recomputed = 0u64;
         let mut packer = Timeline::new();
+        let mut scan = MergeScan::default();
         for i in pass.order(&self.graph) {
             if !dirty[i.index()] {
                 continue;
             }
             recomputed += 1;
-            let (value, merged, _) =
-                bound_of(&self.graph, &self.model, pass, i, &self.timing, &mut packer);
+            let value = bound_of(
+                &self.graph,
+                &self.model,
+                pass,
+                i,
+                &self.timing,
+                &mut packer,
+                &mut scan,
+            );
             if value != self.timing.get(pass, i) {
                 self.pending_touched.insert(i);
                 self.pending_window.insert(i);
@@ -578,7 +587,7 @@ impl AnalysisSession {
                     dirty[e.other.index()] = true;
                 }
             }
-            self.timing.set(pass, i, value, merged);
+            self.timing.set(pass, i, value, scan.merged());
         }
         recomputed
     }

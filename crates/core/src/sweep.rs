@@ -55,6 +55,43 @@
 //! only on the *multiset* of slope events, so the merged stream
 //! reproduces the sorted per-column list bit for bit.
 //!
+//! ## Retiring closed entries
+//!
+//! Within one job the columns run in ascending `t1`, so an entry whose
+//! band has ended (`hi < t1`) is dead for every later column of the job.
+//! The merge of a column copies the entries still open or not yet open
+//! (its *survivors*) into the worker's scratch in the same pass, and the
+//! job's next column merges from those instead of the block's streams,
+//! so a late column no longer filters out every entry that closed before
+//! it. Every column is still merged in full: the emitted events, and the
+//! `sweep.events_processed` / `sweep.chunk_events` counts, are those of
+//! the non-retiring merge.
+//!
+//! ## Pruning columns that cannot win
+//!
+//! For a fixed `t1`, `Θ(t1, ·)` is piecewise linear in `t2`, with
+//! breakpoints at the column's merged event positions, and its slope
+//! deltas sum to zero (every ramp adds one `+1` and one `−1`). So the
+//! ratio `Θ(t1, t2)/(t2 − t1)` is constant from `t1` to the first
+//! breakpoint, monotone (a linear-fractional function) between two
+//! breakpoints, and falling after the last one, where `Θ` is constant.
+//! Its supremum over every real `t2 > t1` is therefore attained at an
+//! event position, and it bounds every candidate pair of the column.
+//!
+//! Each chunk keeps its best pair so far (its *incumbent*, a
+//! [`RatioMax`]). One walk over the merged events with the running `Θ`
+//! ([`column_can_win`]) asks whether some breakpoint would strictly beat
+//! the incumbent — the same strict `>` as [`RatioMax::offer`] — and
+//! stops at the first that would. When none would, no pair of the
+//! column can replace the incumbent, so the column's pairs are counted
+//! (into `intervals_examined` and `sweep.pairs_offered`, and into
+//! `sweep.pairs_pruned`) but not offered, and its `t2` walk is skipped.
+//! A pair that would not replace the incumbent changes nothing but the
+//! count, so maxima, witnesses, the first-wins tie-break and the
+//! interval counts stay exactly those of the unpruned sweep for every
+//! chunking. Only `sweep.pairs_pruned` depends on the chunking: a
+//! chunk's first column has no incumbent and is never pruned.
+//!
 //! ## One flat plan per sweep, chunked fan-out
 //!
 //! [`sweep_blocks`] — the one sweep driver behind `analyze`, session
@@ -65,15 +102,17 @@
 //! Columns are independent, so each block's `t1` range is split into
 //! contiguous chunks ([`crate::exec::chunk_spans`]), one job each, fanned
 //! across cores with `std::thread::scope`; each worker reuses one event
-//! buffer for every chunk it runs. Merging the per-chunk maxima in
-//! deterministic ascending-`t1` chunk order with the first-wins strict
-//! comparison of [`RatioMax::merge`] reproduces the serial result
-//! exactly, whatever the thread count or chunk size.
+//! buffer and two survivor buffers for every chunk it runs. Merging the
+//! per-chunk maxima in deterministic ascending-`t1` chunk order with the
+//! first-wins strict comparison of [`RatioMax::merge`] reproduces the
+//! serial result exactly, whatever the thread count or chunk size.
 //!
 //! Results are **bit-identical** to the naive sweep (same demands, same
-//! candidate pairs offered in the same order, same tie-breaks), which the
+//! candidate pairs counted in the same order, same tie-breaks), which the
 //! differential suite in `tests/sweep_equivalence.rs` enforces against
-//! [`crate::oracle::naive_bounds`].
+//! [`crate::oracle::naive_bounds`]. The non-retiring merge and the
+//! unpruned column walk live on under `#[cfg(test)]` as the oracles of
+//! this module's own differential tests.
 
 use std::ops::Range;
 
@@ -271,6 +310,24 @@ impl BlockArena {
         }
     }
 
+    /// Empties every stream, keeping the allocations.
+    fn clear(&mut self) {
+        self.fixed.clear();
+        self.start_shift.clear();
+        self.end_shift.clear();
+        self.start_at_t1.clear();
+    }
+
+    /// Every stream of the arena, as one block's.
+    fn view(&self) -> BlockStreams<'_> {
+        BlockStreams {
+            fixed: &self.fixed,
+            start_shift: &self.start_shift,
+            end_shift: &self.end_shift,
+            start_at_t1: &self.start_at_t1,
+        }
+    }
+
     /// A one-block arena over `tasks`.
     #[cfg(test)]
     fn build(
@@ -287,130 +344,262 @@ impl BlockArena {
     /// its one block.
     #[cfg(test)]
     fn emit_column(&self, t1: i64, events: &mut Vec<(i64, i64)>) -> u64 {
-        let runs = StreamRuns {
-            fixed: 0..self.fixed.len(),
-            start_shift: 0..self.start_shift.len(),
-            end_shift: 0..self.end_shift.len(),
-            start_at_t1: 0..self.start_at_t1.len(),
-        };
-        self.streams(&runs).emit_column(t1, events)
+        self.view().emit_column(t1, events)
     }
 }
 
 impl BlockStreams<'_> {
-    /// Merges the alive entries of every stream into `events`, sorted by
-    /// position, with same-position deltas coalesced. Returns the number
-    /// of *raw* ramp slope events represented (what the pre-arena sweep
-    /// counted as `sweep.events_processed`), which can exceed
-    /// `events.len()` because of coalescing.
-    fn emit_column(&self, t1: i64, events: &mut Vec<(i64, i64)>) -> u64 {
-        events.clear();
+    /// Merges column `t1` into `events`: the alive entries of every
+    /// stream, sorted by position, with same-position deltas coalesced.
+    /// Returns the number of *raw* ramp slope events represented (what
+    /// the pre-arena sweep counted as `sweep.events_processed`), which
+    /// can exceed `events.len()` because of coalescing. In the same pass
+    /// it copies every entry whose band has not ended before `t1` into
+    /// `survivors` (emptied first), in stream order: the only entries a
+    /// later column of the same job can see alive, so the next column
+    /// merges from them.
+    fn emit_and_retire(
+        &self,
+        t1: i64,
+        survivors: &mut BlockArena,
+        events: &mut Vec<(i64, i64)>,
+    ) -> u64 {
+        survivors.clear();
+        let mut at_t1 = 0;
+        for &band in self.start_at_t1 {
+            if t1 <= band.hi {
+                survivors.start_at_t1.push(band);
+                at_t1 += i64::from(band.lo <= t1);
+            }
+        }
+        merge_column(
+            t1,
+            at_t1,
+            Retiring::new(self.fixed, &mut survivors.fixed, t1),
+            Retiring::new(self.start_shift, &mut survivors.start_shift, t1),
+            Retiring::new(self.end_shift, &mut survivors.end_shift, t1),
+            events,
+        )
+    }
 
-        // NP late-regime starts sit exactly at t1 — the minimum possible
-        // position (every alive event is at or beyond t1) — so the
-        // coalesced (t1, +count) event leads the merged list.
+    /// [`BlockStreams::emit_and_retire`] without the survivors: filters
+    /// every entry of the full streams on every column. The oracle the
+    /// retiring merge is differentially tested against.
+    #[cfg(test)]
+    fn emit_column(&self, t1: i64, events: &mut Vec<(i64, i64)>) -> u64 {
         let at_t1 = self
             .start_at_t1
             .iter()
             .filter(|b| b.lo <= t1 && t1 <= b.hi)
             .count() as i64;
-        if at_t1 > 0 {
-            events.push((t1, at_t1));
-        }
-        let mut raw = at_t1 as u64;
-
-        // One cursor per stream over its alive entries; dead entries are
-        // skipped (cursors restart per column, so non-monotone alive
-        // bands are handled by construction).
-        let mut fixed = self
-            .fixed
-            .iter()
-            .filter(|x| x.lo <= t1 && t1 <= x.hi)
-            .map(|x| (x.pos, x.delta));
-        let mut starts = self
-            .start_shift
-            .iter()
-            .filter(|x| x.lo <= t1 && t1 <= x.hi)
-            .map(|x| (x.key + t1, 1));
-        let mut ends = self
-            .end_shift
-            .iter()
-            .filter(|x| x.e < t1 && t1 <= x.hi)
-            .map(|x| (x.l - (t1 - x.e), -1));
-        let mut push = |(pos, delta): (i64, i64)| {
-            debug_assert!(pos >= t1, "alive events never precede t1");
-            raw += 1;
-            match events.last_mut() {
-                Some(last) if last.0 == pos => last.1 += delta,
-                _ => events.push((pos, delta)),
-            }
-        };
-        // Take the lowest head while two or more cursors are live, then
-        // drain the last one. Ties may go either way: same-position
-        // deltas coalesce whatever their order.
-        let (mut f, mut s, mut e) = (fixed.next(), starts.next(), ends.next());
-        loop {
-            match (f, s, e) {
-                (Some(a), Some(b), Some(c)) => {
-                    if a.0 <= b.0 && a.0 <= c.0 {
-                        push(a);
-                        f = fixed.next();
-                    } else if b.0 <= c.0 {
-                        push(b);
-                        s = starts.next();
-                    } else {
-                        push(c);
-                        e = ends.next();
-                    }
-                }
-                (Some(a), Some(b), None) => {
-                    if a.0 <= b.0 {
-                        push(a);
-                        f = fixed.next();
-                    } else {
-                        push(b);
-                        s = starts.next();
-                    }
-                }
-                (Some(a), None, Some(c)) => {
-                    if a.0 <= c.0 {
-                        push(a);
-                        f = fixed.next();
-                    } else {
-                        push(c);
-                        e = ends.next();
-                    }
-                }
-                (None, Some(b), Some(c)) => {
-                    if b.0 <= c.0 {
-                        push(b);
-                        s = starts.next();
-                    } else {
-                        push(c);
-                        e = ends.next();
-                    }
-                }
-                (Some(a), None, None) => {
-                    push(a);
-                    fixed.for_each(&mut push);
-                    break;
-                }
-                (None, Some(b), None) => {
-                    push(b);
-                    starts.for_each(&mut push);
-                    break;
-                }
-                (None, None, Some(c)) => {
-                    push(c);
-                    ends.for_each(&mut push);
-                    break;
-                }
-                (None, None, None) => break,
-            }
-        }
-        debug_assert!(events.windows(2).all(|w| w[0].0 < w[1].0));
-        raw
+        merge_column(
+            t1,
+            at_t1,
+            self.fixed
+                .iter()
+                .filter(|x| x.lo <= t1 && t1 <= x.hi)
+                .map(|x| (x.pos, x.delta)),
+            self.start_shift
+                .iter()
+                .filter(|x| x.lo <= t1 && t1 <= x.hi)
+                .map(|x| (x.key + t1, 1)),
+            self.end_shift
+                .iter()
+                .filter(|x| x.e < t1 && t1 <= x.hi)
+                .map(|x| (x.l - (t1 - x.e), -1)),
+            events,
+        )
     }
+}
+
+/// A stream entry with a `t1` band: alive on the columns where it is
+/// open and not yet closed, and then contributing one slope event.
+trait Banded {
+    /// Whether the band has started by column `t1`.
+    fn is_open(&self, t1: i64) -> bool;
+
+    /// Whether the band ended before column `t1` — for good, since a
+    /// job's columns only grow.
+    fn is_closed(&self, t1: i64) -> bool;
+
+    /// The `(position, delta)` slope event at `t1`. Only meaningful (and
+    /// only free of overflow) while the entry is alive.
+    fn event(&self, t1: i64) -> (i64, i64);
+}
+
+impl Banded for FixedEvent {
+    fn is_open(&self, t1: i64) -> bool {
+        self.lo <= t1
+    }
+
+    fn is_closed(&self, t1: i64) -> bool {
+        self.hi < t1
+    }
+
+    fn event(&self, _: i64) -> (i64, i64) {
+        (self.pos, self.delta)
+    }
+}
+
+impl Banded for StartShiftEvent {
+    fn is_open(&self, t1: i64) -> bool {
+        self.lo <= t1
+    }
+
+    fn is_closed(&self, t1: i64) -> bool {
+        self.hi < t1
+    }
+
+    fn event(&self, t1: i64) -> (i64, i64) {
+        (self.key + t1, 1)
+    }
+}
+
+impl Banded for EndShiftEvent {
+    fn is_open(&self, t1: i64) -> bool {
+        self.e < t1
+    }
+
+    fn is_closed(&self, t1: i64) -> bool {
+        self.hi < t1
+    }
+
+    fn event(&self, t1: i64) -> (i64, i64) {
+        (self.l - (t1 - self.e), -1)
+    }
+}
+
+/// A cursor over one stream at column `t1`: yields the events of the
+/// alive entries in stream order, and copies every entry whose band has
+/// not ended — alive, or not yet open — to `survivors`.
+struct Retiring<'a, T> {
+    entries: std::slice::Iter<'a, T>,
+    survivors: &'a mut Vec<T>,
+    t1: i64,
+}
+
+impl<'a, T> Retiring<'a, T> {
+    fn new(entries: &'a [T], survivors: &'a mut Vec<T>, t1: i64) -> Self {
+        Retiring {
+            entries: entries.iter(),
+            survivors,
+            t1,
+        }
+    }
+}
+
+impl<T: Banded + Copy> Iterator for Retiring<'_, T> {
+    type Item = (i64, i64);
+
+    fn next(&mut self) -> Option<(i64, i64)> {
+        for &entry in self.entries.by_ref() {
+            if entry.is_closed(self.t1) {
+                continue;
+            }
+            self.survivors.push(entry);
+            if entry.is_open(self.t1) {
+                return Some(entry.event(self.t1));
+            }
+        }
+        None
+    }
+}
+
+/// Writes one column into `events`: the coalesced `(t1, at_t1)` lead,
+/// then the position-ordered merge of the `fixed`, `starts` and `ends`
+/// events (each already in position order), with same-position deltas
+/// coalesced. Drains all three iterators, and returns the number of raw
+/// ramp slope events represented.
+fn merge_column(
+    t1: i64,
+    at_t1: i64,
+    mut fixed: impl Iterator<Item = (i64, i64)>,
+    mut starts: impl Iterator<Item = (i64, i64)>,
+    mut ends: impl Iterator<Item = (i64, i64)>,
+    events: &mut Vec<(i64, i64)>,
+) -> u64 {
+    events.clear();
+
+    // NP late-regime starts sit exactly at t1 — the minimum possible
+    // position (every alive event is at or beyond t1) — so the
+    // coalesced (t1, +count) event leads the merged list.
+    if at_t1 > 0 {
+        events.push((t1, at_t1));
+    }
+    let mut raw = at_t1 as u64;
+    let mut push = |(pos, delta): (i64, i64)| {
+        debug_assert!(pos >= t1, "alive events never precede t1");
+        raw += 1;
+        match events.last_mut() {
+            Some(last) if last.0 == pos => last.1 += delta,
+            _ => events.push((pos, delta)),
+        }
+    };
+    // Take the lowest head while two or more cursors are live, then
+    // drain the last one. Ties may go either way: same-position
+    // deltas coalesce whatever their order.
+    let (mut f, mut s, mut e) = (fixed.next(), starts.next(), ends.next());
+    loop {
+        match (f, s, e) {
+            (Some(a), Some(b), Some(c)) => {
+                if a.0 <= b.0 && a.0 <= c.0 {
+                    push(a);
+                    f = fixed.next();
+                } else if b.0 <= c.0 {
+                    push(b);
+                    s = starts.next();
+                } else {
+                    push(c);
+                    e = ends.next();
+                }
+            }
+            (Some(a), Some(b), None) => {
+                if a.0 <= b.0 {
+                    push(a);
+                    f = fixed.next();
+                } else {
+                    push(b);
+                    s = starts.next();
+                }
+            }
+            (Some(a), None, Some(c)) => {
+                if a.0 <= c.0 {
+                    push(a);
+                    f = fixed.next();
+                } else {
+                    push(c);
+                    e = ends.next();
+                }
+            }
+            (None, Some(b), Some(c)) => {
+                if b.0 <= c.0 {
+                    push(b);
+                    s = starts.next();
+                } else {
+                    push(c);
+                    e = ends.next();
+                }
+            }
+            (Some(a), None, None) => {
+                push(a);
+                fixed.for_each(&mut push);
+                break;
+            }
+            (None, Some(b), None) => {
+                push(b);
+                starts.for_each(&mut push);
+                break;
+            }
+            (None, None, Some(c)) => {
+                push(c);
+                ends.for_each(&mut push);
+                break;
+            }
+            (None, None, None) => break,
+        }
+    }
+    debug_assert!(events.windows(2).all(|w| w[0].0 < w[1].0));
+    raw
 }
 
 /// One task's `Ψ(t1, ·)` as a clamped ramp: zero up to `start`, slope 1
@@ -465,11 +654,67 @@ fn psi_ramp(
     Some(ramp)
 }
 
-/// Walks the candidate `t2` points of one `t1` column once with a
-/// running slope over the pre-merged `events`, offering every pair to
-/// `max` — exactly the accumulation the sorted per-column event list
-/// produced, because `Θ` depends only on the event multiset.
-fn accumulate_column(points: &[Time], li: usize, events: &[(i64, i64)], max: &mut RatioMax) {
+/// Whether some pair `(t1, t2)` of column `t1`, for any real `t2 > t1`,
+/// would replace `max`'s incumbent ([`RatioMax::would_take`]). By the
+/// breakpoint lemma (see the module docs) the best such `t2` is one of
+/// the merged `events`' positions beyond `t1`, so one walk of them with
+/// the running `Θ` decides, stopping at the first that would. With no
+/// event beyond `t1`, `Θ(t1, ·)` is 0, which only an empty incumbent
+/// takes.
+fn column_can_win(t1: i64, events: &[(i64, i64)], max: &RatioMax) -> bool {
+    let (mut value, mut slope, mut pos) = (0i64, 0i64, t1);
+    for &(at, delta) in events {
+        value += slope * (at - pos);
+        pos = at;
+        slope += delta;
+        if at > t1 && max.would_take(value, at - t1) {
+            return true;
+        }
+    }
+    max.would_take(0, 1)
+}
+
+/// Sweeps one `t1` column into `max` and returns how many of its pairs
+/// were pruned. When [`column_can_win`] says no pair of the column
+/// would replace `max`'s incumbent, they are only counted. Otherwise
+/// walks the candidate `t2` points once with a running slope over the
+/// pre-merged `events`, offering every pair to `max` — exactly the
+/// accumulation the sorted per-column event list produced, because `Θ`
+/// depends only on the event multiset.
+fn accumulate_column(points: &[Time], li: usize, events: &[(i64, i64)], max: &mut RatioMax) -> u64 {
+    let t1 = points[li];
+    if !column_can_win(t1.ticks(), events, max) {
+        let pairs = (points.len() - li - 1) as u64;
+        max.count_pruned(pairs);
+        return pairs;
+    }
+    let (mut value, mut slope, mut pos) = (0i64, 0i64, t1.ticks());
+    let mut next_event = 0;
+    for &t2 in &points[li + 1..] {
+        let at_t2 = t2.ticks();
+        while next_event < events.len() && events[next_event].0 <= at_t2 {
+            let (at, delta) = events[next_event];
+            value += slope * (at - pos);
+            pos = at;
+            slope += delta;
+            next_event += 1;
+        }
+        value += slope * (at_t2 - pos);
+        pos = at_t2;
+        max.offer(Dur::new(value), t1, t2);
+    }
+    0
+}
+
+/// [`accumulate_column`] without pruning: offers every pair. The oracle
+/// the pruned sweep is differentially tested against.
+#[cfg(test)]
+fn accumulate_column_unpruned(
+    points: &[Time],
+    li: usize,
+    events: &[(i64, i64)],
+    max: &mut RatioMax,
+) {
     let t1 = points[li];
     let (mut value, mut slope, mut pos) = (0i64, 0i64, t1.ticks());
     let mut next_event = 0;
@@ -489,13 +734,24 @@ fn accumulate_column(points: &[Time], li: usize, events: &[(i64, i64)], max: &mu
 }
 
 /// Per-chunk sweep counters: raw ramp slope events processed (the
-/// pre-arena `sweep.events_processed` accounting) and merged event
+/// pre-arena `sweep.events_processed` accounting), merged event
 /// entries actually walked (`sweep.chunk_events` — smaller whenever
-/// coalescing collapses same-position deltas).
+/// coalescing collapses same-position deltas) and candidate pairs
+/// counted without being offered (`sweep.pairs_pruned`).
 #[derive(Clone, Copy, Debug, Default)]
 struct ChunkCounters {
     raw_events: u64,
     merged_events: u64,
+    pruned_pairs: u64,
+}
+
+/// One worker's scratch, reused for every job it runs: the stream
+/// entries that survived the job's previous column, the buffer the
+/// current column's survivors go to, and the column's event buffer.
+struct ColumnScratch {
+    live: BlockArena,
+    next: BlockArena,
+    events: Vec<(i64, i64)>,
 }
 
 /// One planned block: its runs of the plan's arena and its candidate
@@ -518,10 +774,9 @@ struct SweepPlan {
     /// One job per contiguous `t1` chunk: its block, and its columns as
     /// indices into that block's points, in (block, chunk) order.
     jobs: Vec<(usize, Range<usize>)>,
-    /// Upper bound on one column's merged event count over every block
-    /// (two per task plus the coalesced `t1` event): the size of each
-    /// worker's event buffer.
-    max_events: usize,
+    /// The task count of the largest block, which sizes each worker's
+    /// [`ColumnScratch`].
+    max_tasks: usize,
 }
 
 impl SweepPlan {
@@ -549,7 +804,7 @@ impl SweepPlan {
             points: Vec::with_capacity(tasks * policy.points_per_task()),
             blocks: Vec::with_capacity(blocks.len()),
             jobs: Vec::with_capacity(blocks.len()),
-            max_events: 0,
+            max_tasks: 0,
         };
         for (bi, (_, block)) in blocks.iter().enumerate() {
             let runs = plan.arena.push_block(graph, timing, block.tasks)?;
@@ -559,34 +814,53 @@ impl SweepPlan {
             let columns = points.len().saturating_sub(1);
             plan.jobs
                 .extend(chunk_spans(columns, threads, chunk_columns).map(|span| (bi, span)));
-            plan.max_events = plan.max_events.max(block.tasks.len() * 2 + 1);
+            plan.max_tasks = plan.max_tasks.max(block.tasks.len());
             plan.blocks.push(PlannedBlock { runs, points });
         }
         Ok(plan)
     }
 
+    /// A worker's scratch, large enough for every block of the plan, so
+    /// merging a column never allocates.
+    fn scratch(&self) -> ColumnScratch {
+        ColumnScratch {
+            live: BlockArena::with_capacity(self.max_tasks),
+            next: BlockArena::with_capacity(self.max_tasks),
+            // Two events per task plus the coalesced `t1` lead.
+            events: Vec::with_capacity(2 * self.max_tasks + 1),
+        }
+    }
+
     /// Sweeps job `job` into `max`, polling `ctl` once per `t1` column
     /// (the interruption checkpoint — a column is the unit of work
     /// between checks, so cancellation latency is one column, not one
-    /// whole chunk). `events` is the calling worker's column buffer; the
-    /// merge itself never allocates.
+    /// whole chunk). `scratch` is the calling worker's: the job's first
+    /// column merges from the block's streams, every later one from the
+    /// entries that survived the column before it.
     fn sweep_job(
         &self,
         job: usize,
-        events: &mut Vec<(i64, i64)>,
+        scratch: &mut ColumnScratch,
         max: &mut RatioMax,
         ctl: &CancelToken,
     ) -> Result<ChunkCounters, AnalysisError> {
         let (bi, ref columns) = self.jobs[job];
         let block = &self.blocks[bi];
         let streams = self.arena.streams(&block.runs);
+        let ColumnScratch { live, next, events } = scratch;
         let points = &self.points[block.points.clone()];
         let mut counters = ChunkCounters::default();
         for li in columns.clone() {
             ctl.check()?;
-            counters.raw_events += streams.emit_column(points[li].ticks(), events);
+            let from = if li == columns.start {
+                streams
+            } else {
+                live.view()
+            };
+            counters.raw_events += from.emit_and_retire(points[li].ticks(), next, events);
+            std::mem::swap(live, next);
             counters.merged_events += events.len() as u64;
-            accumulate_column(points, li, events, max);
+            counters.pruned_pairs += accumulate_column(points, li, events, max);
         }
         Ok(counters)
     }
@@ -608,10 +882,12 @@ impl SweepPlan {
 ///
 /// Reports the `sweep.blocks` / `sweep.jobs` / `sweep.chunks` counters,
 /// a `sweep.worker` span per worker thread, a `sweep.chunk` span per
-/// job, and per chunk the `sweep.pairs_offered` /
+/// job, and per chunk the `sweep.pairs_offered` / `sweep.pairs_pruned` /
 /// `sweep.events_processed` / `sweep.chunk_events` counters and the
-/// `sweep.events_per_chunk` distribution. Instrumentation is
-/// observational only.
+/// `sweep.events_per_chunk` distribution. `sweep.pairs_offered` counts
+/// every candidate pair, pruned or not, and so equals the bounds'
+/// `intervals_examined`; `sweep.pairs_pruned` follows the chunking.
+/// Instrumentation is observational only.
 ///
 /// # Errors
 ///
@@ -643,13 +919,14 @@ pub(crate) fn sweep_blocks(
         probe,
         threads,
         plan.jobs.len(),
-        || Vec::with_capacity(plan.max_events),
-        |events, job| {
+        || plan.scratch(),
+        |scratch, job| {
             let label = Label::Index(blocks[plan.jobs[job].0].0 as u64);
             let _chunk = span(probe, "sweep.chunk", label);
             let mut max = RatioMax::default();
-            let counters = plan.sweep_job(job, events, &mut max, ctl)?;
+            let counters = plan.sweep_job(job, scratch, &mut max, ctl)?;
             probe.add("sweep.pairs_offered", max.intervals());
+            probe.add("sweep.pairs_pruned", counters.pruned_pairs);
             probe.add("sweep.events_processed", counters.raw_events);
             probe.add("sweep.chunk_events", counters.merged_events);
             probe.observe("sweep.events_per_chunk", counters.merged_events);
@@ -873,6 +1150,176 @@ mod tests {
         }
     }
 
+    /// The unpruned, non-retiring sweep of one block: every column
+    /// merged by [`BlockStreams::emit_column`] and every pair offered by
+    /// [`accumulate_column_unpruned`], serially.
+    fn unpruned_block_max(
+        g: &rtlb_graph::TaskGraph,
+        timing: &TimingAnalysis,
+        tasks: &[TaskId],
+        policy: CandidatePolicy,
+    ) -> RatioMax {
+        let arena = BlockArena::build(g, timing, tasks).unwrap();
+        let points = crate::bounds::candidate_points(g, timing, tasks, policy);
+        let mut events = Vec::new();
+        let mut max = RatioMax::default();
+        for li in 0..points.len().saturating_sub(1) {
+            arena.emit_column(points[li].ticks(), &mut events);
+            accumulate_column_unpruned(&points, li, &events, &mut max);
+        }
+        max
+    }
+
+    proptest::proptest! {
+        /// The breakpoint walk against brute force over every `t2`. On
+        /// every column, on and off the candidate grid, the merged deltas
+        /// sum to 0, and `column_can_win` says yes exactly when some
+        /// integer `t2 > t1` has a ratio `Θ(t1, t2)/(t2 − t1)` the
+        /// incumbent would give way to. Every event sits at an integer
+        /// position inside the range tried, so by the breakpoint lemma
+        /// no real `t2` can do better than those. The incumbents tried
+        /// are none, zero, and each ratio of the column both exactly and
+        /// just below it, so the bound is at least every ratio and the
+        /// walk misses none.
+        #[test]
+        fn column_can_win_matches_brute_force(
+            specs in proptest::collection::vec(
+                (0i64..16, 1i64..12, 1i64..12, proptest::prelude::any::<bool>()),
+                1..=12,
+            ),
+        ) {
+            let (g, tasks) = block_of(&specs);
+            let timing = compute_timing(&g, &SystemModel::shared());
+            let arena = BlockArena::build(&g, &timing, &tasks).unwrap();
+            let mut events = Vec::new();
+            // Windows lie inside [0, 27], so every event does too.
+            for t1 in -2..30i64 {
+                arena.emit_column(t1, &mut events);
+                let deltas: i64 = events.iter().map(|&(_, delta)| delta).sum();
+                proptest::prop_assert_eq!(deltas, 0, "slope deltas at t1 = {}", t1);
+                let ratios: Vec<(i64, i64)> = (t1 + 1..=40)
+                    .map(|t2| {
+                        let theta = crate::bounds::theta(
+                            &g, &timing, &tasks, Time::new(t1), Time::new(t2),
+                        );
+                        (theta.ticks(), t2 - t1)
+                    })
+                    .collect();
+                let mut incumbents = vec![None, Some((0, 1))];
+                for &(theta, length) in &ratios {
+                    incumbents.push(Some((theta, length)));
+                    if theta > 0 {
+                        incumbents.push(Some((2 * theta - 1, 2 * length)));
+                    }
+                }
+                for incumbent in incumbents {
+                    let mut max = RatioMax::default();
+                    if let Some((demand, length)) = incumbent {
+                        max.offer(Dur::new(demand), Time::ZERO, Time::new(length));
+                    }
+                    let brute = ratios.iter().any(|&(theta, length)| max.would_take(theta, length));
+                    proptest::prop_assert_eq!(
+                        column_can_win(t1, &events, &max),
+                        brute,
+                        "t1 = {}, incumbent {:?}", t1, incumbent
+                    );
+                }
+            }
+        }
+
+        /// The retiring merge against the non-retiring oracle: merging
+        /// each column of any ascending run from the survivors of the
+        /// one before (the first from the block's streams) emits exactly
+        /// the oracle's events and raw counts at each of them.
+        #[test]
+        fn retiring_merge_matches_emit_column(
+            specs in proptest::collection::vec(
+                (0i64..16, 1i64..12, 1i64..12, proptest::prelude::any::<bool>()),
+                1..=12,
+            ),
+            start in -2i64..30,
+            steps in proptest::collection::vec(0i64..4, 1..24),
+        ) {
+            let (g, tasks) = block_of(&specs);
+            let timing = compute_timing(&g, &SystemModel::shared());
+            let arena = BlockArena::build(&g, &timing, &tasks).unwrap();
+            let (mut live, mut next) = (BlockArena::with_capacity(0), BlockArena::with_capacity(0));
+            let (mut expect, mut got) = (Vec::new(), Vec::new());
+            let mut t1 = start;
+            for (k, step) in steps.into_iter().enumerate() {
+                t1 += step;
+                let expect_raw = arena.emit_column(t1, &mut expect);
+                let from = if k == 0 { arena.view() } else { live.view() };
+                let raw = from.emit_and_retire(t1, &mut next, &mut got);
+                std::mem::swap(&mut live, &mut next);
+                proptest::prop_assert_eq!(raw, expect_raw, "raw count at t1 = {}", t1);
+                proptest::prop_assert_eq!(&got, &expect, "merged column at t1 = {}", t1);
+            }
+        }
+
+        /// The pruned, retiring sweep against the unpruned, non-retiring
+        /// one on one block of both modes: the same witness, demand and
+        /// interval count under both candidate policies, for every chunk
+        /// size from 1 to 8 columns on one and two threads.
+        #[test]
+        fn pruned_sweep_matches_unpruned(
+            specs in proptest::collection::vec(
+                (0i64..16, 1i64..12, 1i64..12, proptest::prelude::any::<bool>()),
+                1..=12,
+            ),
+        ) {
+            let (g, tasks) = block_of(&specs);
+            let timing = compute_timing(&g, &SystemModel::shared());
+            let block = PartitionBlock {
+                tasks: &tasks,
+                start: Time::ZERO,
+                finish: Time::ZERO,
+            };
+            for policy in [CandidatePolicy::EstLct, CandidatePolicy::Extended] {
+                let expect = unpruned_block_max(&g, &timing, &tasks, policy);
+                for chunk_columns in 1..=8 {
+                    for threads in 1..=2 {
+                        let got = sweep_blocks(
+                            &g,
+                            &timing,
+                            &[(0, block)],
+                            &options(policy, threads, chunk_columns),
+                            &NULL_PROBE,
+                            &CancelToken::none(),
+                        )
+                        .unwrap();
+                        proptest::prop_assert_eq!(
+                            got[0], expect,
+                            "{:?}, chunk {}, {} thread(s)", policy, chunk_columns, threads
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The breakpoint walk on hand-checked columns.
+    #[test]
+    fn column_can_win_on_small_columns() {
+        let incumbent = |demand, length| {
+            let mut max = RatioMax::default();
+            max.offer(Dur::new(demand), Time::ZERO, Time::new(length));
+            max
+        };
+        // A lone ramp: Θ(0, 4) = 4 is ratio 1, so it beats 3/4 but not 1.
+        let ramp = [(0, 1), (4, -1)];
+        assert!(column_can_win(0, &ramp, &incumbent(3, 4)));
+        assert!(!column_can_win(0, &ramp, &incumbent(1, 1)));
+        // Nothing beyond t1: Θ is 0, which only an empty incumbent takes.
+        assert!(column_can_win(3, &[(3, 0)], &RatioMax::default()));
+        assert!(!column_can_win(3, &[], &incumbent(0, 1)));
+        // Θ(1, 3) = 4 is ratio 2; past the last breakpoint Θ stays 5,
+        // so the ratio only falls and 2 is the column's best.
+        let falls = [(1, 2), (3, -1), (4, -1)];
+        assert!(column_can_win(1, &falls, &incumbent(19, 10)));
+        assert!(!column_can_win(1, &falls, &incumbent(2, 1)));
+    }
+
     /// Mixed-mode fixture with several partition blocks.
     fn fixture() -> (rtlb_graph::TaskGraph, ResourceId) {
         let mut c = Catalog::new();
@@ -1039,6 +1486,10 @@ mod tests {
             metrics.span_count("sweep.chunk")
         );
         assert!(metrics.counter("sweep.events_processed") > 0);
+        // Pruned pairs are part of the offered count, and the fixture's
+        // blocks have columns that cannot win.
+        assert!(metrics.counter("sweep.pairs_pruned") > 0);
+        assert!(metrics.counter("sweep.pairs_pruned") < offered);
         // Coalescing can only shrink the merged stream.
         assert!(metrics.counter("sweep.chunk_events") <= metrics.counter("sweep.events_processed"));
     }

@@ -428,7 +428,7 @@ mod tests {
         let key = "a".repeat(32);
         let entry = json::parse(&format!(
             r#"{{"schema":"rtlb-cache-entry-v1","key":"{key}","options":"fp",
-                "bounds":[{{"resource":"r1","index":0,"lb":1,"intervals_examined":3,
+                "bounds":[{{"resource":"r1","index":0,"lb":2,"intervals_examined":3,
                             "witness":{{"t1":0,"t2":4,"demand":5}}}}]}}"#
         ))
         .unwrap();

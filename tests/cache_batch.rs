@@ -439,6 +439,62 @@ fn tampered_cache_entry_is_recomputed_and_overwritten() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A bound row must agree with its witness. The paper example's entry
+/// stores P1 as `lb 3` over `Θ[3, 6] = 9`, at `propagation=timeline`,
+/// where `lb` is exactly the witness ceiling ⌈9/3⌉. Edited to 1 (below
+/// the ceiling) or to 9 (above it), the entry is refused by
+/// `check-report` and is a miss that `analyze --cache` recomputes,
+/// printing the true bounds and storing the entry back byte for byte.
+#[test]
+fn bound_rows_off_their_witness_ceiling_are_misses() {
+    let dir = temp("ceiling");
+    let instance = "examples/instances/paper_fig7.rtlb";
+    let cache_flag = format!("--cache={}", dir.join("cache").display());
+    let fresh = rtlb(&["analyze", instance, &cache_flag]);
+    assert!(fresh.status.success(), "{fresh:?}");
+    let entries: Vec<PathBuf> = files_under(&dir.join("cache"))
+        .into_iter()
+        .filter(|p| !p.ends_with("index.json"))
+        .collect();
+    assert_eq!(entries.len(), 1);
+    let entry = entries[0].to_str().unwrap();
+    let stored = std::fs::read_to_string(entry).unwrap();
+    assert!(rtlb(&["check-report", entry]).status.success());
+
+    for lb in [1, 9] {
+        let mut doc = json::parse(&stored).unwrap();
+        let Json::Obj(fields) = &mut doc else {
+            panic!("entry is an object")
+        };
+        let Some((_, Json::Arr(rows))) = fields.iter_mut().find(|(k, _)| k == "bounds") else {
+            panic!("entry has bounds")
+        };
+        let p1 = rows
+            .iter_mut()
+            .find(|row| row.get("resource").and_then(Json::as_str) == Some("P1"))
+            .expect("a P1 row");
+        assert_eq!(p1.get("lb"), Some(&Json::Int(3)));
+        let Json::Obj(row) = p1 else {
+            panic!("bound row is an object")
+        };
+        row.iter_mut().find(|(k, _)| k == "lb").unwrap().1 = Json::Int(lb);
+        std::fs::write(entry, doc.render()).unwrap();
+
+        let checked = rtlb(&["check-report", entry]);
+        assert_eq!(checked.status.code(), Some(1), "lb {lb}: {checked:?}");
+        let why = String::from_utf8_lossy(&checked.stderr);
+        assert!(why.contains("witness ceiling"), "lb {lb}: {why}");
+
+        let again = rtlb(&["analyze", instance, &cache_flag]);
+        assert!(again.status.success(), "{again:?}");
+        let status = String::from_utf8_lossy(&again.stderr);
+        assert!(status.contains("cache miss"), "lb {lb}: {status}");
+        assert_eq!(again.stdout, fresh.stdout, "lb {lb}: the true bounds");
+        assert_eq!(std::fs::read_to_string(entry).unwrap(), stored);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A store that fails is reported, not claimed: with the entry's shard
 /// directory replaced by a plain file, `analyze --cache` still prints
 /// the bounds table and exits 0, and stderr says the entry was not

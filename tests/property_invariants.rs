@@ -12,18 +12,23 @@
 //! * Time reversal: Figure 2 is Figure 3 on the reversed graph, so
 //!   flipping every edge and negating every time swaps `E` with `−L` and
 //!   the merged predecessors with the merged successors.
+//! * Plain critical-path windows bracket the merge-aware ones at any
+//!   size: `EST⁰ ≤ E_i ≤ EST¹` and `LCT¹ ≤ L_i ≤ LCT⁰`, where the
+//!   superscript says whether every message is free (0) or paid (1).
 //! * The ILP solver agrees with exhaustive enumeration on small covering
 //!   programs.
 
 use proptest::prelude::*;
 
 use rtlb::core::oracle::flat_bounds;
+use rtlb::core::NodeType;
 use rtlb::core::{
     analyze, compute_timing, overlap, partition_tasks, resource_bound, theta, CandidatePolicy,
     SystemModel, TaskWindow,
 };
-use rtlb::graph::{Catalog, Dur, ExecutionMode, TaskGraph, TaskGraphBuilder, TaskSpec, Time};
+use rtlb::graph::{Catalog, Dur, Edge, ExecutionMode, TaskGraph, TaskGraphBuilder, TaskSpec, Time};
 use rtlb::ilp::{brute_force_ilp, solve_ilp, Constraint, Outcome, Problem, Rational};
+use rtlb::workloads::{chain, fork_join, framed_tasks, layered, LayeredConfig};
 
 /// Brute-force minimum overlap for a non-preemptive task: try every
 /// integer start in `[e, l - c]` and measure the intersection with
@@ -92,6 +97,84 @@ fn check_time_reversal(graph: &TaskGraph, model: &SystemModel) -> Result<usize, 
         merges += forward.merged_predecessors(t).len() + forward.merged_successors(t).len();
     }
     Ok(merges)
+}
+
+/// Plain critical-path windows, in topological order with releases and
+/// deadlines and no merging: `EST` from the predecessors' `EST + C`,
+/// `LCT` from the successors' `LCT − C`, with every message free when
+/// `paid` is false and every message paid when it is true.
+fn plain_windows(graph: &TaskGraph, paid: bool) -> Vec<TaskWindow> {
+    let message = |e: &Edge| if paid { e.message } else { Dur::ZERO };
+    let order = graph.topological_order();
+    let mut windows = vec![window(0, 0); graph.task_count()];
+    for &i in order {
+        windows[i.index()].est = graph
+            .predecessors(i)
+            .iter()
+            .map(|e| windows[e.other.index()].est + graph.task(e.other).computation() + message(e))
+            .fold(graph.task(i).release(), Time::max);
+    }
+    for &i in order.iter().rev() {
+        windows[i.index()].lct = graph
+            .successors(i)
+            .iter()
+            .map(|e| windows[e.other.index()].lct - graph.task(e.other).computation() - message(e))
+            .fold(graph.task(i).deadline(), Time::min);
+    }
+    windows
+}
+
+/// A dedicated model with one node type per distinct `(processor,
+/// resource set)` of the tasks: every task is hostable, but two tasks
+/// merge only when some task's set covers both of theirs.
+fn exact_bundles(graph: &TaskGraph) -> SystemModel {
+    let mut bundles = std::collections::BTreeSet::new();
+    for (_, task) in graph.tasks() {
+        bundles.insert((task.processor(), task.resources().clone()));
+    }
+    SystemModel::dedicated(
+        bundles
+            .into_iter()
+            .enumerate()
+            .map(|(k, (p, resources))| NodeType::new(format!("N{k}"), p, resources, 1))
+            .collect(),
+    )
+}
+
+/// Checks `EST⁰ ≤ E_i ≤ EST¹` and `LCT¹ ≤ L_i ≤ LCT⁰` for every task of
+/// `graph` under `model`, and returns how many windows lie strictly
+/// inside the plain ones on at least one side — windows that merging
+/// moved.
+fn check_plain_window_bounds(
+    graph: &TaskGraph,
+    model: &SystemModel,
+) -> Result<usize, TestCaseError> {
+    let timing = compute_timing(graph, model);
+    let (free, paid) = (plain_windows(graph, false), plain_windows(graph, true));
+    let mut inside = 0;
+    for t in graph.task_ids() {
+        let (w, lo, hi) = (timing.window(t), free[t.index()], paid[t.index()]);
+        prop_assert!(
+            lo.est <= w.est && w.est <= hi.est,
+            "E of {}: {:?} not in [{:?}, {:?}]",
+            t,
+            w.est,
+            lo.est,
+            hi.est
+        );
+        prop_assert!(
+            hi.lct <= w.lct && w.lct <= lo.lct,
+            "L of {}: {:?} not in [{:?}, {:?}]",
+            t,
+            w.lct,
+            hi.lct,
+            lo.lct
+        );
+        if (lo.est < w.est && w.est < hi.est) || (hi.lct < w.lct && w.lct < lo.lct) {
+            inside += 1;
+        }
+    }
+    Ok(inside)
 }
 
 fn window(e: i64, l: i64) -> TaskWindow {
@@ -384,6 +467,37 @@ proptest! {
         check_time_reversal(&graph, &SystemModel::shared())?;
     }
 
+    /// The merge-aware windows lie between the two plain critical-path
+    /// windows on every generator the benchmarks use, at sizes the exact
+    /// search cannot reach, under the shared model and a dedicated one
+    /// that restricts merging.
+    #[test]
+    fn windows_lie_between_plain_critical_path_windows(
+        kind in 0usize..4,
+        size in 2usize..9,
+        message in 0i64..8,
+        seed in 0u64..1_000_000,
+    ) {
+        let graph = match kind {
+            0 => layered(
+                &LayeredConfig {
+                    layers: size,
+                    width: size,
+                    resource_types: 2,
+                    message: (0, message),
+                    ..LayeredConfig::default()
+                },
+                seed,
+            ),
+            1 => fork_join(size, size / 2 + 1, message, seed),
+            2 => chain(4 * size, message, seed),
+            _ => framed_tasks(size, 4, seed),
+        };
+        for model in [SystemModel::shared(), exact_bundles(&graph)] {
+            check_plain_window_bounds(&graph, &model)?;
+        }
+    }
+
     /// Text-format round trip preserves the analysis outcome on random
     /// independent task sets.
     #[test]
@@ -467,6 +581,33 @@ fn time_reversal_on_the_paper_example() {
     let model = SystemModel::Dedicated(ex.node_types([1, 1, 1]));
     let merges = check_time_reversal(&ex.graph, &model).unwrap();
     assert!(merges >= 10, "only {merges} merges: the check saw too few");
+}
+
+/// The plain-window bracket on the paper example under both models, and
+/// on layered graphs where merging moves windows: the check must see
+/// windows strictly inside their bounds, or it would not exercise the
+/// merge scan at all.
+#[test]
+fn windows_lie_between_plain_windows_where_merging_moves_them() {
+    let ex = rtlb::workloads::paper_example();
+    let mut inside = 0;
+    for model in [
+        SystemModel::shared(),
+        SystemModel::Dedicated(ex.node_types([1, 1, 1])),
+    ] {
+        inside += check_plain_window_bounds(&ex.graph, &model).unwrap();
+    }
+    assert!(inside > 0, "no paper-example window moved by merging");
+    let config = LayeredConfig {
+        layers: 20,
+        width: 20,
+        ..LayeredConfig::default()
+    };
+    let graph = layered(&config, 1000);
+    for model in [SystemModel::shared(), exact_bundles(&graph)] {
+        let inside = check_plain_window_bounds(&graph, &model).unwrap();
+        assert!(inside > 0, "no layered window moved by merging");
+    }
 }
 
 /// Deterministic cross-check: the pipeline's bound for every generated

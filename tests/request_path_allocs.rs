@@ -143,3 +143,51 @@ fn analysis_stays_under_its_allocation_ceiling() {
         "analyze_with made {allocs} allocations on 400 tasks in {blocks} blocks (ceiling 100)"
     );
 }
+
+/// A single-task computation edit and its undo, each applied to a live
+/// session on the delta benchmark's first graph (`layered` 20×20 at seed
+/// 1000): the incremental path of one interactive `delta` request. Both
+/// re-sweep the edited task's block, so the count covers the timing
+/// waves, the re-partition and the dirty-block re-sweep (114 each when
+/// the Figure 2/3 evaluations reuse their scan buffers, 189 before).
+#[test]
+fn session_apply_stays_under_its_allocation_ceiling() {
+    use rtlb::core::{AnalysisOptions, AnalysisSession, Delta, SystemModel};
+    use rtlb::graph::Dur;
+
+    let config = rtlb::workloads::LayeredConfig {
+        layers: 20,
+        width: 20,
+        ..rtlb::workloads::LayeredConfig::default()
+    };
+    let graph = rtlb::workloads::layered(&config, 1000);
+    let task = (0..20)
+        .map(|w| graph.task_id(&format!("L10T{w}")).expect("layered names"))
+        .find(|&t| graph.task(t).computation().ticks() >= 2)
+        .expect("a mid-depth task can shrink");
+    let c = graph.task(task).computation().ticks();
+    let mut session =
+        AnalysisSession::new(graph, SystemModel::shared(), AnalysisOptions::default())
+            .expect("the graph analyzes");
+    for (step, c) in [("do", c - 1), ("undo", c)] {
+        let edit = Delta::SetComputation {
+            task,
+            computation: Dur::new(c),
+        };
+        let (stats, allocs, _) = counted(|| session.apply(&[edit]));
+        let stats = stats.expect("the edit applies");
+        eprintln!(
+            "session apply ({step}): {allocs} allocations, {} tasks recomputed, {} blocks re-swept",
+            stats.tasks_recomputed(),
+            stats.blocks_resweeped
+        );
+        assert!(
+            stats.blocks_resweeped >= 1,
+            "the {step} edit re-sweeps a block"
+        );
+        assert!(
+            allocs <= 150,
+            "session apply ({step}) made {allocs} allocations (ceiling 150)"
+        );
+    }
+}
