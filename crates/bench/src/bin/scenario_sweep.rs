@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use rtlb_bench::{counters_json, write_bench_json, TextTable};
-use rtlb_core::{analyze_with, AnalysisOptions, AnalysisSession, Delta, SystemModel};
+use rtlb_core::{analyze_with, AnalysisOptions, AnalysisSession, CancelToken, Delta, SystemModel};
 use rtlb_graph::{Dur, TaskId};
 use rtlb_obs::{Json, Recorder};
 use rtlb_workloads::framed_tasks;
@@ -67,7 +67,7 @@ fn main() {
 
         let t0 = Instant::now();
         let stats = session
-            .apply_probed(&[delta], &recorder)
+            .apply_ctl(&[delta], &recorder, &CancelToken::none())
             .expect("shrinking C keeps the workload feasible");
         let incr_micros = t0.elapsed().as_micros() as u64;
 

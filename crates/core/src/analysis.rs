@@ -73,8 +73,8 @@ impl AnalysisOptions {
 /// system model: task windows, per-resource partitions, and `LB_r` for
 /// every demanded resource.
 ///
-/// Cost bounds (Section 7) are computed on demand from the stored bounds
-/// via [`Analysis::shared_cost`] / [`Analysis::dedicated_cost`].
+/// Cost bounds (Section 7) are computed on demand from [`Analysis::bounds`]
+/// by [`shared_cost_bound`] / [`dedicated_cost_bound`].
 #[derive(Clone, Debug)]
 pub struct Analysis {
     timing: TimingAnalysis,
@@ -123,19 +123,8 @@ impl Analysis {
         self.bound_for(r).map_or(0, |b| b.bound)
     }
 
-    /// Step 4 for a shared model: the weighted-sum cost bound.
-    ///
-    /// # Errors
-    ///
-    /// See [`shared_cost_bound`].
-    pub fn shared_cost(
-        &self,
-        model: &crate::model::SharedModel,
-    ) -> Result<SharedCostBound, AnalysisError> {
-        self.shared_cost_probed(model, &NULL_PROBE)
-    }
-
-    /// [`Analysis::shared_cost`] under a `cost.shared` span on `probe`.
+    /// Step 4 for a shared model: [`shared_cost_bound`] of the stored
+    /// bounds, under a `cost.shared` span on `probe`.
     ///
     /// # Errors
     ///
@@ -149,21 +138,9 @@ impl Analysis {
         shared_cost_bound(model, &self.bounds)
     }
 
-    /// Step 4 for a dedicated model: the integer-program cost bound.
-    ///
-    /// # Errors
-    ///
-    /// See [`dedicated_cost_bound`].
-    pub fn dedicated_cost(
-        &self,
-        graph: &TaskGraph,
-        model: &crate::model::DedicatedModel,
-    ) -> Result<DedicatedCostBound, AnalysisError> {
-        self.dedicated_cost_probed(graph, model, &NULL_PROBE)
-    }
-
-    /// [`Analysis::dedicated_cost`] under a `cost.dedicated` span on
-    /// `probe`.
+    /// Step 4 for a dedicated model: the integer program of
+    /// [`dedicated_cost_bound`] over the stored bounds, under a
+    /// `cost.dedicated` span on `probe`.
     ///
     /// # Errors
     ///
@@ -539,8 +516,13 @@ mod tests {
         let (g, p) = three_tight_tasks();
         let a = analyze(&g, &SystemModel::shared()).unwrap();
         let shared = SharedModel::new().with_cost(p, 2);
-        assert_eq!(a.shared_cost(&shared).unwrap().total, 6);
+        assert_eq!(a.shared_cost_probed(&shared, &NULL_PROBE).unwrap().total, 6);
         let ded = crate::model::DedicatedModel::new(vec![NodeType::new("n", p, [], 2)]);
-        assert_eq!(a.dedicated_cost(&g, &ded).unwrap().total, 6);
+        assert_eq!(
+            a.dedicated_cost_probed(&g, &ded, &NULL_PROBE)
+                .unwrap()
+                .total,
+            6
+        );
     }
 }

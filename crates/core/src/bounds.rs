@@ -60,7 +60,7 @@ use crate::cancel::CancelToken;
 use crate::error::AnalysisError;
 use crate::estlct::TimingAnalysis;
 use crate::overlap::task_overlap;
-use crate::partition::{partition_tasks, ResourcePartition};
+use crate::partition::ResourcePartition;
 use crate::sweep::sweep_partitions;
 
 /// Aggregate minimum demand `Θ` of a set of tasks on an interval.
@@ -307,57 +307,24 @@ pub fn resource_bound(
     timing: &TimingAnalysis,
     partition: &ResourcePartition,
 ) -> Result<ResourceBound, AnalysisError> {
-    resource_bound_with(graph, timing, partition, CandidatePolicy::EstLct)
-}
-
-/// [`resource_bound`] with an explicit candidate-point policy.
-///
-/// # Errors
-///
-/// Same as [`resource_bound`].
-pub fn resource_bound_with(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    partition: &ResourcePartition,
-    policy: CandidatePolicy,
-) -> Result<ResourceBound, AnalysisError> {
-    let options = AnalysisOptions {
-        candidates: policy,
-        ..AnalysisOptions::default()
-    };
     let maxima = sweep_partitions(
         graph,
         timing,
         std::slice::from_ref(partition),
-        &options,
+        &AnalysisOptions::default(),
         &NULL_PROBE,
         &CancelToken::none(),
     )?;
     fold_bound(partition.resource, &maxima[0], &[])
 }
 
-/// Computes `LB_r` for every demanded resource, partitioning each with
-/// Figure 4 first. Results are in resource-id order.
-///
-/// # Errors
-///
-/// Same as [`resource_bound`].
-pub fn lower_bounds(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-) -> Result<Vec<ResourceBound>, AnalysisError> {
-    graph
-        .resources_used()
-        .into_iter()
-        .map(|r| resource_bound(graph, timing, &partition_tasks(graph, timing, r)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{analyze, analyze_with};
     use crate::estlct::compute_timing;
     use crate::model::SystemModel;
+    use crate::partition::partition_tasks;
     use rtlb_graph::{Catalog, TaskGraphBuilder, TaskSpec};
 
     /// Independent tasks: (release, deadline, computation, preemptive).
@@ -375,6 +342,16 @@ mod tests {
             b.add_task(spec).unwrap();
         }
         (b.build().unwrap(), p)
+    }
+
+    /// `LB_r` on the extended candidate grid, through the full pipeline.
+    fn extended_bound(g: &TaskGraph, r: ResourceId) -> ResourceBound {
+        let options = AnalysisOptions {
+            candidates: CandidatePolicy::Extended,
+            ..AnalysisOptions::default()
+        };
+        let analysis = analyze_with(g, &SystemModel::shared(), options).unwrap();
+        *analysis.bound_for(r).unwrap()
     }
 
     fn bound_of(g: &TaskGraph, r: ResourceId) -> ResourceBound {
@@ -486,8 +463,8 @@ mod tests {
         b.add_task(TaskSpec::new("b", Dur::new(4), p2).resource(r))
             .unwrap();
         let g = b.build().unwrap();
-        let timing = compute_timing(&g, &SystemModel::shared());
-        let bounds = lower_bounds(&g, &timing).unwrap();
+        let analysis = analyze(&g, &SystemModel::shared()).unwrap();
+        let bounds = analysis.bounds();
         assert_eq!(bounds.len(), 3);
         let of = |id: ResourceId| bounds.iter().find(|b| b.resource == id).unwrap().bound;
         assert_eq!(of(p1), 1);
@@ -506,7 +483,7 @@ mod tests {
             let timing = compute_timing(&g, &SystemModel::shared());
             let part = partition_tasks(&g, &timing, p);
             let std = resource_bound(&g, &timing, &part).unwrap();
-            let ext = resource_bound_with(&g, &timing, &part, CandidatePolicy::Extended).unwrap();
+            let ext = extended_bound(&g, p);
             assert!(ext.bound >= std.bound);
             assert!(ext.intervals_examined >= std.intervals_examined);
         }
@@ -531,7 +508,7 @@ mod tests {
         let timing = compute_timing(&g, &SystemModel::shared());
         let part = partition_tasks(&g, &timing, p);
         let std = resource_bound(&g, &timing, &part).unwrap();
-        let ext = resource_bound_with(&g, &timing, &part, CandidatePolicy::Extended).unwrap();
+        let ext = extended_bound(&g, p);
         assert!(ext.bound >= std.bound);
         // Both remain valid: total work 22 in a span of 12 → at least 2.
         assert!(std.bound >= 2);

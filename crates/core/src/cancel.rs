@@ -5,7 +5,7 @@
 //! drivers that analyze many instances need a way to give up on one
 //! instance without killing the process or the pool, so the pipeline's
 //! `*_ctl` entry points ([`crate::analyze_ctl`],
-//! [`crate::compute_timing_ctl`], [`crate::AnalysisSession::new_ctl`],
+//! [`crate::AnalysisSession::new_ctl`],
 //! [`crate::AnalysisSession::apply_ctl`]) accept a [`CancelToken`] and
 //! poll it at interruption checkpoints: once per task in the EST/LCT
 //! passes, once per `t1` sweep column, and inside the filtering pass.
@@ -27,7 +27,7 @@ use crate::error::AnalysisError;
 /// How many [`CancelToken::check`] calls elapse between deadline-clock
 /// reads. Cancellation via [`CancelToken::cancel`] is observed on the
 /// very next check regardless.
-pub const DEADLINE_STRIDE: u32 = 64;
+pub(crate) const DEADLINE_STRIDE: u32 = 64;
 
 #[derive(Debug)]
 struct Inner {
@@ -92,24 +92,11 @@ impl CancelToken {
         }
     }
 
-    /// Whether the token has been cancelled or its deadline has passed.
-    /// Always consults the clock, unlike the amortized
-    /// [`check`](CancelToken::check).
-    pub fn is_cancelled(&self) -> bool {
-        match &self.inner {
-            None => false,
-            Some(inner) => {
-                inner.cancelled.load(Ordering::Relaxed)
-                    || inner.deadline.is_some_and(|d| Instant::now() >= d)
-            }
-        }
-    }
-
     /// The pipeline's interruption checkpoint.
     ///
     /// Observes [`cancel`](CancelToken::cancel) immediately; the deadline
-    /// clock is read every [`DEADLINE_STRIDE`] calls (an expired deadline
-    /// latches the cancel flag, so later checks stay cheap).
+    /// clock is read every 64th call (an expired deadline latches the
+    /// cancel flag, so later checks stay cheap).
     ///
     /// # Errors
     ///
@@ -144,7 +131,6 @@ mod tests {
         }
         t.cancel();
         assert_eq!(t.check(), Ok(()));
-        assert!(!t.is_cancelled());
     }
 
     #[test]
@@ -153,14 +139,12 @@ mod tests {
         let clone = t.clone();
         assert_eq!(clone.check(), Ok(()));
         t.cancel();
-        assert!(clone.is_cancelled());
         assert_eq!(clone.check(), Err(AnalysisError::Deadline));
     }
 
     #[test]
     fn expired_timeout_trips_and_latches() {
         let t = CancelToken::with_timeout(Duration::ZERO);
-        assert!(t.is_cancelled());
         // The first check reads the clock (poll 0), trips, and latches.
         assert_eq!(t.check(), Err(AnalysisError::Deadline));
         assert_eq!(t.check(), Err(AnalysisError::Deadline));
@@ -172,6 +156,5 @@ mod tests {
         for _ in 0..(DEADLINE_STRIDE * 3) {
             assert_eq!(t.check(), Ok(()));
         }
-        assert!(!t.is_cancelled());
     }
 }

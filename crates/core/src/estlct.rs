@@ -219,6 +219,11 @@ pub struct TimingTrace {
 /// LCTs are evaluated in reverse topological order, ESTs in topological
 /// order, so each task sees final values for its neighbors.
 ///
+/// A task that no node type of a dedicated model can host merges with
+/// nothing (Definition 2), so each of its neighbors pays its message;
+/// [`crate::analyze`] refuses such a model with
+/// [`AnalysisError::UnhostableTask`] instead.
+///
 /// # Example
 ///
 /// ```
@@ -271,7 +276,7 @@ pub fn compute_timing_traced(
 ///
 /// [`AnalysisError::Deadline`] when `ctl` trips; the partially computed
 /// windows are discarded.
-pub fn compute_timing_ctl(
+pub(crate) fn compute_timing_ctl(
     graph: &TaskGraph,
     model: &SystemModel,
     probe: &dyn Probe,
@@ -585,13 +590,14 @@ pub(crate) fn bound_of(
     // MP_i: inputs individually mergeable with i, each with its
     // emr_j = E_j + C_j + m_ji (for Lct: −lms_j). Figure 3's E_i^0 =
     // max(rel_i, max over non-mergeable inputs of emr), with −D_i for
-    // rel_i on reversed time.
-    let mut seed = MergeSet::new(model, graph, i).expect("validated models host every task");
+    // rel_i on reversed time. A task no node type can host has no merge
+    // set (`seed` is `None`), so every input pays its message.
+    let mut seed = MergeSet::new(model, graph, i);
     let mut fig_e0 = limit;
     for e in inputs {
         let j = e.other;
         let emr = o(timing.get(pass, j)) + graph.task(j).computation() + e.message;
-        if seed.can_add(j) {
+        if seed.as_ref().is_some_and(|s| s.can_add(j)) {
             scan.candidates.push((j, emr));
         } else {
             fig_e0 = fig_e0.max(emr);
@@ -617,11 +623,10 @@ pub(crate) fn bound_of(
     packer.begin();
     let (mut best, mut best_len) = (base, 0usize);
     for (idx, &(j, _)) in scan.candidates.iter().enumerate() {
-        if !seed.can_add(j) {
+        if !seed.as_mut().is_some_and(|s| s.add(j)) {
             scan.stopped = true;
             break;
         }
-        seed.add(j);
         packer.push(o(timing.get(pass, j)), graph.task(j).computation());
         let mut value = packer.ect_clamped(fig_e0);
         if let Some(&(_, b)) = scan.candidates.get(idx + 1) {

@@ -10,8 +10,8 @@
 //!
 //! 1. **task windows** `[E_i, L_i]` — [`compute_timing`], Figures 2–3;
 //! 2. **per-resource partitions** — [`partition_tasks`], Figure 4;
-//! 3. **resource lower bounds** `LB_r` — [`resource_bound`] /
-//!    [`lower_bounds`], Theorems 3–5 and Equation 6.3;
+//! 3. **resource lower bounds** `LB_r` — [`resource_bound`], Theorems
+//!    3–5 and Equation 6.3;
 //! 4. **system-cost lower bounds** — [`shared_cost_bound`] /
 //!    [`dedicated_cost_bound`], Section 7 (the dedicated bound solves an
 //!    integer program with [`rtlb_ilp`]).
@@ -83,27 +83,21 @@ mod timeline;
 pub use analysis::{
     analyze, analyze_ctl, analyze_with, analyze_with_probe, Analysis, AnalysisOptions,
 };
-pub use bounds::{
-    lower_bounds, resource_bound, resource_bound_with, theta, CandidatePolicy, IntervalWitness,
-    ResourceBound,
-};
-pub use cancel::{CancelToken, DEADLINE_STRIDE};
+pub use bounds::{resource_bound, theta, CandidatePolicy, IntervalWitness, ResourceBound};
+pub use cancel::CancelToken;
 pub use cost::{dedicated_cost_bound, shared_cost_bound, DedicatedCostBound, SharedCostBound};
 pub use error::AnalysisError;
 pub use estlct::{
-    compute_timing, compute_timing_ctl, compute_timing_traced, MergeDecision, MergeStep, TaskTrace,
-    TaskWindow, TimingAnalysis, TimingTrace,
+    compute_timing, compute_timing_traced, MergeDecision, MergeStep, TaskTrace, TaskWindow,
+    TimingAnalysis, TimingTrace,
 };
 pub use exec::{effective_threads, run_jobs};
 pub use fault::{classify, panic_message, OutcomeKind, OUTCOME_KINDS};
-pub use merge::{mergeable, MergeSet};
-pub use metrics::{build_run_report, options_as_json};
+pub use merge::mergeable;
+pub use metrics::build_run_report;
 pub use model::{DedicatedModel, NodeType, NodeTypeId, SharedModel, SystemModel};
-pub use overlap::{overlap, task_overlap};
+pub use overlap::overlap;
 pub use partition::{partition_all, partition_tasks, PartitionBlock, ResourcePartition};
 pub use propagate::PropagationLevel;
-pub use report::{
-    render_analysis, render_bounds, render_dedicated_cost, render_partitions, render_shared_cost,
-    render_timing_table,
-};
+pub use report::{render_analysis, render_bounds, render_dedicated_cost, render_shared_cost};
 pub use session::{AnalysisSession, ApplyStats, Delta};

@@ -7,8 +7,6 @@
 //! messages over the network but must execute sequentially — the tradeoff
 //! at the heart of the EST/LCT algorithms.
 
-use std::collections::BTreeSet;
-
 use rtlb_graph::{ResourceId, TaskGraph, TaskId};
 
 use crate::model::{DedicatedModel, NodeTypeId, SystemModel};
@@ -48,17 +46,17 @@ pub fn mergeable(model: &SystemModel, graph: &TaskGraph, tasks: &[TaskId]) -> bo
     rest.iter().all(|&t| set.add(t))
 }
 
-/// Incrementally grown mergeable set, used by the EST/LCT algorithms which
-/// add one candidate task at a time (Figures 2 and 3).
+/// Incrementally grown mergeable set, used by the EST/LCT merge scan,
+/// which adds one candidate task at a time (Figures 2 and 3).
 ///
-/// In the dedicated model the checker tracks the set of node types that
-/// still cover the accumulated resource union, so each candidate check is
-/// a subset test per remaining node type rather than a scan of all of `Λ`.
+/// The set keeps only what the next candidate check needs: the members'
+/// common processor type and, in the dedicated model, the node types that
+/// still cover the union of their resource needs, so each check is a
+/// subset test per remaining node type rather than a scan of all of `Λ`.
 #[derive(Clone, Debug)]
-pub struct MergeSet<'a> {
+pub(crate) struct MergeSet<'a> {
     graph: &'a TaskGraph,
     processor: ResourceId,
-    members: Vec<TaskId>,
     /// Dedicated model only: node types whose resources cover the union of
     /// the members' resource needs (always with the right processor type).
     viable_nodes: Option<(&'a DedicatedModel, Vec<NodeTypeId>)>,
@@ -68,9 +66,15 @@ impl<'a> MergeSet<'a> {
     /// Starts a mergeable set containing only `seed`.
     ///
     /// Returns `None` in the dedicated model when no node type can host
-    /// `seed` at all (a model the paper rules out by assumption; callers
-    /// should have run [`SystemModel::validate`]).
-    pub fn new(model: &'a SystemModel, graph: &'a TaskGraph, seed: TaskId) -> Option<MergeSet<'a>> {
+    /// `seed` at all. Such a task is mergeable with nothing (Definition 2),
+    /// so the merge scan makes every one of its neighbors pay its message.
+    /// The paper rules such models out by assumption, and
+    /// [`SystemModel::validate`] refuses them before any analysis.
+    pub(crate) fn new(
+        model: &'a SystemModel,
+        graph: &'a TaskGraph,
+        seed: TaskId,
+    ) -> Option<MergeSet<'a>> {
         let task = graph.task(seed);
         let viable_nodes = match model {
             SystemModel::Shared(_) => None,
@@ -85,23 +89,12 @@ impl<'a> MergeSet<'a> {
         Some(MergeSet {
             graph,
             processor: task.processor(),
-            members: vec![seed],
             viable_nodes,
         })
     }
 
-    /// The tasks currently in the set.
-    pub fn members(&self) -> &[TaskId] {
-        &self.members
-    }
-
-    /// The common processor type of the set.
-    pub fn processor(&self) -> ResourceId {
-        self.processor
-    }
-
     /// Whether `candidate` could be added while keeping the set mergeable.
-    pub fn can_add(&self, candidate: TaskId) -> bool {
+    pub(crate) fn can_add(&self, candidate: TaskId) -> bool {
         let task = self.graph.task(candidate);
         if task.processor() != self.processor {
             return false;
@@ -116,7 +109,7 @@ impl<'a> MergeSet<'a> {
 
     /// Adds `candidate` if the result stays mergeable; returns whether it
     /// was added.
-    pub fn add(&mut self, candidate: TaskId) -> bool {
+    pub(crate) fn add(&mut self, candidate: TaskId) -> bool {
         if !self.can_add(candidate) {
             return false;
         }
@@ -125,18 +118,7 @@ impl<'a> MergeSet<'a> {
             nodes.retain(|&n| model.node_type(n).resources().is_superset(task.resources()));
             debug_assert!(!nodes.is_empty());
         }
-        self.members.push(candidate);
         true
-    }
-
-    /// The union of the members' resource requirements (excluding the
-    /// processor type).
-    pub fn resource_union(&self) -> BTreeSet<ResourceId> {
-        let mut union = BTreeSet::new();
-        for &t in &self.members {
-            union.extend(self.graph.task(t).resources().iter().copied());
-        }
-        union
     }
 }
 
@@ -229,15 +211,11 @@ mod tests {
             NodeType::new("N-p2", p2, [], 1),
         ]);
         let mut set = MergeSet::new(&model, &f.graph, f.a).unwrap();
-        assert_eq!(set.members(), &[f.a]);
-        assert_eq!(set.processor(), f.p1);
         assert!(set.can_add(f.b));
         assert!(set.add(f.b));
-        assert_eq!(set.resource_union().len(), 2);
         assert!(!set.can_add(f.c));
         assert!(!set.add(f.c));
         assert!(set.add(f.d));
-        assert_eq!(set.members().len(), 3);
     }
 
     #[test]
@@ -257,6 +235,5 @@ mod tests {
         assert!(set.add(f.b));
         assert!(set.add(f.d));
         assert!(!set.add(f.c));
-        assert_eq!(set.resource_union(), [f.r1, f.r2].into());
     }
 }

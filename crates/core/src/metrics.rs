@@ -13,7 +13,7 @@ use rtlb_obs::Json;
 
 /// The `(key, value)` pairs the run report's `options` section carries
 /// for one [`AnalysisOptions`] value.
-pub fn options_as_json(options: AnalysisOptions) -> Vec<(String, Json)> {
+pub(crate) fn options_as_json(options: AnalysisOptions) -> Vec<(String, Json)> {
     vec![
         (
             "candidates".to_owned(),

@@ -213,22 +213,6 @@ impl SystemModel {
         SystemModel::Dedicated(DedicatedModel::new(node_types))
     }
 
-    /// The dedicated model, if this is one.
-    pub fn as_dedicated(&self) -> Option<&DedicatedModel> {
-        match self {
-            SystemModel::Dedicated(d) => Some(d),
-            SystemModel::Shared(_) => None,
-        }
-    }
-
-    /// The shared model, if this is one.
-    pub fn as_shared(&self) -> Option<&SharedModel> {
-        match self {
-            SystemModel::Shared(s) => Some(s),
-            SystemModel::Dedicated(_) => None,
-        }
-    }
-
     /// Validates model-specific assumptions against an application
     /// (dedicated: every task hostable; shared: nothing to check).
     ///
@@ -321,16 +305,14 @@ mod tests {
     fn system_model_accessors() {
         let (g, p1, p2, r1) = setup();
         let shared = SystemModel::shared();
-        assert!(shared.as_shared().is_some());
-        assert!(shared.as_dedicated().is_none());
+        assert!(matches!(shared, SystemModel::Shared(_)));
         shared.validate(&g).unwrap();
 
         let dedicated = SystemModel::dedicated(vec![
             NodeType::new("N1", p1, [r1], 1),
             NodeType::new("N3", p2, [], 1),
         ]);
-        assert!(dedicated.as_dedicated().is_some());
-        assert!(dedicated.as_shared().is_none());
+        assert!(matches!(dedicated, SystemModel::Dedicated(_)));
         dedicated.validate(&g).unwrap();
     }
 

@@ -67,7 +67,7 @@ pub fn overlap(window: TaskWindow, c: Dur, mode: ExecutionMode, t1: Time, t2: Ti
 }
 
 /// [`overlap`] applied to a [`Task`]'s own computation time and mode.
-pub fn task_overlap(task: &Task, window: TaskWindow, t1: Time, t2: Time) -> Dur {
+pub(crate) fn task_overlap(task: &Task, window: TaskWindow, t1: Time, t2: Time) -> Dur {
     overlap(window, task.computation(), task.mode(), t1, t2)
 }
 

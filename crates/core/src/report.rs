@@ -26,7 +26,7 @@ fn task_list(graph: &TaskGraph, tasks: &[TaskId]) -> String {
 
 /// Renders the paper's Table 1: one row per task with `E_i`, `M_i`,
 /// `L_i`, `G_i`.
-pub fn render_timing_table(graph: &TaskGraph, timing: &TimingAnalysis) -> String {
+pub(crate) fn render_timing_table(graph: &TaskGraph, timing: &TimingAnalysis) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -48,7 +48,7 @@ pub fn render_timing_table(graph: &TaskGraph, timing: &TimingAnalysis) -> String
 }
 
 /// Renders the Step 2 partitions: `ST_r = P_r1 ≺ P_r2 ≺ …` per resource.
-pub fn render_partitions(graph: &TaskGraph, partitions: &[ResourcePartition]) -> String {
+pub(crate) fn render_partitions(graph: &TaskGraph, partitions: &[ResourcePartition]) -> String {
     let mut out = String::new();
     for p in partitions {
         let blocks: Vec<String> = p
@@ -161,7 +161,7 @@ pub fn render_analysis(graph: &TaskGraph, analysis: &Analysis) -> String {
 mod tests {
     use super::*;
     use crate::analysis::analyze;
-    use crate::cost::shared_cost_bound;
+    use crate::cost::{dedicated_cost_bound, shared_cost_bound};
     use crate::model::{NodeType, SharedModel, SystemModel};
     use rtlb_graph::{Catalog, Dur, TaskGraphBuilder, TaskSpec, Time};
 
@@ -219,7 +219,7 @@ mod tests {
         assert!(rendered.contains(&sc.total.to_string()));
 
         let ded = DedicatedModel::new(vec![NodeType::new("N", p, [r], 12)]);
-        let dc = a.dedicated_cost(&g, &ded).unwrap();
+        let dc = dedicated_cost_bound(&g, &ded, a.bounds()).unwrap();
         let rendered = render_dedicated_cost(&ded, &dc);
         assert!(rendered.contains("Dedicated system cost"));
         assert!(rendered.contains("×N"));

@@ -339,32 +339,21 @@ impl AnalysisSession {
     /// * [`AnalysisError::Infeasible`] if the edited windows cannot
     ///   contain their computations.
     pub fn apply(&mut self, deltas: &[Delta]) -> Result<ApplyStats, AnalysisError> {
-        self.apply_probed(deltas, &NULL_PROBE)
+        self.apply_ctl(deltas, &NULL_PROBE, &CancelToken::none())
     }
 
-    /// [`apply`](AnalysisSession::apply) reporting into `probe`:
-    /// `session.apply` / `session.timing` / `session.sweep` spans (plus
-    /// `session.propagate` at the `Filtered` level) and the
-    /// `session.tasks_recomputed`, `session.resources_dirty`,
-    /// `session.blocks_resweeped`, `session.blocks_reused` counters
-    /// (plus the usual `sweep.*` counters for re-swept blocks).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`apply`](AnalysisSession::apply).
-    pub fn apply_probed(
-        &mut self,
-        deltas: &[Delta],
-        probe: &dyn Probe,
-    ) -> Result<ApplyStats, AnalysisError> {
-        self.apply_ctl(deltas, probe, &CancelToken::none())
-    }
-
-    /// [`apply_probed`](AnalysisSession::apply_probed) polling `ctl`
-    /// between pipeline stages and once per `t1` column inside re-swept
-    /// blocks. A cancelled apply behaves exactly like an infeasible one:
-    /// the error is returned, the dirty sets are retained, and the sweep
-    /// caches still reflect the last successfully analyzed instance.
+    /// [`apply`](AnalysisSession::apply) reporting into `probe` and
+    /// polling `ctl`. The probe gets `session.apply` / `session.timing` /
+    /// `session.sweep` spans (plus `session.propagate` at the `Filtered`
+    /// level) and the `session.tasks_recomputed`,
+    /// `session.resources_dirty`, `session.blocks_resweeped`,
+    /// `session.blocks_reused` counters (plus the usual `sweep.*`
+    /// counters for re-swept blocks). `ctl` is polled between pipeline
+    /// stages and once per `t1` column inside re-swept blocks; pass
+    /// [`CancelToken::none`] for an apply that cannot be cancelled. A
+    /// cancelled apply behaves exactly like an infeasible one: the error
+    /// is returned, the dirty sets are retained, and the sweep caches
+    /// still reflect the last successfully analyzed instance.
     ///
     /// # Errors
     ///
@@ -386,9 +375,9 @@ impl AnalysisSession {
             self.ingest(delta);
         }
 
-        // Timing recomputation assumes every task is hostable (merge
-        // seeds would panic otherwise) and magnitudes that cannot wrap,
-        // so bail first, keeping the dirt.
+        // An edited instance that a dedicated model cannot host, or whose
+        // magnitudes could wrap, is refused as `analyze` refuses it, so
+        // bail first, keeping the dirt.
         self.model.validate(&self.graph)?;
         check_magnitudes(&self.graph)?;
         // Cheapest cancellation point: the EST/LCT seed sets are still

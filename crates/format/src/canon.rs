@@ -142,9 +142,8 @@ pub fn content_key(parsed: &ParsedSystem, options_fingerprint: &str) -> ContentK
     key_of_canonical(&canonical_text(parsed), options_fingerprint)
 }
 
-/// The key for an already-canonicalized text (exposed so tests and the
-/// cache store can recompute keys without reparsing).
-pub fn key_of_canonical(canonical: &str, options_fingerprint: &str) -> ContentKey {
+/// The key for an already-canonicalized text.
+fn key_of_canonical(canonical: &str, options_fingerprint: &str) -> ContentKey {
     let mut buf = Vec::with_capacity(CANON_VERSION.len() + canonical.len() + 64);
     buf.extend_from_slice(CANON_VERSION.as_bytes());
     buf.push(b'\n');

@@ -32,7 +32,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use rtlb_core::{DedicatedModel, NodeType, SharedModel};
-use rtlb_graph::{Catalog, Dur, GraphError, TaskGraph, TaskGraphBuilder, TaskId, TaskSpec, Time};
+use rtlb_graph::{Catalog, Dur, GraphError, TaskGraph, TaskGraphBuilder, TaskSpec, Time};
 
 /// A parsed instance: the application plus whatever model information the
 /// file carried.
@@ -412,16 +412,10 @@ pub fn render(
     out
 }
 
-/// Looks up a task id by name in a parsed graph — convenience for CLI
-/// code and tests.
-pub fn task_by_name(graph: &TaskGraph, name: &str) -> Option<TaskId> {
-    graph.task_id(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtlb_core::{analyze, SystemModel};
+    use rtlb_core::{analyze, shared_cost_bound, SystemModel};
 
     const SAMPLE: &str = r"
 # tiny pipeline
@@ -458,7 +452,7 @@ node N2 proc=P2 cost=45
         assert_eq!(parsed.graph.task(c).deadline(), Time::new(20));
         let analysis = analyze(&parsed.graph, &SystemModel::shared()).unwrap();
         let shared = parsed.shared_costs.unwrap();
-        assert!(analysis.shared_cost(&shared).unwrap().total > 0);
+        assert!(shared_cost_bound(&shared, analysis.bounds()).unwrap().total > 0);
         assert_eq!(parsed.node_types.unwrap().node_types().len(), 2);
     }
 

@@ -103,11 +103,6 @@ impl TaskGraphBuilder {
         self
     }
 
-    /// Access to the catalog, e.g. to intern additional types mid-build.
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// Read access to the catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
@@ -382,12 +377,6 @@ impl TaskGraph {
         &self.topo
     }
 
-    /// The topological order reversed (sinks first) — the evaluation order
-    /// for latest completion times.
-    pub fn reverse_topological_order(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.topo.iter().rev().copied()
-    }
-
     /// Tasks with no predecessors.
     pub fn sources(&self) -> impl Iterator<Item = TaskId> + '_ {
         self.task_ids()
@@ -423,24 +412,6 @@ impl TaskGraph {
     /// length on one processor, handy for choosing candidate horizons.
     pub fn total_computation(&self) -> Dur {
         self.tasks.iter().map(|t| t.computation()).sum()
-    }
-
-    /// The latest deadline in the application.
-    pub fn latest_deadline(&self) -> Time {
-        self.tasks
-            .iter()
-            .map(|t| t.deadline())
-            .max()
-            .expect("graphs are non-empty by construction")
-    }
-
-    /// The earliest release time in the application.
-    pub fn earliest_release(&self) -> Time {
-        self.tasks
-            .iter()
-            .map(|t| t.release())
-            .min()
-            .expect("graphs are non-empty by construction")
     }
 
     fn checked_mut(&mut self, id: TaskId) -> Result<&mut Task, GraphError> {
@@ -557,44 +528,6 @@ impl TaskGraph {
     ) -> Result<bool, GraphError> {
         Ok(self.checked_mut(id)?.remove_resource(r))
     }
-
-    /// The forward cone of `id`: every task reachable from it along
-    /// precedence edges, **excluding** `id` itself, in ascending id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this graph.
-    pub fn descendants(&self, id: TaskId) -> Vec<TaskId> {
-        self.cone(id, &self.succs)
-    }
-
-    /// The backward cone of `id`: every task that can reach it along
-    /// precedence edges, **excluding** `id` itself, in ascending id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this graph.
-    pub fn ancestors(&self, id: TaskId) -> Vec<TaskId> {
-        self.cone(id, &self.preds)
-    }
-
-    fn cone(&self, id: TaskId, adjacency: &[Vec<Edge>]) -> Vec<TaskId> {
-        let mut seen = vec![false; self.tasks.len()];
-        seen[id.index()] = true;
-        let mut stack: Vec<TaskId> = adjacency[id.index()].iter().map(|e| e.other).collect();
-        while let Some(next) = stack.pop() {
-            if !seen[next.index()] {
-                seen[next.index()] = true;
-                stack.extend(adjacency[next.index()].iter().map(|e| e.other));
-            }
-        }
-        seen[id.index()] = false;
-        seen.iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(i, _)| TaskId::from_index(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -654,10 +587,6 @@ mod tests {
                 assert!(pos[&id] < pos[&e.other], "edge violated in topo order");
             }
         }
-        // Reverse order respects reversed edges.
-        let rev: Vec<_> = g.reverse_topological_order().collect();
-        assert_eq!(rev.len(), g.task_count());
-        assert_eq!(rev[0], *g.topological_order().last().unwrap());
     }
 
     #[test]
@@ -767,8 +696,6 @@ mod tests {
     fn aggregates() {
         let g = diamond();
         assert_eq!(g.total_computation(), Dur::new(14));
-        assert_eq!(g.latest_deadline(), Time::new(50));
-        assert_eq!(g.earliest_release(), Time::ZERO);
     }
 
     #[test]
@@ -822,22 +749,6 @@ mod tests {
         ));
         assert!(!g.remove_resource_demand(l, p).unwrap());
         assert!(g.task(l).demands_resource(p));
-    }
-
-    #[test]
-    fn cones_exclude_self_and_follow_reachability() {
-        let g = diamond();
-        let a = g.task_id("a").unwrap();
-        let l = g.task_id("l").unwrap();
-        let rr = g.task_id("r").unwrap();
-        let d = g.task_id("d").unwrap();
-
-        assert_eq!(g.descendants(a), vec![l, rr, d]);
-        assert_eq!(g.descendants(l), vec![d]);
-        assert_eq!(g.descendants(d), Vec::<TaskId>::new());
-        assert_eq!(g.ancestors(d), vec![a, l, rr]);
-        assert_eq!(g.ancestors(rr), vec![a]);
-        assert_eq!(g.ancestors(a), Vec::<TaskId>::new());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::simplex::solve_lp;
 
 /// Configuration for [`solve_ilp_with`].
 #[derive(Clone, Copy, Debug)]
-pub struct BranchBoundConfig {
+pub(crate) struct BranchBoundConfig {
     /// Maximum number of branch-and-bound nodes explored before giving up.
     ///
     /// The dedicated-model cost programs are tiny (one variable per node
@@ -25,7 +25,7 @@ impl Default for BranchBoundConfig {
 
 /// Statistics about a branch-and-bound run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BranchBoundStats {
+pub(crate) struct BranchBoundStats {
     /// Nodes (LP relaxations) solved.
     pub nodes: usize,
     /// Nodes pruned by the incumbent bound.
@@ -89,7 +89,7 @@ pub fn solve_ilp(problem: &Problem) -> Result<Outcome, NodeLimitExceeded> {
 ///
 /// Returns [`NodeLimitExceeded`] if `config.node_limit` LP relaxations are
 /// solved without closing the search tree.
-pub fn solve_ilp_with(
+pub(crate) fn solve_ilp_with(
     problem: &Problem,
     config: BranchBoundConfig,
 ) -> Result<(Outcome, BranchBoundStats), NodeLimitExceeded> {

@@ -42,10 +42,7 @@ mod problem;
 mod rational;
 mod simplex;
 
-pub use branch_bound::{
-    brute_force_ilp, solve_ilp, solve_ilp_with, BranchBoundConfig, BranchBoundStats,
-    NodeLimitExceeded,
-};
+pub use branch_bound::{brute_force_ilp, solve_ilp, NodeLimitExceeded};
 pub use problem::{Cmp, Constraint, Outcome, Problem, Solution, VarId};
 pub use rational::Rational;
 pub use simplex::solve_lp;

@@ -171,11 +171,6 @@ impl Problem {
         self.constraints.len()
     }
 
-    /// The variable's name.
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.names[v.index()]
-    }
-
     /// The objective coefficient of a variable.
     pub fn cost(&self, v: VarId) -> Rational {
         self.costs[v.index()]
@@ -285,14 +280,6 @@ impl Outcome {
             _ => None,
         }
     }
-
-    /// Reference form of [`Outcome::optimal`].
-    pub fn as_optimal(&self) -> Option<&Solution> {
-        match self {
-            Outcome::Optimal(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -327,10 +314,9 @@ mod tests {
     fn objective_evaluation() {
         let mut p = Problem::new();
         let x = p.add_var("x", r(3), false);
-        let y = p.add_var("y", r(5), false);
+        p.add_var("y", r(5), false);
         assert_eq!(p.objective_at(&[r(2), r(1)]), r(11));
         assert_eq!(p.cost(x), r(3));
-        assert_eq!(p.var_name(y), "y");
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl Rational {
         Rational::new(self.den, self.num)
     }
 
-    /// Lossy conversion for reporting; never used inside the solver.
-    pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
-
     /// The smaller of two rationals.
     pub fn min(self, other: Rational) -> Rational {
         if self <= other {
@@ -348,10 +343,5 @@ mod tests {
         assert_eq!(Rational::new(1, 2).to_string(), "1/2");
         assert_eq!(Rational::from(4).to_string(), "4");
         assert_eq!(format!("{:?}", Rational::new(-1, 2)), "-1/2");
-    }
-
-    #[test]
-    fn to_f64_is_close() {
-        assert!((Rational::new(1, 4).to_f64() - 0.25).abs() < 1e-12);
     }
 }

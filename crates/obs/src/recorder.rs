@@ -237,19 +237,6 @@ impl Metrics {
         names.dedup();
         names
     }
-
-    /// Zeroes every timestamp and duration — used by golden tests to pin
-    /// the structural content of a report without pinning wall-clock
-    /// noise.
-    pub fn zero_durations(&mut self) {
-        for s in &mut self.spans {
-            s.start_micros = 0;
-            s.dur_micros = 0;
-        }
-        for c in &mut self.counter_series {
-            c.at_micros = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -334,20 +321,5 @@ mod tests {
         assert_eq!(m.span_count("never-closed"), 0);
         r.end(id); // after the drain: also ignored
         assert_eq!(r.take_metrics().spans.len(), 0);
-    }
-
-    #[test]
-    fn zero_durations_clears_timing_only() {
-        let r = Recorder::new();
-        {
-            let _s = span(&r, "s", Label::None);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let mut m = r.take_metrics();
-        assert!(m.spans[0].dur_micros > 0);
-        m.zero_durations();
-        assert_eq!(m.spans[0].dur_micros, 0);
-        assert_eq!(m.spans[0].start_micros, 0);
-        assert_eq!(m.span_count("s"), 1);
     }
 }

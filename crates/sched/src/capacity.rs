@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use rtlb_core::ResourceBound;
 use rtlb_graph::{ResourceId, TaskGraph};
 
 /// Units available of each processor/resource type in a shared-model
@@ -49,16 +48,6 @@ impl Capacities {
         self.units.get(&r).copied().unwrap_or(0)
     }
 
-    /// Capacities exactly matching a set of lower bounds — the tightest
-    /// system the analysis does not rule out.
-    pub fn from_bounds(bounds: &[ResourceBound]) -> Capacities {
-        let mut caps = Capacities::new();
-        for b in bounds {
-            caps.set(b.resource, b.bound);
-        }
-        caps
-    }
-
     /// The same `units` for every resource the application demands.
     pub fn uniform(graph: &TaskGraph, units: u32) -> Capacities {
         let mut caps = Capacities::new();
@@ -83,18 +72,6 @@ mod tests {
     fn default_is_zero() {
         let caps = Capacities::new();
         assert_eq!(caps.units(ResourceId::from_index(0)), 0);
-    }
-
-    #[test]
-    fn from_bounds_copies_bounds() {
-        let r = ResourceId::from_index(2);
-        let bounds = [ResourceBound {
-            resource: r,
-            bound: 4,
-            witness: None,
-            intervals_examined: 0,
-        }];
-        assert_eq!(Capacities::from_bounds(&bounds).units(r), 4);
     }
 
     #[test]

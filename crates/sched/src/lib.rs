@@ -55,6 +55,6 @@ pub use dedicated::{
 };
 pub use exact::{find_schedule_exact, min_units_exact, BudgetExceeded, SearchBudget};
 pub use flow::{preemptive_feasible, preemptive_min_processors, MaxFlow};
-pub use list::{list_schedule, list_schedule_with_timing, ListScheduleError};
+pub use list::{list_schedule, ListScheduleError};
 pub use schedule::{Placement, Schedule, Slice};
 pub use validate::{validate_schedule, ScheduleViolation};

@@ -193,9 +193,8 @@ pub fn list_schedule(graph: &TaskGraph, caps: &Capacities) -> Result<Schedule, L
     list_schedule_with_timing(graph, caps, &timing)
 }
 
-/// [`list_schedule`] with a precomputed timing analysis (avoids
-/// recomputing it in capacity-sweep experiments).
-pub fn list_schedule_with_timing(
+/// [`list_schedule`] guided by the windows and merge sets of `timing`.
+pub(crate) fn list_schedule_with_timing(
     graph: &TaskGraph,
     caps: &Capacities,
     timing: &TimingAnalysis,

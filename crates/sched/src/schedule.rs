@@ -1,6 +1,6 @@
 //! Schedule representation: where and when each task executes.
 
-use rtlb_graph::{Dur, TaskGraph, TaskId, Time};
+use rtlb_graph::{Dur, TaskId, Time};
 
 /// One contiguous execution slice `[start, end)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -127,21 +127,6 @@ impl Schedule {
             .iter()
             .filter_map(|p| p.slices.last().map(|s| s.end))
             .max()
-    }
-
-    /// The highest unit index used per processor type plus one — i.e. how
-    /// many units of each processor type this schedule actually occupies.
-    pub fn units_used(
-        &self,
-        graph: &TaskGraph,
-    ) -> std::collections::BTreeMap<rtlb_graph::ResourceId, u32> {
-        let mut used = std::collections::BTreeMap::new();
-        for p in &self.placements {
-            let proc = graph.task(p.task).processor();
-            let entry = used.entry(proc).or_insert(0);
-            *entry = (*entry).max(p.unit + 1);
-        }
-        used
     }
 }
 

@@ -48,6 +48,6 @@ mod replay;
 mod trace;
 
 pub use network::{Network, NetworkModel};
-pub use online::{online_dispatch, online_dispatch_with_timing};
+pub use online::online_dispatch;
 pub use replay::{replay, ReplayError};
 pub use trace::{SimEvent, SimReport};

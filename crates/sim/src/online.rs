@@ -56,8 +56,8 @@ pub fn online_dispatch(
     online_dispatch_with_timing(graph, capacities, model, &timing)
 }
 
-/// [`online_dispatch`] with a precomputed timing analysis (for sweeps).
-pub fn online_dispatch_with_timing(
+/// [`online_dispatch`] ordered by the windows of `timing`.
+pub(crate) fn online_dispatch_with_timing(
     graph: &TaskGraph,
     capacities: &Capacities,
     model: NetworkModel,

@@ -11,7 +11,9 @@
 //! cargo run --example design_space
 //! ```
 
-use rtlb::core::{analyze, render_dedicated_cost, DedicatedModel, NodeType, SystemModel};
+use rtlb::core::{
+    analyze, dedicated_cost_bound, render_dedicated_cost, DedicatedModel, NodeType, SystemModel,
+};
 use rtlb::workloads::paper_example;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -63,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut best: Option<(i64, &str)> = None;
     for (label, model) in &catalogs {
-        let cost = analysis.dedicated_cost(&ex.graph, model)?;
+        let cost = dedicated_cost_bound(&ex.graph, model, analysis.bounds())?;
         println!("-- {label}");
         print!("   {}", render_dedicated_cost(model, &cost));
         // Shadow prices tell the designer which bound drives the cost.

@@ -5,7 +5,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use rtlb::core::{analyze, render_analysis, render_shared_cost, SharedModel, SystemModel};
+use rtlb::core::{
+    analyze, render_analysis, render_shared_cost, shared_cost_bound, SharedModel, SystemModel,
+};
 use rtlb::graph::{Catalog, Dur, TaskGraphBuilder, TaskSpec, Time};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_cost(dsp, 40)
         .with_cost(cpu, 25)
         .with_cost(camera, 15);
-    let cost = analysis.shared_cost(&pricing)?;
+    let cost = shared_cost_bound(&pricing, analysis.bounds())?;
     println!("== Step 4: Cost ==");
     print!("{}", render_shared_cost(&graph, &cost));
 

@@ -7,7 +7,7 @@
 //! cargo run --example radar_tracking
 //! ```
 
-use rtlb::core::{analyze, SharedModel, SystemModel};
+use rtlb::core::{analyze, shared_cost_bound, SharedModel, SystemModel};
 use rtlb::workloads::radar_scenario;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_cost(scenario.wcp, 80)
             .with_cost(scenario.antenna, 400)
             .with_cost(scenario.launcher, 900);
-        let cost = analysis.shared_cost(&pricing)?;
+        let cost = shared_cost_bound(&pricing, analysis.bounds())?;
 
         println!(
             "{:>8} {:>6} {:>6} {:>6} {:>9} {:>10} {:>12}",

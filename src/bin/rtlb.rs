@@ -1,18 +1,10 @@
 //! `rtlb` — command-line front end for the lower-bound analysis.
 //!
-//! Run `rtlb --help` for the full flag reference; in short:
+//! Run `rtlb --help` for every subcommand, flag and exit code.
 //!
-//! ```text
-//! rtlb analyze <file> [flags]   run the four-step analysis on a text-format
-//!                               instance
-//! rtlb dot <file>               emit Graphviz DOT for the instance
-//! rtlb example                  print the paper's 15-task instance
-//! rtlb schedule <file> N        try the merge-guided list scheduler with N
-//!                               units of every demanded resource
-//! ```
-//!
-//! The text format is documented in `rtlb::format`; `rtlb example > f.rtlb`
-//! followed by `rtlb analyze f.rtlb` reproduces the paper's numbers.
+//! The text format is documented in `rtlb::format::instance`;
+//! `rtlb example > f.rtlb` followed by `rtlb analyze f.rtlb` reproduces
+//! the paper's numbers.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -24,15 +16,14 @@ use rtlb::check::check_text;
 use rtlb::core::{
     analyze_with, analyze_with_probe, build_run_report, effective_threads, render_analysis,
     render_bounds, render_dedicated_cost, render_shared_cost, AnalysisOptions, AnalysisSession,
-    CandidatePolicy, PropagationLevel, SystemModel,
+    CancelToken, CandidatePolicy, PropagationLevel, SystemModel,
 };
-use rtlb::format::{parse, render};
+use rtlb::format::{parse, parse_scenarios, render, resolve};
 use rtlb::graph::to_dot;
 use rtlb::obs::{
     chrome_trace, prometheus_text, Json, MetricsRegistry, MetricsSnapshot, PhaseProfile, Probe,
     Recorder, TeeProbe, NULL_PROBE,
 };
-use rtlb::scenario::{parse_scenarios, resolve};
 use rtlb::sched::{list_schedule, validate_schedule, Capacities};
 use rtlb::serve::{ServeConfig, RPC_SCHEMA};
 use rtlb::shard::{merge_shards, run_shard_probed, ShardOptions};
@@ -108,7 +99,7 @@ analyze flags (plus the analysis and telemetry flags):
                              status goes to stderr). Not combinable with
                              --metrics= or --trace-out=
 
-telemetry flags (accepted by analyze, sweep-scenarios, and batch):
+telemetry flags (accepted by analyze, sweep-scenarios, batch, and serve):
   --profile                  print a per-phase wall-time breakdown (EST/LCT
                              fixpoint, partitioning, sweep, propagate, cost
                              bounds) to stderr, aggregated from the metrics
@@ -237,7 +228,7 @@ fn main() -> ExitCode {
     let result: Result<ExitCode, Failure> = match args.first().map(String::as_str) {
         Some("analyze") => with_file(&args, 2, cmd_analyze),
         Some("dot") => with_file(&args, 2, cmd_dot),
-        Some("example") => cmd_example(),
+        Some("example") => cmd_example(&args),
         Some("schedule") => with_file(&args, 3, cmd_schedule),
         Some("sweep-scenarios") => cmd_sweep_scenarios(&args),
         // `batch` owns its success exit code: per-instance failures are
@@ -284,6 +275,16 @@ fn with_file(
     let parsed = parse(&input).map_err(|e| format!("{}: {e}", args[1]))?;
     run(&parsed, args)?;
     Ok(ExitCode::SUCCESS)
+}
+
+/// Refuses what is left after a subcommand's own arguments: a flag it
+/// does not take, or a surplus argument.
+fn no_more_args(rest: &[String]) -> Result<(), Failure> {
+    match rest.first() {
+        None => Ok(()),
+        Some(arg) if arg.starts_with("--") => Err(Failure::Usage(format!("unknown flag `{arg}`"))),
+        Some(arg) => Err(Failure::Usage(format!("unexpected argument `{arg}`"))),
+    }
 }
 
 /// Where the run's metrics go.
@@ -733,7 +734,7 @@ fn cmd_sweep_scenarios(args: &[String]) -> Result<ExitCode, Failure> {
         } else {
             &recorder
         };
-        let outcome = session.apply_probed(&deltas, probe);
+        let outcome = session.apply_ctl(&deltas, probe, &CancelToken::none());
         let metrics = recorder.take_metrics();
         let micros = metrics.total_micros("session.apply");
         match outcome {
@@ -899,13 +900,10 @@ fn batch_options(flags: &[String]) -> Result<BatchArgs, String> {
         } else if let Some(dir) = value_flag(flag, "--cache", "a directory path")? {
             args.options.cache = Some(dir.into());
         } else if let Some(n) = flag.strip_prefix("--shards=") {
-            let shards: usize = n
-                .parse()
-                .map_err(|_| format!("invalid shard count `{n}`"))?;
-            if shards == 0 {
-                return Err("--shards must be at least 1".to_owned());
-            }
-            args.shards = Some(shards);
+            args.shards = Some(
+                n.parse()
+                    .map_err(|_| format!("invalid shard count `{n}`"))?,
+            );
         } else if let Some(k) = flag.strip_prefix("--shard=") {
             args.shard = Some(
                 k.parse()
@@ -927,6 +925,7 @@ fn batch_options(flags: &[String]) -> Result<BatchArgs, String> {
     if args.shard_out.is_none() && (args.shards.is_some() || args.shard.is_some() || args.resume) {
         return Err("--shards/--shard/--resume need --shard-out=FILE (the stream file)".to_owned());
     }
+    ShardOptions::check_split(args.shards.unwrap_or(1), args.shard.unwrap_or(0))?;
     Ok(args)
 }
 
@@ -1035,12 +1034,14 @@ fn cmd_merge_shards(args: &[String]) -> Result<ExitCode, Failure> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_dot(parsed: &rtlb::format::ParsedSystem, _args: &[String]) -> Result<(), Failure> {
+fn cmd_dot(parsed: &rtlb::format::ParsedSystem, args: &[String]) -> Result<(), Failure> {
+    no_more_args(&args[2..])?;
     print!("{}", to_dot(&parsed.graph));
     Ok(())
 }
 
-fn cmd_example() -> Result<ExitCode, Failure> {
+fn cmd_example(args: &[String]) -> Result<ExitCode, Failure> {
+    no_more_args(&args[1..])?;
     let ex = paper_example();
     let shared = ex.shared_costs([30, 45, 20]);
     let model = ex.node_types([45, 30, 45]);
@@ -1052,6 +1053,7 @@ fn cmd_schedule(parsed: &rtlb::format::ParsedSystem, args: &[String]) -> Result<
     let units: u32 = args[2]
         .parse()
         .map_err(|_| Failure::Usage(format!("invalid unit count `{}`", args[2])))?;
+    no_more_args(&args[3..])?;
     let caps = Capacities::uniform(&parsed.graph, units);
     match list_schedule(&parsed.graph, &caps) {
         Ok(schedule) => {

@@ -14,6 +14,8 @@
 //! * [`graph`] — the application model (tasks, constraints, DAG builder);
 //! * [`core`] — the paper's analysis (EST/LCT, partitioning, overlap,
 //!   bounds, cost programs);
+//! * [`format`](mod@format) — the instance and scenario text formats,
+//!   and the canonical text and content keys of the result cache;
 //! * [`ilp`] — exact rational simplex + branch-and-bound (dedicated cost
 //!   bound);
 //! * [`sched`] — schedulers and a full-constraint validator for probing
@@ -62,16 +64,10 @@ pub mod batch;
 pub mod check;
 pub mod shard;
 
-// The text formats moved to the `rtlb-format` crate (the serve daemon and
-// the bench crate parse instances without depending on this facade); the
-// old `rtlb::format` / `rtlb::scenario` paths keep working.
-pub use rtlb_format::instance as format;
-pub use rtlb_format::scenario;
-
 pub use rtlb_baselines as baselines;
 pub use rtlb_cache as cache;
 pub use rtlb_core as core;
-pub use rtlb_format as fmt;
+pub use rtlb_format as format;
 pub use rtlb_graph as graph;
 pub use rtlb_ilp as ilp;
 pub use rtlb_obs as obs;

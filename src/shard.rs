@@ -60,6 +60,26 @@ pub struct ShardOptions {
     pub resume: bool,
 }
 
+impl ShardOptions {
+    /// Checks a split of the corpus into `shards` slices, of which
+    /// `shard` is to run: at least one slice, and `shard < shards`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the `--shards=` / `--shard=` flags at fault.
+    pub fn check_split(shards: usize, shard: usize) -> Result<(), String> {
+        if shards == 0 {
+            return Err("--shards must be at least 1".into());
+        }
+        if shard >= shards {
+            return Err(format!(
+                "--shard={shard} out of range for --shards={shards}"
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// What one shard invocation did.
 #[derive(Clone, Debug)]
 pub struct ShardSummary {
@@ -77,8 +97,9 @@ pub struct ShardSummary {
 ///
 /// # Errors
 ///
-/// Driver-level problems only: unreadable corpus, an unwritable stream
-/// file, or a resume file that the stream reader refuses or that
+/// Driver-level problems only: a split that
+/// [`ShardOptions::check_split`] refuses, unreadable corpus, an
+/// unwritable stream file, or a resume file that the stream reader refuses or that
 /// disagrees with the current invocation (different corpus size, shard
 /// split, or root) — the file is then left as it was. Per-instance
 /// failures are outcomes in the stream, not errors.
@@ -97,15 +118,7 @@ pub fn run_shard_probed(
     options: &ShardOptions,
     probe: &dyn Probe,
 ) -> Result<ShardSummary, String> {
-    if options.shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    if options.shard >= options.shards {
-        return Err(format!(
-            "--shard={} out of range for --shards={}",
-            options.shard, options.shards
-        ));
-    }
+    ShardOptions::check_split(options.shards, options.shard)?;
     let inputs = collect_instances(target)?;
     if inputs.is_empty() {
         return Err(format!("no .rtlb instances under {}", target.display()));

@@ -26,7 +26,7 @@ use rand::{RngExt, SeedableRng};
 use rtlb::batch::{run_batch, run_batch_probed, BatchOptions, BatchReport, OutcomeKind};
 use rtlb::cache::{bound_from_json, bound_json, entry_from_json, entry_json, NamedBounds};
 use rtlb::core::{analyze_with, AnalysisOptions, PropagationLevel, SystemModel};
-use rtlb::fmt::ContentKey;
+use rtlb::format::ContentKey;
 use rtlb::graph::{Catalog, Dur, TaskGraph, TaskGraphBuilder, TaskSpec, Time};
 use rtlb::obs::{json, Json, MetricsRegistry};
 use rtlb::shard::{merge_shards, run_shard, ShardOptions};
@@ -93,7 +93,7 @@ fn dense_mesh_text() -> String {
          # time-disjoint frames on one processor with one shared resource.\n\
          # Blessed by `RTLB_BLESS_CORPUS=1 cargo test --test cache_batch`.\n\
          {}",
-        rtlb::fmt::render(&framed_tasks(100, 4, 42), None, None)
+        rtlb::format::render(&framed_tasks(100, 4, 42), None, None)
     )
 }
 

@@ -87,6 +87,29 @@ fn usage_errors_are_exit_two() {
         exit_code(&["schedule", "examples/instances/paper_fig7.rtlb", "several"]),
         2
     );
+    // A surplus argument, and a shard index outside the split.
+    let output = rtlb(&[
+        "schedule",
+        "examples/instances/paper_fig7.rtlb",
+        "5",
+        "extra",
+    ]);
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unexpected argument `extra`"), "{stderr}");
+    let stream = std::env::temp_dir().join(format!("rtlb-exit-codes-{}.jsonl", std::process::id()));
+    let shard_out = format!("--shard-out={}", stream.display());
+    assert_eq!(
+        exit_code(&[
+            "batch",
+            "examples/batch",
+            "--shards=2",
+            "--shard=5",
+            &shard_out
+        ]),
+        2
+    );
+    assert!(!stream.exists(), "a refused split writes no stream");
 }
 
 /// An unknown flag is named once and followed by the usage hint once,
@@ -95,6 +118,14 @@ fn usage_errors_are_exit_two() {
 fn unknown_flag_prints_the_usage_hint_once() {
     for args in [
         &["analyze", "examples/instances/paper_fig7.rtlb", "--bogus"][..],
+        &["dot", "examples/instances/paper_fig7.rtlb", "--bogus"],
+        &["example", "--bogus"],
+        &[
+            "schedule",
+            "examples/instances/paper_fig7.rtlb",
+            "5",
+            "--bogus",
+        ],
         &["serve", "--bogus"],
         &[
             "sweep-scenarios",

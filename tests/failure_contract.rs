@@ -5,16 +5,16 @@
 //! The property tests push magnitudes far past the pipeline's exact
 //! arithmetic range; the directed tests pin each converted panic site
 //! (the Equation 6.3 ceiling overflow, cooperative cancellation, the
-//! session's failed-apply recovery, and the magnitude guard on every
-//! session entry).
+//! session's failed-apply recovery, the magnitude guard on every
+//! session entry, and the timing of a task no node type can host).
 
 use proptest::prelude::*;
 
-use rtlb::core::oracle::{flat_bounds, naive_bounds};
+use rtlb::core::oracle::{compute_timing_paper, flat_bounds, naive_bounds};
 use rtlb::core::{
-    analyze, analyze_ctl, analyze_with, compute_timing, partition_tasks, resource_bound,
-    AnalysisError, AnalysisOptions, AnalysisSession, CancelToken, CandidatePolicy, Delta,
-    SystemModel,
+    analyze, analyze_ctl, analyze_with, compute_timing, compute_timing_traced, partition_tasks,
+    resource_bound, AnalysisError, AnalysisOptions, AnalysisSession, CancelToken, CandidatePolicy,
+    Delta, NodeType, SystemModel, TaskWindow,
 };
 use rtlb::graph::{Catalog, Dur, TaskGraph, TaskGraphBuilder, TaskId, TaskSpec, Time};
 use rtlb::obs::NULL_PROBE;
@@ -335,4 +335,46 @@ fn apply_past_the_magnitude_guard_is_rejected_and_keeps_dirt() {
         analyze(session.graph(), &model),
         Err(AnalysisError::BoundOverflow { .. })
     ));
+}
+
+/// A dedicated model with a node type for P only cannot host z. The
+/// public timing entries give z no merge set, so a pays its message
+/// (Definition 2); `analyze` refuses the model with a typed error.
+#[test]
+fn unhostable_task_merges_with_nothing() {
+    let mut catalog = Catalog::new();
+    let p = catalog.processor("P");
+    let q = catalog.processor("Q");
+    let mut builder = TaskGraphBuilder::new(catalog);
+    builder.default_deadline(Time::new(20));
+    let a = builder
+        .add_task(TaskSpec::new("a", Dur::new(2), p))
+        .unwrap();
+    let z = builder
+        .add_task(TaskSpec::new("z", Dur::new(2), q))
+        .unwrap();
+    builder.add_edge(a, z, Dur::new(1)).unwrap();
+    let graph = builder.build().unwrap();
+    let model = SystemModel::dedicated(vec![NodeType::new("N", p, [], 1)]);
+
+    let window = |est, lct| TaskWindow {
+        est: Time::new(est),
+        lct: Time::new(lct),
+    };
+    let (traced, _) = compute_timing_traced(&graph, &model);
+    for timing in [
+        compute_timing(&graph, &model),
+        traced,
+        compute_timing_paper(&graph, &model),
+    ] {
+        assert_eq!(timing.window(a), window(0, 17));
+        // E_z = E_a + C_a + m = 0 + 2 + 1.
+        assert_eq!(timing.window(z), window(3, 20));
+        assert!(timing.merged_predecessors(z).is_empty());
+        assert!(timing.merged_successors(a).is_empty());
+    }
+    assert_eq!(
+        analyze(&graph, &model).unwrap_err(),
+        AnalysisError::UnhostableTask("z".to_owned())
+    );
 }

@@ -8,9 +8,8 @@ use std::fmt::Write as _;
 use std::sync::mpsc;
 use std::time::Duration;
 
-use rtlb::format::parse;
+use rtlb::format::{parse, parse_edit_line, resolve_edits, ScenarioEdit};
 use rtlb::graph::Dur;
-use rtlb::scenario::{parse_edit_line, resolve_edits, ScenarioEdit};
 use rtlb::workloads::framed_tasks;
 
 /// Declares `P` (processor), `r` (resource) and a default deadline on

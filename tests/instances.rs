@@ -1,7 +1,7 @@
 //! The shipped `.rtlb` instance files parse, analyze, and (for the paper
 //! instance) reproduce the published numbers.
 
-use rtlb::core::{analyze, SystemModel};
+use rtlb::core::{analyze, dedicated_cost_bound, SystemModel};
 
 fn load(name: &str) -> rtlb::format::ParsedSystem {
     let path = format!("{}/examples/instances/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -32,6 +32,6 @@ fn sensor_fusion_instance_file_analyzes() {
         );
     }
     let model = parsed.node_types.unwrap();
-    let cost = analysis.dedicated_cost(&parsed.graph, &model).unwrap();
+    let cost = dedicated_cost_bound(&parsed.graph, &model, analysis.bounds()).unwrap();
     assert!(cost.total > 0);
 }

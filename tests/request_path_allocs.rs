@@ -1,6 +1,7 @@
-//! Allocation ceilings for the layers every one-shot request crosses:
-//! decoding the `rtlb-rpc-v1` line, parsing the instance text and
-//! analyzing it. Counts at a fixed input do not jitter the way
+//! Allocation ceilings for the layers a request crosses: decoding the
+//! `rtlb-rpc-v1` line, parsing the instance text, keying it for the
+//! result cache, analyzing it, applying a session edit and encoding the
+//! response. Counts at a fixed input do not jitter the way
 //! wall-clock time does, so a change that brings back per-character,
 //! per-line or per-block allocation fails here on any host.
 //!
@@ -126,6 +127,47 @@ fn request_decode_stays_under_its_allocation_ceiling() {
     );
 }
 
+/// The cache key of the one-shot instance: its canonical text, hashed
+/// with the default options' fingerprint (768 allocations and 101,989
+/// bytes with one `String` per canonical line).
+#[test]
+fn content_key_stays_under_its_allocation_ceiling() {
+    let parsed = rtlb::format::parse(&instance_text()).expect("the instance parses");
+    let fingerprint = rtlb::core::AnalysisOptions::default().semantic_fingerprint();
+    let (_, allocs, bytes) = counted(|| rtlb::format::content_key(&parsed, &fingerprint));
+    eprintln!("content_key: {allocs} allocations, {bytes} bytes on 400 tasks");
+    assert!(
+        allocs <= 1_000,
+        "content_key made {allocs} allocations on 400 tasks (ceiling 1,000)"
+    );
+    assert!(
+        bytes <= 135_000,
+        "content_key allocated {bytes} bytes on 400 tasks (ceiling 135,000)"
+    );
+}
+
+/// The `analyze` response for the one-shot instance's bounds, rendered
+/// to its wire line (49 allocations).
+#[test]
+fn response_encode_stays_under_its_allocation_ceiling() {
+    use rtlb::serve::proto::{bounds_body, ok_response};
+
+    let graph = rtlb::workloads::framed_tasks(100, 4, 42);
+    let analysis = rtlb::core::analyze(&graph, &rtlb::core::SystemModel::shared())
+        .expect("the instance analyzes");
+    let id = Some("a0".to_owned());
+    let (line, allocs, _) =
+        counted(|| ok_response(&id, "analyze", bounds_body(&graph, analysis.bounds())).render());
+    eprintln!(
+        "response encode: {allocs} allocations for a {}-byte line",
+        line.len()
+    );
+    assert!(
+        allocs <= 65,
+        "encoding the analyze response made {allocs} allocations (ceiling 65)"
+    );
+}
+
 /// The whole pipeline at default options on the one-shot benchmark's
 /// instance: 187 Figure 4 blocks, so anything allocated per block or per
 /// sweep chunk breaks the ceiling.
@@ -148,8 +190,9 @@ fn analysis_stays_under_its_allocation_ceiling() {
 /// session on the delta benchmark's first graph (`layered` 20×20 at seed
 /// 1000): the incremental path of one interactive `delta` request. Both
 /// re-sweep the edited task's block, so the count covers the timing
-/// waves, the re-partition and the dirty-block re-sweep (114 each when
-/// the Figure 2/3 evaluations reuse their scan buffers, 189 before).
+/// waves, the re-partition and the dirty-block re-sweep (79 each when a
+/// merge-scan evaluation allocates nothing; 114 with a member list per
+/// evaluation, 189 before the scan buffers were reused).
 #[test]
 fn session_apply_stays_under_its_allocation_ceiling() {
     use rtlb::core::{AnalysisOptions, AnalysisSession, Delta, SystemModel};
@@ -186,8 +229,8 @@ fn session_apply_stays_under_its_allocation_ceiling() {
             "the {step} edit re-sweeps a block"
         );
         assert!(
-            allocs <= 150,
-            "session apply ({step}) made {allocs} allocations (ceiling 150)"
+            allocs <= 100,
+            "session apply ({step}) made {allocs} allocations (ceiling 100)"
         );
     }
 }

@@ -22,8 +22,8 @@ use rtlb::batch::{
     OUTCOME_KINDS,
 };
 use rtlb::core::{
-    analyze_with_probe, AnalysisOptions, AnalysisSession, Delta, PropagationLevel, ResourceBound,
-    SystemModel,
+    analyze_with_probe, AnalysisOptions, AnalysisSession, CancelToken, Delta, PropagationLevel,
+    ResourceBound, SystemModel,
 };
 use rtlb::graph::{Dur, TaskId};
 use rtlb::obs::{prometheus_text, MetricsRegistry, MetricsSnapshot, PhaseProfile, NULL_PROBE};
@@ -286,7 +286,9 @@ fn normalized_profile_is_byte_identical_across_runs() {
         task: TaskId::from_index(0),
         computation: Dur::new(1),
     };
-    session.apply_probed(&[edit], &registry).unwrap();
+    session
+        .apply_ctl(&[edit], &registry, &CancelToken::none())
+        .unwrap();
     assert_eq!(propagate_spans(&registry), 1, "filtered session apply");
     let snapshot = registry.snapshot();
     assert_eq!(
