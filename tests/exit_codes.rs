@@ -3,7 +3,7 @@
 //! document), 2 usage error (unknown command or flag, missing or
 //! invalid argument) — uniform across every subcommand.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn rtlb(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_rtlb"))
@@ -16,10 +16,60 @@ fn exit_code(args: &[&str]) -> i32 {
     rtlb(args).status.code().expect("rtlb exits")
 }
 
+/// `args` is a usage error (exit 2) whose message contains `needle`.
+fn usage_error(args: &[&str], needle: &str) {
+    let output = rtlb(args);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+}
+
+/// Stdout with the wall-clock fields of a JSON report (`micros`,
+/// `total_micros`, `apply_micros`) zeroed.
+fn zero_micros(stdout: &[u8]) -> String {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .map(|line| match line.split_once("micros\": ") {
+            Some((key, value)) => {
+                let comma = if value.ends_with(',') { "," } else { "" };
+                format!("{key}micros\": 0{comma}\n")
+            }
+            None => format!("{line}\n"),
+        })
+        .collect()
+}
+
+const FIG7: &str = "examples/instances/paper_fig7.rtlb";
+const TOLERATE: &str = "--tolerate=parse-error,infeasible,overflow";
+
 #[test]
 fn success_is_exit_zero() {
     assert_eq!(exit_code(&["help"]), 0);
     assert_eq!(exit_code(&["--help"]), 0);
+    // `--help` or `-h` after any subcommand prints the same usage, even
+    // beside arguments that would fail.
+    let usage = rtlb(&["--help"]).stdout;
+    for command in [
+        "analyze",
+        "dot",
+        "example",
+        "schedule",
+        "sweep-scenarios",
+        "batch",
+        "merge-shards",
+        "check-report",
+        "serve",
+    ] {
+        for help in ["--help", "-h"] {
+            let output = rtlb(&[command, help]);
+            assert_eq!(output.status.code(), Some(0), "{command} {help}");
+            assert_eq!(output.stdout, usage, "{command} {help}");
+        }
+    }
+    assert_eq!(
+        exit_code(&["analyze", "no/such/file.rtlb", "--bogus", "-h"]),
+        0
+    );
     assert_eq!(exit_code(&["example"]), 0);
     assert_eq!(
         exit_code(&["analyze", "examples/instances/paper_fig7.rtlb"]),
@@ -97,6 +147,32 @@ fn usage_errors_are_exit_two() {
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unexpected argument `extra`"), "{stderr}");
+    // A usage error wins over a file error: every argument is checked
+    // before any file is read.
+    usage_error(&["analyze", "no/such/file.rtlb", "--bogus"], "`--bogus`");
+    usage_error(&["dot", "no/such/file.rtlb", "--bogus"], "`--bogus`");
+    usage_error(
+        &["schedule", "no/such/file.rtlb", "5", "--bogus"],
+        "`--bogus`",
+    );
+    usage_error(
+        &["schedule", "no/such/file.rtlb", "several"],
+        "invalid unit count",
+    );
+    // A value flag without its value names the value it takes; a
+    // switch refuses a value.
+    usage_error(
+        &["analyze", FIG7, "--cache"],
+        "--cache needs a value: --cache=DIR",
+    );
+    usage_error(
+        &["batch", "examples/batch", "--jobs"],
+        "--jobs needs a value: --jobs=N",
+    );
+    usage_error(
+        &["batch", "examples/batch", "--json=1"],
+        "--json takes no value",
+    );
     let stream = std::env::temp_dir().join(format!("rtlb-exit-codes-{}.jsonl", std::process::id()));
     let shard_out = format!("--shard-out={}", stream.display());
     assert_eq!(
@@ -191,5 +267,89 @@ fn check_report_validates_documents_end_to_end() {
         1
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Flags may come before, between or after the positional arguments,
+/// with the same stdout as the flags-last order.
+#[test]
+fn flags_and_arguments_come_in_any_order() {
+    for (flags_first, flags_last) in [
+        (
+            &["analyze", "--jobs=2", FIG7, "--extended"][..],
+            &["analyze", FIG7, "--jobs=2", "--extended"][..],
+        ),
+        (
+            &["batch", "--json", "examples/batch", TOLERATE],
+            &["batch", "examples/batch", "--json", TOLERATE],
+        ),
+        (
+            &[
+                "sweep-scenarios",
+                "--check",
+                "--json",
+                "examples/scenarios/sensor_sweep.rtlbs",
+            ],
+            &[
+                "sweep-scenarios",
+                "examples/scenarios/sensor_sweep.rtlbs",
+                "--check",
+                "--json",
+            ],
+        ),
+    ] {
+        let first = rtlb(flags_first);
+        let last = rtlb(flags_last);
+        assert_eq!(first.status.code(), Some(0), "{flags_first:?}");
+        assert_eq!(last.status.code(), Some(0), "{flags_last:?}");
+        assert_eq!(
+            zero_micros(&first.stdout),
+            zero_micros(&last.stdout),
+            "{flags_first:?}"
+        );
+    }
+}
+
+/// A closed stdout is a run failure (exit 1, a message, no panic) on
+/// every subcommand that writes stdout; `serve` is the one left out,
+/// since it only stops on a shutdown request.
+#[test]
+fn closed_stdout_is_a_run_failure() {
+    let dir = std::env::temp_dir().join(format!("rtlb-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let stream = dir.join("s.jsonl");
+    let stream = stream.to_str().expect("utf-8 path");
+    let shard_out = format!("--shard-out={stream}");
+    assert_eq!(
+        exit_code(&["batch", "examples/batch", &shard_out, TOLERATE]),
+        0
+    );
+    for args in [
+        &["--help"][..],
+        &["example"],
+        &["analyze", FIG7],
+        &["dot", FIG7],
+        &["schedule", FIG7, "5"],
+        &["sweep-scenarios", "examples/scenarios/sensor_sweep.rtlbs"],
+        &["batch", "examples/batch", "--json", TOLERATE],
+        &["merge-shards", stream],
+        &["check-report", stream],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_rtlb"))
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("rtlb runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("cannot write to stdout"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
