@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rtlb_core::{IntervalWitness, PropagationLevel, ResourceBound};
-use rtlb_format::{content_key, ContentKey, ParsedSystem};
+use rtlb_format::ContentKey;
 use rtlb_graph::{Catalog, Dur, ResourceId, Time};
 use rtlb_obs::{json, Json, Probe};
 
@@ -191,13 +191,16 @@ impl ResultCache {
         )
     }
 
-    /// Serves one parsed instance from the store, or runs `analyze` and
-    /// stores what it returns: the lookup-or-analyze path of every
-    /// single-instance caller. Keys by [`content_key`] under
-    /// `options_fingerprint`, re-binds a hit with [`resolve_bounds`], and
-    /// counts `cache.hit`, `cache.miss` and `cache.write` on `probe`.
-    /// Hit or miss, the bounds are the same, so callers print them
-    /// without caring which; the outcome says which it was.
+    /// Serves the instance keyed `key` from the store, or runs `analyze`
+    /// and stores what it returns: the lookup-or-analyze path of every
+    /// caller (`rtlb analyze --cache`, `rtlb serve`, `rtlb batch`).
+    /// `key` is the instance's [`content_key`](rtlb_format::content_key) under
+    /// `options_fingerprint`, which the caller computes from the same
+    /// parse as `catalog`. A hit is re-bound to `catalog` with
+    /// [`resolve_bounds`]. Counts `cache.hit`, `cache.miss` and
+    /// `cache.write` on `probe`. Hit or miss, the bounds are the same, so
+    /// callers print them without caring which; the outcome says which
+    /// it was.
     ///
     /// # Errors
     ///
@@ -205,19 +208,18 @@ impl ResultCache {
     /// fresh bounds come back with [`CacheOutcome::StoreFailed`].
     pub fn lookup_or_analyze<E>(
         &self,
-        parsed: &ParsedSystem,
+        key: ContentKey,
+        catalog: &Catalog,
         options_fingerprint: &str,
         probe: &dyn Probe,
         analyze: impl FnOnce() -> Result<Vec<ResourceBound>, E>,
-    ) -> Result<(ContentKey, Vec<ResourceBound>, CacheOutcome), E> {
-        let catalog = parsed.graph.catalog();
-        let key = content_key(parsed, options_fingerprint);
+    ) -> Result<(Vec<ResourceBound>, CacheOutcome), E> {
         if let Some(bounds) = self
             .lookup(key)
             .and_then(|named| resolve_bounds(catalog, &named))
         {
             probe.add("cache.hit", 1);
-            return Ok((key, bounds, CacheOutcome::Hit));
+            return Ok((bounds, CacheOutcome::Hit));
         }
         probe.add("cache.miss", 1);
         let bounds = analyze()?;
@@ -228,7 +230,7 @@ impl ResultCache {
             }
             Err(e) => CacheOutcome::StoreFailed(e),
         };
-        Ok((key, bounds, outcome))
+        Ok((bounds, outcome))
     }
 }
 
@@ -241,22 +243,25 @@ pub fn name_bounds(catalog: &Catalog, bounds: &[ResourceBound]) -> NamedBounds {
         .collect()
 }
 
-/// Re-binds name-keyed cached bounds to a graph's catalog ids so they
-/// render byte-identically to a fresh analysis (both `render_bounds`
-/// and the RPC `bounds_body` resolve names through the catalog). `None`
-/// when any cached name is missing from the catalog — the caller should
-/// treat that as a miss and recompute; it cannot happen for an entry
-/// stored under the same content key, but a defensive miss beats a
-/// wrong label.
+/// Re-binds name-keyed cached bounds to a graph's catalog ids, in that
+/// catalog's id order, so they render byte-identically to a fresh
+/// analysis even when they were stored from a file that declares its
+/// resources in another order (both `render_bounds` and the RPC
+/// `bounds_body` resolve names through the catalog). `None` when any
+/// cached name is missing from the catalog — the caller should treat
+/// that as a miss and recompute; it cannot happen for an entry stored
+/// under the same content key, but a defensive miss beats a wrong label.
 pub fn resolve_bounds(catalog: &Catalog, named: &NamedBounds) -> Option<Vec<ResourceBound>> {
-    named
+    let mut bounds: Vec<ResourceBound> = named
         .iter()
         .map(|(name, b)| {
             catalog
                 .lookup(name)
                 .map(|id| ResourceBound { resource: id, ..*b })
         })
-        .collect()
+        .collect::<Option<_>>()?;
+    bounds.sort_unstable_by_key(|b| b.resource);
+    Some(bounds)
 }
 
 /// The `rtlb-cache-entry-v1` document for one stored result: each
@@ -664,6 +669,18 @@ mod tests {
         assert_eq!(resolved[0].witness, sample_bounds()[0].1.witness);
         let foreign = vec![("ghost".to_owned(), sample_bounds()[0].1)];
         assert_eq!(resolve_bounds(&catalog, &foreign), None);
+
+        // A catalog that declares r1 first gets its bounds in its own
+        // order, as a fresh analysis would list them.
+        let mut reordered = Catalog::new();
+        let r1 = reordered.resource("r1");
+        let p1 = reordered.processor("P1");
+        let resolved = resolve_bounds(&reordered, &sample_bounds()).unwrap();
+        assert_eq!(
+            resolved.iter().map(|b| b.resource).collect::<Vec<_>>(),
+            [r1, p1]
+        );
+        assert_eq!(resolved[1].bound, 3);
     }
 
     #[test]

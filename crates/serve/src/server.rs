@@ -54,7 +54,7 @@ use rtlb_core::{
     analyze_ctl, classify, panic_message, AnalysisError, AnalysisOptions, AnalysisSession,
     CancelToken, OutcomeKind, SystemModel,
 };
-use rtlb_format::{instance, ParseError, ParsedSystem};
+use rtlb_format::{content_key, instance, ParseError, ParsedSystem};
 use rtlb_obs::{Json, MetricsRegistry, MetricsSnapshot, NULL_PROBE};
 
 use crate::pool::{Checkout, SessionPool};
@@ -502,8 +502,10 @@ fn op_analyze(
         // store still answers with the fresh bounds.
         let bounds = match &shared.cache {
             Some(cache) => {
-                let (_, bounds, _) = cache.lookup_or_analyze(
-                    &parsed,
+                let key = content_key(&parsed, &shared.fingerprint);
+                let (bounds, _) = cache.lookup_or_analyze(
+                    key,
+                    parsed.graph.catalog(),
                     &shared.fingerprint,
                     &shared.registry,
                     analyze,

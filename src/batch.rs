@@ -37,14 +37,17 @@
 //! stragglers above the p95 completed duration) to stderr and
 //! optionally as `rtlb-heartbeat-v1` JSONL.
 //!
-//! With [`BatchOptions::cache`] set, the driver is a consumer of the
-//! content-addressed [`ResultCache`]: every instance is keyed by its
-//! canonical text plus the semantic options fingerprint, healthy bounds
-//! are served from disk when the key is known (byte-identical to
-//! recomputation), and fresh `ok` results are stored back. Cache or
-//! not, instances that are content-identical **within one run** are
-//! deduped — the lowest-indexed one is analyzed, its aliases replicate
-//! the outcome — so N copies of a design point cost one analysis.
+//! Each instance is read and parsed **once**, by the one job that keys
+//! it (canonical text plus the semantic options fingerprint) and
+//! analyzes it; the parse is dropped when that job ends. Instances that
+//! are content-identical **within one run** are deduped: the first job
+//! to claim a key is analyzed, and the others replicate its outcome — so
+//! N copies of a design point cost one analysis. With
+//! [`BatchOptions::cache`] set, that first claimant goes through
+//! [`ResultCache::lookup_or_analyze`], the path `rtlb analyze --cache`
+//! and `rtlb serve` share: healthy bounds are served from disk when the
+//! key is known (byte-identical to recomputation), and fresh `ok`
+//! results are stored back.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -54,13 +57,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use rtlb_cache::{bound_from_json, bound_json, name_bounds, NamedBounds, ResultCache};
+use rtlb_cache::{
+    bound_from_json, bound_json, name_bounds, resolve_bounds, CacheOutcome, NamedBounds,
+    ResultCache,
+};
 use rtlb_core::{
     analyze_ctl, effective_threads, run_jobs, AnalysisOptions, CancelToken, ResourceBound,
     SystemModel,
 };
 use rtlb_format::{content_key, ContentKey};
-use rtlb_graph::ResourceId;
+use rtlb_graph::{Catalog, ResourceId};
 use rtlb_obs::{json, Json, Probe, NULL_PROBE};
 
 use crate::format;
@@ -638,28 +644,40 @@ pub fn run_batch_probed(
     Ok(BatchReport {
         root: target.display().to_string(),
         instances,
-        total_micros: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
+        total_micros: micros_since(started),
     })
 }
 
-/// What the scan phase learned about one instance.
-enum Scan {
-    /// Parsed; keyed by canonical content + options fingerprint.
-    Keyed(ContentKey),
-    /// Read/parse failed (or panicked): the outcome is already decided.
-    Failed(OutcomeKind, Option<String>, u64),
+/// What an input's one read and parse led to, short of a failure.
+enum Served {
+    /// Its key's first claimant, with the bounds it was served.
+    Bounds(NamedBounds),
+    /// An alias of an earlier claimant of this key. Its catalog is kept
+    /// to re-bind the representative's bounds to.
+    Alias(ContentKey, Catalog),
+}
+
+/// How one input's job ended.
+enum Job {
+    /// With the input's own outcome.
+    Decided(InstanceOutcome),
+    /// As an alias, under this key.
+    Alias(ContentKey, Catalog),
 }
 
 /// The batch engine shared by [`run_batch_probed`] and the shard driver:
-/// scans and keys every input, dedupes content-identical instances,
-/// consults `preloaded` results and the on-disk cache, analyzes what is
-/// left on the pool, stores fresh `ok` bounds back, and replicates
-/// representative outcomes to their aliases.
+/// one job per input on the [`run_jobs`] pool. A job reads, parses and
+/// keys its input once and claims the key. The first claimant of a key
+/// is its group's representative: it is served from `preloaded`, else
+/// through [`ResultCache::lookup_or_analyze`] (or analyzed, without a
+/// cache). Later claimants are aliases and take the representative's
+/// outcome once every job is done. A job drops its parse when it ends,
+/// so the pool holds at most one parse per worker.
 ///
 /// `on_complete` fires once per input as its outcome becomes final —
-/// from worker threads during the analysis phase — which is what lets a
-/// shard stream its result file as instances finish. Each call carries
-/// the instance's content key when one could be computed (parse
+/// from worker threads as jobs end, then for each alias — which is what
+/// lets a shard stream its result file as instances finish. Each call
+/// carries the instance's content key when one could be computed (parse
 /// failures have none). Results come back in input order regardless of
 /// completion order.
 pub(crate) fn drive(
@@ -674,11 +692,19 @@ pub(crate) fn drive(
         None => None,
     };
     let fingerprint = options.analysis.semantic_fingerprint();
+    let model = SystemModel::shared();
     let timeout = options.timeout_ms.map(Duration::from_millis);
-    let pool = effective_threads(options.jobs);
+    let workers = effective_threads(options.jobs).min(inputs.len());
+    // One level of parallelism: when the batch fans out, each instance
+    // runs its sweep serially; a single-worker batch lets the instance
+    // use its own configured pool.
+    let mut per_instance = options.analysis;
+    if workers > 1 {
+        per_instance.parallelism = 1;
+    }
 
     probe.add("batch.instances", inputs.len() as u64);
-    probe.add("batch.workers", pool.min(inputs.len()) as u64);
+    probe.add("batch.workers", workers as u64);
 
     let sink = match &options.heartbeat {
         Some(hb) => Some(HeartbeatSink::open(hb)?),
@@ -686,14 +712,97 @@ pub(crate) fn drive(
     };
     let progress = Progress::new(inputs.len());
     let stop = AtomicBool::new(false);
+    // Each key's representative: the input index that claimed it first.
+    let claims: Mutex<BTreeMap<ContentKey, usize>> = Mutex::new(BTreeMap::new());
 
-    let mut outcomes: Vec<Option<InstanceOutcome>> = (0..inputs.len()).map(|_| None).collect();
-    let mut keys: Vec<Option<ContentKey>> = vec![None; inputs.len()];
+    let finish = |idx: usize, outcome: &InstanceOutcome, key: Option<ContentKey>| {
+        progress.finish(idx, outcome.kind, outcome.micros);
+        probe.add(outcome_counter(outcome.kind), 1);
+        probe.observe("batch.instance_micros", outcome.micros);
+        on_complete(outcome, key);
+    };
 
+    // Reads, parses, keys and claims input `idx`, then serves it as a
+    // representative. `key` is set as soon as the input is keyed, so an
+    // outcome decided past that point is filed under it.
+    let serve = |idx: usize,
+                 key: &mut Option<ContentKey>|
+     -> Result<Served, (OutcomeKind, String)> {
+        let text = std::fs::read_to_string(&inputs[idx])
+            .map_err(|e| (OutcomeKind::ParseError, format!("cannot read: {e}")))?;
+        let parsed = format::parse(&text).map_err(|e| (OutcomeKind::ParseError, e.to_string()))?;
+        let catalog = parsed.graph.catalog();
+        let key = *key.insert(content_key(&parsed, &fingerprint));
+        let rep = *claims
+            .lock()
+            .expect("claims poisoned")
+            .entry(key)
+            .or_insert(idx);
+        if rep != idx {
+            return Ok(Served::Alias(key, catalog.clone()));
+        }
+        let analyze = || {
+            progress.begin(idx);
+            let ctl = match timeout {
+                Some(limit) => CancelToken::with_timeout(limit),
+                None => CancelToken::none(),
+            };
+            analyze_ctl(&parsed.graph, &model, per_instance, probe, &ctl)
+                .map(|analysis| analysis.bounds().to_vec())
+                .map_err(|e| (classify(&e), e.to_string()))
+        };
+        // A resume's preloaded bounds take precedence over the disk cache.
+        let bounds = if let Some(bounds) = preloaded
+            .get(&key)
+            .and_then(|named| resolve_bounds(catalog, named))
+        {
+            progress.cache_hit();
+            bounds
+        } else if let Some(cache) = &cache {
+            let (bounds, outcome) =
+                cache.lookup_or_analyze(key, catalog, &fingerprint, probe, analyze)?;
+            if outcome == CacheOutcome::Hit {
+                progress.cache_hit();
+            }
+            bounds
+        } else {
+            analyze()?
+        };
+        Ok(Served::Bounds(name_bounds(catalog, &bounds)))
+    };
+
+    let job = |_: &mut (), idx: usize| {
+        let start = Instant::now();
+        let mut key = None;
+        // The job boundary is the fault-isolation line: a panic anywhere
+        // in read/parse/analyze becomes a `panicked` outcome for this
+        // instance only.
+        let result = catch_unwind(AssertUnwindSafe(|| serve(idx, &mut key)));
+        let (kind, detail, bounds) = match result {
+            Ok(Ok(Served::Bounds(bounds))) => (OutcomeKind::Ok, None, bounds),
+            Ok(Ok(Served::Alias(key, catalog))) => return Job::Alias(key, catalog),
+            Ok(Err((kind, detail))) => (kind, Some(detail), Vec::new()),
+            Err(payload) => (
+                OutcomeKind::Panicked,
+                Some(panic_message(payload.as_ref())),
+                Vec::new(),
+            ),
+        };
+        let outcome = InstanceOutcome {
+            path: inputs[idx].clone(),
+            kind,
+            detail,
+            micros: micros_since(start),
+            bounds,
+        };
+        finish(idx, &outcome, key);
+        Job::Decided(outcome)
+    };
+
+    let mut outcomes: Vec<Option<InstanceOutcome>> = Vec::with_capacity(inputs.len());
     std::thread::scope(|scope| {
         // The monitor wakes in short slices so a finished batch never
-        // waits out a long interval before joining. It spans every
-        // phase: scan, cache consult, analysis, replication.
+        // waits out a long interval before joining.
         if let (Some(sink), Some(hb)) = (&sink, &options.heartbeat) {
             if hb.interval_secs > 0 {
                 let interval = Duration::from_secs(hb.interval_secs);
@@ -711,190 +820,41 @@ pub(crate) fn drive(
             }
         }
 
-        // Phase 1 — scan: read, parse, and key every input on the pool.
-        // Parse failures are decided here; everything else gets a key.
-        let scan = |_: &mut (), job: usize| {
-            let start = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                scan_instance(&inputs[job], &fingerprint)
-            }));
-            let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            match result {
-                Ok(Ok(key)) => Scan::Keyed(key),
-                Ok(Err((kind, detail))) => Scan::Failed(kind, Some(detail), micros),
-                Err(payload) => Scan::Failed(
-                    OutcomeKind::Panicked,
-                    Some(panic_message(payload.as_ref())),
-                    micros,
-                ),
-            }
-        };
-        let scans = run_jobs(
-            &NULL_PROBE,
-            pool.min(inputs.len()),
-            inputs.len(),
-            || (),
-            scan,
-        );
-
-        // Phase 2 — group and consult: content-identical inputs form one
-        // group; the lowest index is the representative. Representatives
-        // whose key is already answered (resume preload, then the disk
-        // cache) finish immediately; the rest form the work list.
-        let finalize = |idx: usize,
-                        outcome: InstanceOutcome,
-                        key: Option<ContentKey>,
-                        outcomes: &mut Vec<Option<InstanceOutcome>>| {
-            progress.finish(idx, outcome.kind, outcome.micros);
-            probe.add(outcome_counter(outcome.kind), 1);
-            probe.observe("batch.instance_micros", outcome.micros);
-            on_complete(&outcome, key);
-            outcomes[idx] = Some(outcome);
-        };
-
-        let mut groups: BTreeMap<ContentKey, Vec<usize>> = BTreeMap::new();
-        for (idx, scan) in scans.iter().enumerate() {
-            match scan {
-                Scan::Keyed(key) => {
-                    keys[idx] = Some(*key);
-                    groups.entry(*key).or_default().push(idx);
+        let mut aliases = Vec::new();
+        for (idx, job) in run_jobs(&NULL_PROBE, workers, inputs.len(), || (), job)
+            .into_iter()
+            .enumerate()
+        {
+            outcomes.push(match job {
+                Job::Decided(outcome) => Some(outcome),
+                Job::Alias(key, catalog) => {
+                    aliases.push((idx, key, catalog));
+                    None
                 }
-                Scan::Failed(kind, detail, micros) => {
-                    finalize(
-                        idx,
-                        InstanceOutcome {
-                            path: inputs[idx].clone(),
-                            kind: *kind,
-                            detail: detail.clone(),
-                            micros: *micros,
-                            bounds: Vec::new(),
-                        },
-                        None,
-                        &mut outcomes,
-                    );
-                }
-            }
-        }
-
-        let mut worklist: Vec<usize> = Vec::new();
-        for (key, members) in &groups {
-            let rep = members[0];
-            let start = Instant::now();
-            let served = preloaded.get(key).cloned().or_else(|| {
-                cache.as_ref().and_then(|c| {
-                    let hit = c.lookup(*key);
-                    probe.add(
-                        if hit.is_some() {
-                            "cache.hit"
-                        } else {
-                            "cache.miss"
-                        },
-                        1,
-                    );
-                    hit
-                })
             });
-            match served {
-                Some(bounds) => {
-                    let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    progress.cache_hit();
-                    finalize(
-                        rep,
-                        InstanceOutcome {
-                            path: inputs[rep].clone(),
-                            kind: OutcomeKind::Ok,
-                            detail: None,
-                            micros,
-                            bounds,
-                        },
-                        Some(*key),
-                        &mut outcomes,
-                    );
-                }
-                None => worklist.push(rep),
-            }
         }
 
-        // Phase 3 — analyze the remaining representatives on the pool.
-        // One level of parallelism: when the batch fans out, each
-        // instance runs its sweep serially; a single-worker batch lets
-        // the instance use its own configured pool. Fresh `ok` bounds
-        // are stored to the cache from the worker, so a kill loses at
-        // most in-flight analyses, never finished ones.
-        if !worklist.is_empty() {
-            let workers = pool.min(worklist.len());
-            let mut per_instance = options.analysis;
-            if workers > 1 {
-                per_instance.parallelism = 1;
-            }
-            let analyze = |_: &mut (), job: usize| {
-                let idx = worklist[job];
-                let path = &inputs[idx];
-                progress.begin(idx);
-                let start = Instant::now();
-                // The job boundary is the fault-isolation line: a panic
-                // anywhere in read/parse/analyze becomes a `panicked`
-                // outcome for this instance only.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    analyze_instance(path, per_instance, timeout, probe)
-                }));
-                let micros = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                let (kind, detail, bounds) = match result {
-                    Ok(outcome) => outcome,
-                    Err(payload) => (
-                        OutcomeKind::Panicked,
-                        Some(panic_message(payload.as_ref())),
-                        Vec::new(),
-                    ),
-                };
-                let key = keys[idx];
-                if kind == OutcomeKind::Ok {
-                    if let (Some(cache), Some(key)) = (&cache, key) {
-                        if cache.store(key, &fingerprint, &bounds).is_ok() {
-                            probe.add("cache.write", 1);
-                        }
-                    }
-                }
-                let outcome = InstanceOutcome {
-                    path: path.clone(),
-                    kind,
-                    detail,
-                    micros,
-                    bounds,
-                };
-                progress.finish(idx, outcome.kind, outcome.micros);
-                probe.add(outcome_counter(outcome.kind), 1);
-                probe.observe("batch.instance_micros", outcome.micros);
-                on_complete(&outcome, key);
-                (idx, outcome)
+        // Aliases take their representative's outcome, whatever it was —
+        // identical content gets an identical verdict at the cost of one
+        // analysis. Their bounds are re-bound to their own catalog, as a
+        // cache hit's are.
+        let claims = claims.lock().expect("claims poisoned");
+        for (idx, key, catalog) in aliases {
+            let rep = outcomes[claims[&key]]
+                .as_ref()
+                .expect("a representative decides its own outcome");
+            let outcome = InstanceOutcome {
+                path: inputs[idx].clone(),
+                kind: rep.kind,
+                detail: rep.detail.clone(),
+                micros: 0,
+                bounds: resolve_bounds(&catalog, &rep.bounds)
+                    .map_or_else(|| rep.bounds.clone(), |b| name_bounds(&catalog, &b)),
             };
-            let analyzed = run_jobs(&NULL_PROBE, workers, worklist.len(), || (), analyze);
-            for (idx, outcome) in analyzed {
-                outcomes[idx] = Some(outcome);
-            }
-        }
-
-        // Phase 4 — replicate: aliases take their representative's
-        // outcome verbatim (path aside), whatever it was — identical
-        // content gets an identical verdict at the cost of one analysis.
-        for members in groups.values() {
-            let rep_outcome = outcomes[members[0]]
-                .clone()
-                .expect("representative outcome decided");
-            for &alias in &members[1..] {
-                progress.cache_hit();
-                probe.add("cache.dedup", 1);
-                finalize(
-                    alias,
-                    InstanceOutcome {
-                        path: inputs[alias].clone(),
-                        micros: 0,
-                        ..rep_outcome.clone()
-                    },
-                    keys[alias],
-                    &mut outcomes,
-                );
-            }
+            progress.cache_hit();
+            probe.add("cache.dedup", 1);
+            finish(idx, &outcome, Some(key));
+            outcomes[idx] = Some(outcome);
         }
         stop.store(true, Ordering::Relaxed);
     });
@@ -910,48 +870,9 @@ pub(crate) fn drive(
         .collect())
 }
 
-/// Reads, parses, and keys one instance for the scan phase.
-fn scan_instance(path: &Path, fingerprint: &str) -> Result<ContentKey, (OutcomeKind, String)> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| (OutcomeKind::ParseError, format!("cannot read: {e}")))?;
-    let parsed = format::parse(&text).map_err(|e| (OutcomeKind::ParseError, e.to_string()))?;
-    Ok(content_key(&parsed, fingerprint))
-}
-
-/// Reads, parses, and analyzes one instance; never panics on bad input
-/// (panics that do escape are caught by the caller's job boundary).
-fn analyze_instance(
-    path: &Path,
-    options: AnalysisOptions,
-    timeout: Option<Duration>,
-    probe: &dyn Probe,
-) -> (OutcomeKind, Option<String>, Vec<(String, ResourceBound)>) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            return (
-                OutcomeKind::ParseError,
-                Some(format!("cannot read: {e}")),
-                Vec::new(),
-            )
-        }
-    };
-    let parsed = match format::parse(&text) {
-        Ok(parsed) => parsed,
-        Err(e) => return (OutcomeKind::ParseError, Some(e.to_string()), Vec::new()),
-    };
-    let ctl = match timeout {
-        Some(limit) => CancelToken::with_timeout(limit),
-        None => CancelToken::none(),
-    };
-    match analyze_ctl(&parsed.graph, &SystemModel::shared(), options, probe, &ctl) {
-        Ok(analysis) => (
-            OutcomeKind::Ok,
-            None,
-            name_bounds(parsed.graph.catalog(), analysis.bounds()),
-        ),
-        Err(e) => (classify(&e), Some(e.to_string()), Vec::new()),
-    }
+/// Wall-clock micros since `start`, saturating.
+fn micros_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Resolves the batch target into an ordered instance list.

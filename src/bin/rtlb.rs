@@ -29,7 +29,7 @@ use rtlb::core::{
     render_bounds, render_dedicated_cost, render_shared_cost, AnalysisOptions, AnalysisSession,
     CancelToken, CandidatePolicy, PropagationLevel, SystemModel,
 };
-use rtlb::format::{parse, parse_scenarios, render, resolve, ParsedSystem};
+use rtlb::format::{content_key, parse, parse_scenarios, render, resolve, ParsedSystem};
 use rtlb::graph::to_dot;
 use rtlb::obs::{
     chrome_trace, prometheus_text, Json, MetricsRegistry, MetricsSnapshot, PhaseProfile, Probe,
@@ -578,9 +578,15 @@ impl From<std::io::Error> for Failure {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut stdout = std::io::stdout().lock();
-    let result = parse_args(&argv)
+    let result = std::env::args_os()
+        .skip(1)
+        .map(|arg| {
+            arg.into_string()
+                .map_err(|arg| format!("argument {arg:?} is not valid UTF-8"))
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(|argv| parse_args(&argv))
         .map_err(Failure::Usage)
         .and_then(|parsed| {
             let code = match parsed {
@@ -692,8 +698,10 @@ fn cmd_analyze_cached(
         &NULL_PROBE
     };
     let cache = ResultCache::open(std::path::Path::new(dir))?;
-    let (key, bounds, outcome) =
-        cache.lookup_or_analyze(parsed, &options.semantic_fingerprint(), probe, || {
+    let fingerprint = options.semantic_fingerprint();
+    let key = content_key(parsed, &fingerprint);
+    let (bounds, outcome) =
+        cache.lookup_or_analyze(key, parsed.graph.catalog(), &fingerprint, probe, || {
             analyze_with_probe(&parsed.graph, &SystemModel::shared(), options, probe)
                 .map(|analysis| analysis.bounds().to_vec())
                 .map_err(|e| e.to_string())

@@ -202,6 +202,90 @@ fn content_identical_instances_cost_one_analysis() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `text` with its `processor` and `resource` lines moved to the top in
+/// reverse order: the same instance, with another catalog order.
+fn declared_backwards(text: &str) -> String {
+    let (declarations, rest): (Vec<&str>, Vec<&str>) = text
+        .lines()
+        .partition(|line| line.starts_with("processor ") || line.starts_with("resource "));
+    let mut out = String::from("# declarations reversed\n");
+    for line in declarations.iter().rev().chain(&rest) {
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+/// The worker count decides only which member of a group is analyzed,
+/// so only which row carries `micros: 0`. Over two presentation-variant
+/// pairs (one pair's key already cached), a parse error and an
+/// infeasible instance, one worker and four give equal normalized
+/// reports and equal cache counters. Every row also equals its file's
+/// row batched alone: a cache hit or an alias lists its bounds in its
+/// own file's resource order, whichever variant stored or analyzed them.
+#[test]
+fn worker_count_changes_no_row_and_no_cache_counter() {
+    let dir = temp("workers");
+    let corpus = dir.join("corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let fig7 = std::fs::read_to_string("examples/instances/paper_fig7.rtlb").unwrap();
+    let pipeline = std::fs::read_to_string("examples/batch/good_pipeline.rtlb").unwrap();
+    for (name, text) in [
+        ("fig7.rtlb", fig7.clone()),
+        ("fig7_reversed.rtlb", declared_backwards(&fig7)),
+        ("pipeline.rtlb", pipeline.clone()),
+        ("pipeline_reversed.rtlb", declared_backwards(&pipeline)),
+        ("broken.rtlb", "task without a processor\n".to_owned()),
+        (
+            "infeasible.rtlb",
+            std::fs::read_to_string("examples/batch/infeasible.rtlb").unwrap(),
+        ),
+    ] {
+        std::fs::write(corpus.join(name), text).unwrap();
+    }
+    let prefill = dir.join("prefill");
+    std::fs::create_dir_all(&prefill).unwrap();
+    std::fs::write(prefill.join("fig7.rtlb"), declared_backwards(&fig7)).unwrap();
+
+    let run = |jobs: usize| {
+        let options = BatchOptions {
+            jobs,
+            cache: Some(dir.join(format!("cache-{jobs}"))),
+            ..BatchOptions::default()
+        };
+        run_batch(&prefill, &options).unwrap();
+        let registry = MetricsRegistry::new();
+        let mut report = run_batch_probed(&corpus, &options, &registry).unwrap();
+        report.normalize_timing();
+        let counters = registry.snapshot();
+        let cache = ["cache.hit", "cache.miss", "cache.write", "cache.dedup"]
+            .map(|name| counters.counter(name));
+        (report, cache)
+    };
+    let (serial, serial_cache) = run(1);
+    let (fanned, fanned_cache) = run(4);
+    assert_eq!(serial, fanned);
+    assert_eq!(serial_cache, fanned_cache);
+    assert_eq!(serial_cache, [1, 2, 1, 2], "hit, miss, write, dedup");
+
+    for row in &serial.instances {
+        let alone = dir.join("alone");
+        let _ = std::fs::remove_dir_all(&alone);
+        std::fs::create_dir_all(&alone).unwrap();
+        std::fs::copy(&row.path, alone.join("x.rtlb")).unwrap();
+        let expected = &run_batch(&alone, &BatchOptions::default())
+            .unwrap()
+            .instances[0];
+        assert_eq!(
+            (row.kind, &row.detail, &row.bounds),
+            (expected.kind, &expected.detail, &expected.bounds),
+            "{}",
+            row.path.display()
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// CRLF line endings and duplicate entries in a manifest resolve to the
 /// same (deduplicated) instance list as a clean LF manifest.
 #[test]

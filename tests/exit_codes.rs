@@ -190,6 +190,27 @@ fn usage_errors_are_exit_two() {
 
 /// An unknown flag is named once and followed by the usage hint once,
 /// on every subcommand that takes flags.
+/// An argument that is not valid UTF-8 is a usage error that names it,
+/// refused before any file is read, never a panic.
+#[cfg(unix)]
+#[test]
+fn non_utf8_argument_is_a_usage_error() {
+    use std::os::unix::ffi::OsStrExt;
+
+    let output = Command::new(env!("CARGO_BIN_EXE_rtlb"))
+        .arg("analyze")
+        .arg(std::ffi::OsStr::from_bytes(b"\xff.rtlb"))
+        .output()
+        .expect("rtlb runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains(r#""\xFF.rtlb" is not valid UTF-8"#),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn unknown_flag_prints_the_usage_hint_once() {
     for args in [

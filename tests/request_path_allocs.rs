@@ -128,8 +128,9 @@ fn request_decode_stays_under_its_allocation_ceiling() {
 }
 
 /// The cache key of the one-shot instance: its canonical text, hashed
-/// with the default options' fingerprint (768 allocations and 101,989
-/// bytes with one `String` per canonical line).
+/// with the default options' fingerprint (17 allocations and 79,960
+/// bytes written into the one hashed buffer; 768 and 101,989 with one
+/// `String` per canonical line).
 #[test]
 fn content_key_stays_under_its_allocation_ceiling() {
     let parsed = rtlb::format::parse(&instance_text()).expect("the instance parses");
@@ -137,12 +138,38 @@ fn content_key_stays_under_its_allocation_ceiling() {
     let (_, allocs, bytes) = counted(|| rtlb::format::content_key(&parsed, &fingerprint));
     eprintln!("content_key: {allocs} allocations, {bytes} bytes on 400 tasks");
     assert!(
-        allocs <= 1_000,
-        "content_key made {allocs} allocations on 400 tasks (ceiling 1,000)"
+        allocs <= 25,
+        "content_key made {allocs} allocations on 400 tasks (ceiling 25)"
     );
     assert!(
-        bytes <= 135_000,
-        "content_key allocated {bytes} bytes on 400 tasks (ceiling 135,000)"
+        bytes <= 100_000,
+        "content_key allocated {bytes} bytes on 400 tasks (ceiling 100,000)"
+    );
+}
+
+/// One `run_batch` miss at one worker, with no cache and no heartbeat,
+/// over a directory that holds only the one-shot instance: all of it
+/// runs on this thread. The driver reads, parses and keys the file once
+/// and analyzes that parse (1,085 allocations; 2,839 when it read and
+/// parsed the file a second time to analyze it).
+#[test]
+fn batch_miss_stays_under_its_allocation_ceiling() {
+    let dir = std::env::temp_dir().join(format!("rtlb-allocs-batch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("framed.rtlb"), instance_text()).unwrap();
+    let options = rtlb::batch::BatchOptions {
+        jobs: 1,
+        ..rtlb::batch::BatchOptions::default()
+    };
+    let (report, allocs, _) = counted(|| rtlb::batch::run_batch(&dir, &options));
+    std::fs::remove_dir_all(&dir).ok();
+    let report = report.expect("the batch runs");
+    assert_eq!(report.instances[0].kind, rtlb::batch::OutcomeKind::Ok);
+    eprintln!("run_batch miss: {allocs} allocations on 400 tasks");
+    assert!(
+        allocs <= 1_500,
+        "run_batch made {allocs} allocations on one 400-task miss (ceiling 1,500)"
     );
 }
 
